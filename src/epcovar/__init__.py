@@ -92,6 +92,7 @@ from .views import (
     quantile_view,
     relative_view,
     value_view,
+    variance_view,
     view_from_dict,
     view_to_dict,
 )

@@ -52,7 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", help="column of the conditioning asset X")
     p.add_argument("--y", help="column of the measured asset Y")
     p.add_argument("--alpha", type=float, help="confidence level in (0, 1), default 0.95")
-    p.add_argument("--mode", choices=["analytic", "scenario"], help="prior mode")
+    p.add_argument(
+        "--mode", choices=["analytic", "analytic-from-fit", "scenario"], help="prior mode"
+    )
     p.add_argument("--scenarios", type=int, help="panel size J for scenario mode")
     p.add_argument("--seed", type=int, help="scenario sampling seed")
     p.add_argument("--unit", help="loss unit label echoed into reports")

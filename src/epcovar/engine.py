@@ -40,7 +40,7 @@ from .errors import ConfigError, DataError, EpcovarError
 from .estimation import fit_t_copula, fit_t_marginal, generate_scenarios, pseudo_observations
 from .normal import bvn_cdf, norm_cdf
 from .scenario import ScenarioPanel, interpolated_quantile
-from .solver import SolveReport, SolverOptions, pool, relative_entropy, solve
+from .solver import SolveReport, SolverOptions, max_violation, pool, relative_entropy, solve
 from .views import ViewSpec, compile_view, describe, no_view, view_from_dict
 
 _MODES = ("analytic", "analytic-from-fit", "scenario")
@@ -333,12 +333,7 @@ def _pooled_scenario_row(config, panel, posteriors, var) -> list[ReportRow]:
     covar = interpolated_quantile(panel.y, mixed, config.alpha)
     # the mixture need not satisfy any single view; its worst constraint
     # violation across the pooled views is reported as a diagnostic
-    violation = 0.0
-    for view in config.views:
-        cs = compile_view(view, panel)
-        achieved = cs.matrix @ mixed.weights
-        gap = np.maximum(cs.lower - achieved, achieved - cs.upper)
-        violation = max(violation, float(max(gap.max(), 0.0)))
+    violation = max(max_violation(compile_view(v, panel), mixed.weights) for v in config.views)
     return [
         ReportRow(
             label="pooled(" + "; ".join(describe(v) for v in config.views) + ")",
@@ -602,10 +597,16 @@ def sensitivity_scan(
     """(parameter, CoVaR) pairs for an equality-view sweep of one view kind.
 
     Accepts either a resolved :class:`BivariateNormalParams` prior or a
-    :class:`RunConfig` (whose data then supplies a sample-moment prior).
+    :class:`RunConfig` (whose data then supplies a sample-moment prior, or the
+    fitted one in ``analytic-from-fit`` mode). Scans are closed-form, so a
+    scenario-mode config is rejected rather than scanned on a normal prior.
     """
     if isinstance(prior_or_config, RunConfig):
         config = prior_or_config
+        if config.mode == "scenario":
+            raise ConfigError(
+                "sensitivity scans use the closed-form engine; scenario mode has no scan"
+            )
         x, y = _load_series(config)
         prior = analytic_prior(x, y) if config.mode != "analytic-from-fit" else fitted_prior(x, y)
         alpha = config.alpha if alpha is None else alpha

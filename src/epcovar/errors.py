@@ -30,7 +30,10 @@ class InfeasibleViewError(EpcovarError):
 class InfeasibleError(EpcovarError):
     """The constrained entropy minimization admits no solution within tolerance.
 
-    ``residual`` carries the best attained constraint violation as a certificate.
+    ``residual`` carries the certificate: the smallest max constraint violation
+    that any posterior on the panel can reach. In the rare case that the view
+    is attainable but the solver runs out of iterations, it carries the best
+    violation the solver attained instead.
     """
 
     def __init__(self, message: str, residual: float):
@@ -42,8 +45,9 @@ class DegenerateError(EpcovarError):
     """Posterior mass collapsed below the positivity floor.
 
     Raised instead of silently clipping, so pathological (e.g. bimodal,
-    split-support) posteriors surface to the caller. ``min_log_weight`` is the
-    natural log of the smallest posterior weight encountered.
+    split-support) posteriors surface to the caller: the view is met, or can
+    be met, only as some weights vanish. ``min_log_weight`` is the natural log
+    of the smallest posterior weight encountered.
     """
 
     def __init__(self, message: str, min_log_weight: float):

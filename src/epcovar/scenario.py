@@ -6,12 +6,17 @@ Conventions used throughout the package:
   5% loss; the unit label is metadata only and never rescales anything.
 - A panel stores J joint scenarios for the pair (X, Y) plus a strictly
   positive prior probability vector summing to one.
-- Quantiles follow the left-continuous generalized inverse: the reported
-  alpha-quantile is the smallest scenario value whose cumulative probability
-  reaches alpha. This keeps Pr(value <= quantile) >= alpha exact on atomic
-  distributions and is deterministic under ties.
+- Reports read quantiles with ``interpolated_quantile``, the
+  mid-distribution estimator: each atom sits at the midpoint of its
+  probability mass and the cumulative curve is interpolated linearly between
+  atoms, which suits panels sampled from a continuous density.
+  ``weighted_quantile`` gives the left-continuous generalized inverse (the
+  smallest scenario value whose cumulative probability reaches alpha) for
+  genuinely atomic data; it keeps Pr(value <= quantile) >= alpha exact and is
+  deterministic under ties.
 - Scenario moments use the population convention (probabilities are exact
-  weights, not sample frequencies).
+  weights, not sample frequencies). Their J-length products are ``np.einsum``
+  kernels rather than BLAS calls, which would wait on a thread hand-off.
 
 All types are frozen and hold read-only arrays; they are safe to share across
 threads.
@@ -181,6 +186,7 @@ def moments(values, probs) -> tuple[float, float]:
     p = as_weights(probs)
     if v.size != p.size:
         raise ValueError(f"length mismatch: values has {v.size}, probs has {p.size}")
-    mean = float(p @ v)
-    var = float(p @ (v - mean) ** 2)
+    mean = float(np.einsum("j,j->", p, v))
+    dev = v - mean
+    var = float(np.einsum("j,j,j->", p, dev, dev))
     return mean, var

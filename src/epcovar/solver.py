@@ -17,9 +17,22 @@ split-support posteriors surface instead of being masked.
 Sign conventions: the reported multiplier vector has one entry per constraint
 row, normalization included. Multipliers of upper-bounded rows are >= 0, of
 lower-bounded rows <= 0, and complementary slackness holds within tolerance.
-One-sided constraints already satisfied by the prior leave it untouched;
-unattainable ones raise :class:`~epcovar.errors.InfeasibleError` carrying the
-best residual as a certificate.
+One-sided constraints already satisfied by the prior leave it untouched.
+
+Refusals are decided by a property of the view, not by the rounding of the
+dual iterates. When a round (one quasi-Newton pass plus the polish) fails to
+at least halve the max violation, or the iteration budget runs out, a phase-I
+certificate is computed: the smallest max violation any posterior on the
+panel can reach with the normalization row exact (Boyd & Vandenberghe,
+*Convex Optimization*, §11.4). A certificate above tolerance raises
+:class:`~epcovar.errors.InfeasibleError` carrying it; a certificate within
+tolerance while the iterate's weights underflow the positivity floor raises
+:class:`~epcovar.errors.DegenerateError`, because the view is reachable only
+as weights vanish. A solve that meets tolerance never computes it.
+
+Every product of length J is an elementwise or ``np.einsum`` kernel, never a
+BLAS call: the dual has K << J rows, and at this shape a BLAS call would wait
+on a thread hand-off that costs far more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -28,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 
 from .errors import DegenerateError, InfeasibleError
 from .scenario import Probabilities, ScenarioPanel, as_weights
@@ -61,7 +74,7 @@ def relative_entropy(post, prior) -> float:
         raise ValueError(f"length mismatch: post has {q.size}, prior has {p.size}")
     if np.any(q <= 0.0) or np.any(p <= 0.0):
         raise ValueError("relative entropy needs strictly positive weights")
-    return float(q @ (np.log(q) - np.log(p)))
+    return float(np.einsum("j,j->", q, np.log(q) - np.log(p)))
 
 
 def _effective_bounds(constraints: LinearConstraintSet, lam: np.ndarray) -> np.ndarray:
@@ -95,15 +108,15 @@ def dual_value_and_gradient(
         raise ValueError("multipliers must be finite")
     g = constraints.matrix
     b = _effective_bounds(constraints, lam)
-    exponents = np.log(panel.prior) - g.T @ lam
+    exponents = np.log(panel.prior) - np.einsum("kj,k->j", g, lam)
     shift = float(exponents.max())
     scaled = np.exp(exponents - shift)
     log_z = shift + math.log(float(scaled.sum()))
     if log_z > 700.0:
-        return math.inf, b - (g @ scaled) * math.exp(700.0)
+        return math.inf, b - np.einsum("kj,j->k", g, scaled) * math.exp(700.0)
     q = np.exp(exponents)
     value = float(q.sum()) + float(lam @ b) - 1.0
-    return value, b - g @ q
+    return value, b - np.einsum("kj,j->k", g, q)
 
 
 def _split_rows(constraints: LinearConstraintSet):
@@ -131,38 +144,32 @@ def solve(
 ) -> SolveReport:
     """Minimum-KL posterior under the compiled constraints.
 
-    Returns a :class:`SolveReport`; raises :class:`InfeasibleError` when the
-    residual cannot be brought below ``options.tol`` and
-    :class:`DegenerateError` when posterior mass falls below the positivity
-    floor (1e-300).
+    Returns a :class:`SolveReport`. Raises :class:`InfeasibleError`, carrying
+    the phase-I certificate, when no posterior on the panel meets the
+    constraints within ``options.tol``; raises :class:`DegenerateError` when
+    they are met only with posterior mass below the positivity floor (1e-300).
     """
     log_p = np.log(panel.prior)
     split = _split_rows(constraints)
     n_dual = len(split)
     kinds = [s[0] for s in split]
     bounds_vec = np.array([s[1] for s in split], dtype=float)
-    g_dual = (
-        constraints.matrix[[s[2] for s in split], :]
-        if n_dual
-        else np.zeros((0, panel.size))
-    )
+    g_dual = constraints.matrix[[s[2] for s in split], :]
 
     def log_posterior(lam: np.ndarray) -> tuple[np.ndarray, float]:
-        a = log_p - (g_dual.T @ lam if n_dual else 0.0)
+        a = log_p - np.einsum("kj,k->j", g_dual, lam)
         shift = float(a.max())
         log_z = shift + math.log(float(np.exp(a - shift).sum()))
         return a - log_z, log_z
 
     def objective(lam: np.ndarray) -> tuple[float, np.ndarray]:
-        lp, log_z = log_posterior(lam)
-        value = log_z + float(lam @ bounds_vec)
-        return value, bounds_vec - g_dual @ np.exp(lp)
-
-    def max_violation(lam: np.ndarray) -> float:
-        lp, _ = log_posterior(lam)
-        achieved = constraints.matrix @ np.exp(lp)
-        gap = np.maximum(constraints.lower - achieved, achieved - constraints.upper)
-        return float(max(gap.max(), 0.0))
+        # log_posterior inlined, so that each evaluation takes one exp over J
+        a = log_p - np.einsum("kj,k->j", g_dual, lam)
+        shift = float(a.max())
+        w = np.exp(a - shift)
+        total = float(w.sum())
+        value = shift + math.log(total) + float(lam @ bounds_vec)
+        return value, bounds_vec - np.einsum("kj,j->k", g_dual, w) / total
 
     iterations = 0
     lam = np.zeros(n_dual)
@@ -176,6 +183,8 @@ def solve(
         # almost flat in some directions, where the exact-Hessian polish is
         # far more effective than further quasi-Newton iterations
         budget = options.max_iter
+        violation = max_violation(constraints, panel.prior)
+        certificate = None
         while True:
             res = minimize(
                 objective,
@@ -192,21 +201,62 @@ def solve(
                 lam, kinds, bounds_vec, g_dual, log_posterior, options
             )
             iterations += polish_steps
-            if max_violation(lam) <= options.tol or budget <= 0 or int(res.nit) == 0:
+            lp, _ = log_posterior(lam)
+            previous, violation = violation, max_violation(constraints, np.exp(lp))
+            if violation <= options.tol:
+                break
+            exhausted = budget <= 0 or int(res.nit) == 0
+            if exhausted or violation > 0.5 * previous:  # out of budget, or stalled
+                if certificate is None:
+                    certificate = _phase_one_certificate(constraints)
+                if certificate > options.tol:
+                    raise InfeasibleError(
+                        f"constraints unattainable: no posterior on the panel gets the "
+                        f"max violation below {certificate:.3e}, above tolerance "
+                        f"{options.tol:.1e}",
+                        residual=certificate,
+                    )
+                _check_floor(lp)
+            if exhausted:
                 break
 
     lp, log_z = log_posterior(lam)
     q = np.exp(lp)  # underflow to 0.0 here only affects the residual check
-    achieved = constraints.matrix @ q
+    achieved = np.einsum("kj,j->k", constraints.matrix, q)
     viol = np.maximum(constraints.lower - achieved, achieved - constraints.upper)
     residual = float(max(viol.max(), 0.0))
     if residual > options.tol:
+        # attainable per the certificate, but not reached within the budget
         worst = constraints.labels[int(np.argmax(viol))]
         raise InfeasibleError(
             f"constraints unattained: residual {residual:.3e} on row '{worst}' "
             f"exceeds tolerance {options.tol:.1e}",
             residual=residual,
         )
+    _check_floor(lp)
+
+    multipliers = np.zeros(constraints.n_rows)
+    for (_, _, orig), value in zip(split, lam):
+        multipliers[orig] += value
+    multipliers[constraints.normalization_row] = log_z
+    entropy = float(np.einsum("j,j->", q, lp - log_p))
+    return SolveReport(
+        posterior=Probabilities(q),
+        multipliers=multipliers,
+        residual=residual,
+        iterations=iterations,
+        entropy=max(entropy, 0.0),
+    )
+
+
+def max_violation(constraints: LinearConstraintSet, q: np.ndarray) -> float:
+    """Max constraint violation of the weights ``q``, zero when all rows hold."""
+    achieved = np.einsum("kj,j->k", constraints.matrix, q)
+    gap = np.maximum(constraints.lower - achieved, achieved - constraints.upper)
+    return float(max(gap.max(), 0.0))
+
+
+def _check_floor(lp: np.ndarray) -> None:
     min_log = float(lp.min())
     if min_log < _LOG_FLOOR:
         raise DegenerateError(
@@ -215,18 +265,62 @@ def solve(
             min_log_weight=min_log,
         )
 
-    multipliers = np.zeros(constraints.n_rows)
-    for (_, _, orig), value in zip(split, lam):
-        multipliers[orig] += value
-    multipliers[constraints.normalization_row] = log_z
-    entropy = float(q @ (lp - log_p))
-    return SolveReport(
-        posterior=Probabilities(q),
-        multipliers=multipliers,
-        residual=residual,
-        iterations=iterations,
-        entropy=max(entropy, 0.0),
-    )
+
+def _phase_one_certificate(constraints: LinearConstraintSet) -> float:
+    """Smallest max violation any posterior on the panel can reach.
+
+    Solves the phase-I linear program
+
+        minimize t  subject to  G_k q - t <= upper_k,  lower_k - G_k q <= t,
+                                sum q = 1,  q >= 0,  t >= 0
+
+    over the non-normalization rows k, by column generation: the program is
+    solved on a restricted scenario set, starting from the argmax and argmin
+    scenario of each row, and the scenarios with the most negative reduced
+    cost are added until none is left. The restricted programs stay small, so
+    the full J-column program is never built. Returns the max violation of
+    the resulting weights, normalized, on the full constraint set.
+    """
+    g = constraints.matrix
+    keep = np.arange(constraints.n_rows) != constraints.normalization_row
+    up = keep & np.isfinite(constraints.upper)
+    dn = keep & np.isfinite(constraints.lower)
+    if not (up.any() or dn.any()):
+        return 0.0
+    b_ub = np.concatenate([constraints.upper[up], -constraints.lower[dn]])
+    support = np.unique(np.concatenate([g.argmax(axis=1)[keep], g.argmin(axis=1)[keep]]))
+    batch = b_ub.size + 1
+    while True:
+        n = support.size
+        cols = g[:, support]
+        res = linprog(
+            np.append(np.zeros(n), 1.0),
+            A_ub=np.hstack([np.vstack([cols[up], -cols[dn]]), -np.ones((b_ub.size, 1))]),
+            b_ub=b_ub,
+            A_eq=np.append(np.ones(n), 0.0)[None, :],
+            b_eq=[1.0],
+            bounds=(0.0, None),
+            method="highs-ds",
+            options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+        )
+        if res.status != 0:  # pragma: no cover - the program is always feasible and bounded
+            raise RuntimeError(f"phase-I program failed: {res.message}")
+        # reduced cost of scenario j: -(sum_k G_kj (y_up_k - y_dn_k) + mu), where
+        # the normalization row carries no inequality multiplier
+        y = res.ineqlin.marginals
+        w = np.zeros(constraints.n_rows)
+        w[up] += y[: up.sum()]
+        w[dn] -= y[up.sum():]
+        reduced = -(np.einsum("kj,k->j", g, w) + res.eqlin.marginals[0])
+        reduced[support] = 0.0
+        entering = np.flatnonzero(reduced < -1e-10)
+        if entering.size == 0:
+            break
+        order = np.argsort(reduced[entering], kind="stable")[:batch]
+        support = np.union1d(support, entering[order])
+    q = np.zeros(constraints.matrix.shape[1])
+    q[support] = np.maximum(res.x[:-1], 0.0)
+    return max_violation(constraints, q / q.sum())
 
 
 def pool(posteriors, confidences) -> Probabilities:
@@ -275,7 +369,7 @@ def _newton_polish(lam, kinds, bounds_vec, g_dual, log_posterior, options):
     target = min(options.tol * 1e-4, 1e-12)
 
     def residual_vec(lp):
-        return bounds_vec - g_dual @ np.exp(lp)
+        return bounds_vec - np.einsum("kj,j->k", g_dual, np.exp(lp))
 
     steps = 0
     for _ in range(options.polish_iter):
@@ -289,8 +383,8 @@ def _newton_polish(lam, kinds, bounds_vec, g_dual, log_posterior, options):
             break
         q = np.exp(lp)
         ga = g_dual[active]
-        mean = ga @ q
-        cov = (ga * q) @ ga.T - np.outer(mean, mean)
+        mean = np.einsum("kj,j->k", ga, q)
+        cov = np.einsum("kj,lj,j->kl", ga, ga, q) - np.outer(mean, mean)
         step, *_ = np.linalg.lstsq(cov, -r[active], rcond=None)
         base = np.abs(r[active]).max()
         scale = 1.0

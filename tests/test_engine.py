@@ -431,6 +431,13 @@ class TestSensitivityScan:
         rows = sensitivity_scan(config, "expectation", 0.0, 0.1, 5)
         assert len(rows) == 5
 
+    def test_scenario_mode_config_rejected(self, losses_csv):
+        # a scan is closed-form; scanning a scenario config would silently
+        # use the sample-moment normal prior instead of the scenario panel
+        config = RunConfig(data=losses_csv, x="SVB", y="NBI", mode="scenario")
+        with pytest.raises(ConfigError, match="scenario mode"):
+            sensitivity_scan(config, "expectation", 0.0, 1.0, 3)
+
 
 class TestConfig:
     def test_from_dict_round_trip(self, losses_csv):
@@ -530,6 +537,27 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 4
         assert all(len(line.split("\t")) == 2 for line in lines)
+
+    def test_scan_in_scenario_mode_is_a_config_error(self, losses_csv, capsys):
+        rc = self._run(
+            ["--data", losses_csv, "--x", "SVB", "--y", "NBI",
+             "--mode", "scenario", "--scan", "expectation:0:1:3"]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "scenario mode" in captured.err
+
+    def test_analytic_from_fit_mode(self, losses_csv, capsys):
+        rc = self._run(
+            ["--data", losses_csv, "--x", "SVB", "--y", "NBI", "--mode", "analytic-from-fit"]
+        )
+        assert rc == 0
+        report = run_pipeline(
+            RunConfig(data=losses_csv, x="SVB", y="NBI", mode="analytic-from-fit")
+        )
+        assert report.mode == "analytic-from-fit"
+        assert capsys.readouterr().out == render_report(report, "table")
 
     def test_bad_scan_spec(self, losses_csv):
         rc = self._run(

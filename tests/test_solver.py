@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from _oracles import brute_force_min_kl, tilt_mean_by_bisection
+from epcovar import solver as solver_mod
 from epcovar.errors import DegenerateError, InfeasibleError
 from epcovar.scenario import Probabilities, build_panel
 from epcovar.solver import (
@@ -29,6 +30,7 @@ from epcovar.views import (
     expectation_view,
     no_view,
     quantile_view,
+    value_view,
 )
 
 
@@ -264,6 +266,60 @@ class TestSolve:
         )
         with pytest.raises(InfeasibleError):
             solve(panel, cs)
+
+    def test_conflicting_rows_certificate_is_the_attainable_minimum(self):
+        # mean rows 0.5 and 1.5 can both be missed by no less than 0.5, at
+        # any posterior with mean 1
+        panel = build_panel([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
+        g = np.vstack([panel.x, panel.x, np.ones(3)])
+        cs = LinearConstraintSet(
+            g, np.array([0.5, 1.5, 1.0]), np.array([0.5, 1.5, 1.0])
+        )
+        with pytest.raises(InfeasibleError) as err:
+            solve(panel, cs)
+        assert abs(err.value.residual - 0.5) <= 1e-12
+
+    def test_infeasible_mean_certificate_is_exact(self):
+        # no posterior on {0, 1} has a mean above 1, so the best miss is 5 - 1
+        panel = build_panel([0.0, 1.0], [0.0, 1.0])
+        cs = compile_view(expectation_view(5.0), panel)
+        with pytest.raises(InfeasibleError) as err:
+            solve(panel, cs)
+        assert err.value.residual == 4.0
+
+    def test_view_met_only_as_weights_underflow_is_degenerate(self, monkeypatch):
+        # a mean of exactly 700 needs all mass on the last scenario; within
+        # tolerance, the weight of x = 0 is below exp(-1e6)
+        panel = build_panel([0.0, 699.999, 700.0], [0.0, 0.0, 0.0])
+        cs = compile_view(expectation_view(700.0), panel)
+        certificates = []
+        real = solver_mod._phase_one_certificate
+
+        def recording(constraints):
+            certificates.append(real(constraints))
+            return certificates[-1]
+
+        monkeypatch.setattr(solver_mod, "_phase_one_certificate", recording)
+        with pytest.raises(DegenerateError) as err:
+            solve(panel, cs)
+        assert err.value.min_log_weight < math.log(1e-300)
+        # refused on the certificate: the view is attainable, not infeasible
+        assert len(certificates) == 1 and certificates[0] <= SolverOptions().tol
+
+    def test_converged_solve_never_computes_a_certificate(self, monkeypatch):
+        def forbidden(constraints):
+            raise AssertionError("phase-I certificate computed on a converged solve")
+
+        monkeypatch.setattr(solver_mod, "_phase_one_certificate", forbidden)
+        rng = np.random.default_rng(5)
+        panel = build_panel(rng.normal(size=200), rng.normal(size=200))
+        for view in (
+            expectation_view(float(np.quantile(panel.x, 0.7))),
+            quantile_view(float(np.quantile(panel.x, 0.5)), 0.7),
+            value_view(float(np.quantile(panel.x, 0.9)), "ge"),
+        ):
+            rep = solve(panel, compile_view(view, panel))
+            assert rep.residual <= SolverOptions().tol
 
     def test_degenerate_posterior_is_reported_not_clipped(self):
         # an extreme mean view on a wide-span panel drives the far tail's

@@ -367,3 +367,19 @@ class TestDescribe:
         for view in views:
             assert describe(view) == describe(view)
             assert describe(view)
+
+
+def test_every_view_factory_is_exported():
+    import epcovar
+    from epcovar import views
+
+    factories = [
+        name for name, obj in vars(views).items()
+        if name.endswith("_view") and not name.startswith("_") and callable(obj)
+        and getattr(obj, "__module__", None) == views.__name__
+    ]
+    assert "variance_view" in factories
+    missing = [
+        name for name in factories if getattr(epcovar, name, None) is not getattr(views, name)
+    ]
+    assert missing == []
