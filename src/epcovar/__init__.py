@@ -18,7 +18,6 @@ quantile-regression baseline) and a CLI report layer round out the toolkit.
 from .analytics import (
     BivariateNormalParams,
     ViewOutcome,
-    bivariate_normal_cdf,
     covar_correlation_view,
     covar_expectation_view,
     covar_for_view,
@@ -74,7 +73,6 @@ from .scenario import (
 from .solver import (
     SolveReport,
     SolverOptions,
-    dual_value_and_gradient,
     pool,
     relative_entropy,
     solve,

@@ -638,11 +638,6 @@ def _collapses(relation: str, prior_value: float, view_value: float) -> bool:
     return prior_value <= view_value if relation == "le" else prior_value >= view_value
 
 
-def bivariate_normal_cdf(zx: float, zy: float, rho: float) -> float:
-    """Standard bivariate normal CDF Pr(ZX <= zx, ZY <= zy); see `normal.bvn_cdf`."""
-    return bvn_cdf(zx, zy, rho)
-
-
 # -- numeric oracle -------------------------------------------------------------
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

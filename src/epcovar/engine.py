@@ -40,7 +40,7 @@ from .errors import ConfigError, DataError, EpcovarError
 from .estimation import fit_t_copula, fit_t_marginal, generate_scenarios, pseudo_observations
 from .normal import bvn_cdf, norm_cdf
 from .scenario import ScenarioPanel, interpolated_quantile
-from .solver import SolveReport, SolverOptions, max_violation, pool, relative_entropy, solve
+from .solver import SolveReport, max_violation, pool, relative_entropy, solve
 from .views import ViewSpec, compile_view, describe, no_view, view_from_dict
 
 _MODES = ("analytic", "analytic-from-fit", "scenario")
@@ -276,14 +276,11 @@ def scenario_prior(config: RunConfig, x: np.ndarray, y: np.ndarray) -> ScenarioP
 # -- scenario-mode evaluation ----------------------------------------------------
 
 def ep_covar_on_panel(
-    panel: ScenarioPanel,
-    view: ViewSpec,
-    alpha: float,
-    options: SolverOptions = SolverOptions(),
+    panel: ScenarioPanel, view: ViewSpec, alpha: float
 ) -> tuple[float, SolveReport]:
     """Compile one view, reweight the panel, read off the conditional quantile."""
     constraints = compile_view(view, panel)
-    report = solve(panel, constraints, options)
+    report = solve(panel, constraints)
     covar = interpolated_quantile(panel.y, report.posterior, alpha)
     return covar, report
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv, gammaln, stdtr
+from scipy.special import gammaln, stdtr, stdtrit
 from scipy.stats import kendalltau
 
 from .scenario import ScenarioPanel, build_panel
@@ -83,30 +83,12 @@ class QRFit:
 
 
 def t_quantile(p, dof: float):
-    """Student-t quantile via the inverse regularized incomplete beta, with a
-    Newton polish on the CDF (absolute error well under 1e-10)."""
+    """Student-t quantile (``scipy.special.stdtrit``) of probabilities strictly
+    inside (0, 1); scalar in, scalar out."""
     p_arr = np.asarray(p, dtype=float)
     if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
         raise ValueError("probabilities must lie strictly inside (0, 1)")
-    tail = np.minimum(p_arr, 1.0 - p_arr)
-    ib = betaincinv(dof / 2.0, 0.5, 2.0 * tail)
-    with np.errstate(divide="ignore"):
-        t_abs = np.sqrt(dof * (1.0 - ib) / ib)
-    t = np.where(p_arr < 0.5, -t_abs, t_abs)
-    t = np.where(p_arr == 0.5, 0.0, t)
-
-    # Newton polish on the CDF; two passes keep the absolute error under
-    # 1e-10 even in the far tails where the density is tiny
-    def density(v):
-        return np.exp(
-            gammaln((dof + 1.0) / 2.0)
-            - gammaln(dof / 2.0)
-            - 0.5 * math.log(dof * math.pi)
-            - (dof + 1.0) / 2.0 * np.log1p(v * v / dof)
-        )
-
-    for _ in range(2):
-        t = t - (stdtr(dof, t) - p_arr) / np.maximum(density(t), 1e-300)
+    t = stdtrit(dof, p_arr)
     return t if t.ndim else float(t)
 
 

@@ -6,13 +6,15 @@ Solves, for a panel prior ``p`` over J scenarios,
     subject to  lower <= G q <= upper        (one row is the normalization)
 
 by Lagrangian duality: the optimum has the exponential-tilt form
-``q_j ∝ p_j exp(-(G^T lam)_j)`` and the dual is smooth and concave, so a
-projected quasi-Newton pass (multipliers of one-sided rows are sign
-constrained) followed by a Newton polish on the active rows drives the
-constraint residual to tolerance. All posterior arithmetic happens in log
-space; weights that would fall below the positivity floor are reported via
-:class:`~epcovar.errors.DegenerateError` rather than clipped, so pathological
-split-support posteriors surface instead of being masked.
+``q_j ∝ p_j exp(-(G^T lam)_j)``, and the normalised dual (:func:`dual`) is a
+smooth convex function of the K << J multipliers of the other rows. A damped
+Newton method on the active rows, started at ``lam = 0``, minimises it; the
+multipliers of one-sided rows are projected back onto their sign after every
+step (Boyd & Vandenberghe, *Convex Optimization*, §9.5). All posterior
+arithmetic happens in log space; weights that would fall below the positivity
+floor are reported via :class:`~epcovar.errors.DegenerateError` rather than
+clipped, so pathological split-support posteriors surface instead of being
+masked.
 
 Sign conventions: the reported multiplier vector has one entry per constraint
 row, normalization included. Multipliers of upper-bounded rows are >= 0, of
@@ -20,11 +22,11 @@ lower-bounded rows <= 0, and complementary slackness holds within tolerance.
 One-sided constraints already satisfied by the prior leave it untouched.
 
 Refusals are decided by a property of the view, not by the rounding of the
-dual iterates. When a round (one quasi-Newton pass plus the polish) fails to
-at least halve the max violation, or the iteration budget runs out, a phase-I
-certificate is computed: the smallest max violation any posterior on the
-panel can reach with the normalization row exact (Boyd & Vandenberghe,
-*Convex Optimization*, §11.4). A certificate above tolerance raises
+dual iterates. When a round of Newton steps fails to at least halve the max
+violation, ends because no step length reduces the residual, or the
+iteration budget runs out, a phase-I certificate is computed: the smallest
+max violation any posterior on the panel can reach with the normalization row
+exact (Boyd & Vandenberghe, §11.4). A certificate above tolerance raises
 :class:`~epcovar.errors.InfeasibleError` carrying it; a certificate within
 tolerance while the iterate's weights underflow the positivity floor raises
 :class:`~epcovar.errors.DegenerateError`, because the view is reachable only
@@ -41,20 +43,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog
 
 from .errors import DegenerateError, InfeasibleError
 from .scenario import Probabilities, ScenarioPanel, as_weights
 from .views import LinearConstraintSet
 
 _LOG_FLOOR = math.log(1e-300)
+_ROUND = 60  # Newton steps per round; the stall test runs after each round
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-8           # max absolute constraint violation
-    max_iter: int = 10_000
-    polish_iter: int = 60       # Newton refinement steps after quasi-Newton
+    max_iter: int = 10_000      # Newton steps
 
 
 @dataclass(frozen=True)
@@ -77,64 +79,59 @@ def relative_entropy(post, prior) -> float:
     return float(np.einsum("j,j->", q, np.log(q) - np.log(p)))
 
 
-def _effective_bounds(constraints: LinearConstraintSet, lam: np.ndarray) -> np.ndarray:
-    """Per-row bound the dual currently prices: upper for lam >= 0, lower otherwise."""
-    lo, hi = constraints.lower, constraints.upper
-    b = np.where(lo == hi, lo, np.where(lam >= 0.0, hi, lo))
-    # one-sided rows have only one finite side regardless of the sign of lam
-    b = np.where(np.isinf(b), np.where(np.isinf(lo), hi, lo), b)
-    return b
+def dual_rows(constraints: LinearConstraintSet):
+    """Rows, bounds, signs and original row indices of the dual.
 
-
-def dual_value_and_gradient(
-    lam, panel: ScenarioPanel, constraints: LinearConstraintSet
-) -> tuple[float, np.ndarray]:
-    """Dual objective (minimization form) of the tilt problem and its gradient.
-
-    With ``q(lam)_j = p_j exp(-(G^T lam)_j)`` (unnormalized; the normalization
-    row carries its own multiplier), returns
-
-        value    = sum_j q(lam)_j + lam . b(lam) - 1
-        gradient = b(lam) - G q(lam)
-
-    which is zero at lam = 0 with gradient ``b - G p``. The gradient vanishes
-    on equality rows at the optimum. Exponents are shifted by their maximum so
-    large multipliers degrade to an infinite value instead of overflowing.
+    The normalization row is left out, because :func:`dual` normalises the
+    posterior itself; a two-sided finite row becomes an upper and a lower row.
+    ``sign`` is +1 on upper-bounded rows (multiplier >= 0), -1 on
+    lower-bounded rows (multiplier <= 0) and 0 on equality rows.
     """
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (constraints.n_rows,):
-        raise ValueError(f"expected {constraints.n_rows} multipliers, got {lam.shape}")
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("multipliers must be finite")
-    g = constraints.matrix
-    b = _effective_bounds(constraints, lam)
-    exponents = np.log(panel.prior) - np.einsum("kj,k->j", g, lam)
-    shift = float(exponents.max())
-    scaled = np.exp(exponents - shift)
-    log_z = shift + math.log(float(scaled.sum()))
-    if log_z > 700.0:
-        return math.inf, b - np.einsum("kj,j->k", g, scaled) * math.exp(700.0)
-    q = np.exp(exponents)
-    value = float(q.sum()) + float(lam @ b) - 1.0
-    return value, b - np.einsum("kj,j->k", g, q)
-
-
-def _split_rows(constraints: LinearConstraintSet):
-    """Expand rows into (kind, bound, original index) triples, skipping the
-    normalization row. Two-sided finite rows become an le/ge pair."""
-    rows = []
+    picked = []
     for k in range(constraints.n_rows):
         if k == constraints.normalization_row:
             continue
         lo, hi = constraints.lower[k], constraints.upper[k]
         if lo == hi:
-            rows.append(("eq", lo, k))
+            picked.append((k, lo, 0))
         else:
             if np.isfinite(hi):
-                rows.append(("le", hi, k))
+                picked.append((k, hi, 1))
             if np.isfinite(lo):
-                rows.append(("ge", lo, k))
-    return rows
+                picked.append((k, lo, -1))
+    index = np.array([k for k, _, _ in picked], dtype=int)
+    bounds = np.array([bound for _, bound, _ in picked], dtype=float)
+    sign = np.array([s for _, _, s in picked], dtype=int)
+    return constraints.matrix[index], bounds, sign, index
+
+
+def dual(lam, log_prior: np.ndarray, rows: np.ndarray, bounds: np.ndarray):
+    """Normalised entropy-pooling dual, in minimisation form, at ``lam``.
+
+    With ``ln q(lam) = ln p - G^T lam - ln Z(lam)`` on the dual ``rows`` G
+    (see :func:`dual_rows`), returns the tuple
+
+        value      ln Z(lam) + lam . b
+        gradient   b - G q(lam)
+        Hessian    Cov_q(G), the posterior covariance of the rows
+        log q(lam)
+
+    The value is zero at lam = 0, and minus the entropy of the posterior at
+    the optimum. Exponents are shifted by their maximum, so nothing overflows.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != bounds.shape:
+        raise ValueError(f"expected {bounds.size} multipliers, got {lam.shape}")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("multipliers must be finite")
+    a = log_prior - np.einsum("kj,k->j", rows, lam)
+    shift = float(a.max())
+    w = np.exp(a - shift)
+    total = float(w.sum())
+    log_z = shift + math.log(total)
+    mean = np.einsum("kj,j->k", rows, w) / total
+    hessian = np.einsum("kj,lj,j->kl", rows, rows, w) / total - np.outer(mean, mean)
+    return log_z + float(lam @ bounds), bounds - mean, hessian, a - log_z
 
 
 def solve(
@@ -150,63 +147,30 @@ def solve(
     they are met only with posterior mass below the positivity floor (1e-300).
     """
     log_p = np.log(panel.prior)
-    split = _split_rows(constraints)
-    n_dual = len(split)
-    kinds = [s[0] for s in split]
-    bounds_vec = np.array([s[1] for s in split], dtype=float)
-    g_dual = constraints.matrix[[s[2] for s in split], :]
+    rows, bounds, sign, index = dual_rows(constraints)
 
-    def log_posterior(lam: np.ndarray) -> tuple[np.ndarray, float]:
-        a = log_p - np.einsum("kj,k->j", g_dual, lam)
-        shift = float(a.max())
-        log_z = shift + math.log(float(np.exp(a - shift).sum()))
-        return a - log_z, log_z
+    def evaluate(lam):
+        return dual(lam, log_p, rows, bounds)
 
-    def objective(lam: np.ndarray) -> tuple[float, np.ndarray]:
-        # log_posterior inlined, so that each evaluation takes one exp over J
-        a = log_p - np.einsum("kj,k->j", g_dual, lam)
-        shift = float(a.max())
-        w = np.exp(a - shift)
-        total = float(w.sum())
-        value = shift + math.log(total) + float(lam @ bounds_vec)
-        return value, bounds_vec - np.einsum("kj,j->k", g_dual, w) / total
-
+    lam = np.zeros(bounds.size)
+    point = evaluate(lam)
     iterations = 0
-    lam = np.zeros(n_dual)
-    if n_dual:
-        box = [
-            (0.0, None) if k == "le" else (None, 0.0) if k == "ge" else (None, None)
-            for k in kinds
-        ]
-        # short quasi-Newton passes interleaved with Newton refinement: rows
-        # with near-zero posterior mass (e.g. far-tail bins) make the dual
-        # almost flat in some directions, where the exact-Hessian polish is
-        # far more effective than further quasi-Newton iterations
+    if bounds.size:
         budget = options.max_iter
         violation = max_violation(constraints, panel.prior)
         certificate = None
         while True:
-            res = minimize(
-                objective,
-                lam,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=box,
-                options={"maxiter": min(budget, 400), "ftol": 1e-18, "gtol": 1e-12},
-            )
-            lam = res.x
-            iterations += int(res.nit)
-            budget -= int(res.nit)
-            lam, polish_steps = _newton_polish(
-                lam, kinds, bounds_vec, g_dual, log_posterior, options
-            )
-            iterations += polish_steps
-            lp, _ = log_posterior(lam)
+            length = min(_ROUND, budget)
+            lam, point, steps = _newton(lam, point, sign, evaluate, options.tol, length)
+            iterations += steps
+            budget -= steps
+            lp = point[3]
             previous, violation = violation, max_violation(constraints, np.exp(lp))
             if violation <= options.tol:
                 break
-            exhausted = budget <= 0 or int(res.nit) == 0
-            if exhausted or violation > 0.5 * previous:  # out of budget, or stalled
+            # out of budget, or no step length reduced the residual
+            exhausted = budget <= 0 or steps < length
+            if exhausted or violation > 0.5 * previous:  # or stalled
                 if certificate is None:
                     certificate = _phase_one_certificate(constraints)
                 if certificate > options.tol:
@@ -220,13 +184,14 @@ def solve(
             if exhausted:
                 break
 
-    lp, log_z = log_posterior(lam)
+    value, _, _, lp = point
     q = np.exp(lp)  # underflow to 0.0 here only affects the residual check
     achieved = np.einsum("kj,j->k", constraints.matrix, q)
     viol = np.maximum(constraints.lower - achieved, achieved - constraints.upper)
     residual = float(max(viol.max(), 0.0))
     if residual > options.tol:
-        # attainable per the certificate, but not reached within the budget
+        # attainable per the certificate, but not reached: the budget ran out
+        # or the line search stalled
         worst = constraints.labels[int(np.argmax(viol))]
         raise InfeasibleError(
             f"constraints unattained: residual {residual:.3e} on row '{worst}' "
@@ -236,9 +201,8 @@ def solve(
     _check_floor(lp)
 
     multipliers = np.zeros(constraints.n_rows)
-    for (_, _, orig), value in zip(split, lam):
-        multipliers[orig] += value
-    multipliers[constraints.normalization_row] = log_z
+    np.add.at(multipliers, index, lam)
+    multipliers[constraints.normalization_row] = value - float(lam @ bounds)  # ln Z
     entropy = float(np.einsum("j,j->", q, lp - log_p))
     return SolveReport(
         posterior=Probabilities(q),
@@ -354,54 +318,47 @@ def pool(posteriors, confidences) -> Probabilities:
     return Probabilities(mixed)
 
 
-def _newton_polish(lam, kinds, bounds_vec, g_dual, log_posterior, options):
-    """Drive active-row residuals to machine level with exact-Hessian Newton.
+def _newton(lam, point, sign, evaluate, tol, length):
+    """Up to ``length`` damped Newton steps on the active rows of the dual.
 
-    The Hessian of the dual on the active set is the posterior covariance of
-    the constraint rows; a least-squares solve keeps redundant (rank-deficient)
-    row sets well-behaved. One-sided multipliers are projected back onto their
-    sign after every step.
+    ``point`` is ``evaluate(lam)``. The Hessian on the active rows is their
+    posterior covariance; a least-squares solve keeps redundant
+    (rank-deficient) row sets well-behaved. One-sided multipliers are
+    projected back onto their sign after every step. The step is halved until
+    the largest active residual falls; when no halving makes it fall, the
+    round ends. Returns the final multipliers, their dual evaluation and the
+    number of steps taken.
     """
-    lam = lam.copy()
-    eq = np.array([k == "eq" for k in kinds])
-    le = np.array([k == "le" for k in kinds])
-    ge = np.array([k == "ge" for k in kinds])
-    target = min(options.tol * 1e-4, 1e-12)
+    target = min(tol * 1e-4, 1e-12)
 
-    def residual_vec(lp):
-        return bounds_vec - np.einsum("kj,j->k", g_dual, np.exp(lp))
+    def active_rows(lam, r):
+        # r_k = b_k - (Gq)_k: negative on violated upper rows, positive on
+        # violated lower rows
+        return (sign == 0) | (sign * lam > 0.0) | (sign * r < -target)
 
     steps = 0
-    for _ in range(options.polish_iter):
-        lp, _ = log_posterior(lam)
-        r = residual_vec(lp)
-        # r_k = b_k - (Gq)_k: negative on violated le rows, positive on violated ge rows
-        active = eq | (le & ((lam > 0.0) | (r < -target))) | (ge & ((lam < 0.0) | (r > target)))
+    while steps < length:
+        _, r, hessian, _ = point
+        active = active_rows(lam, r)
         if not active.any():
             break
-        if float(np.abs(r[active]).max()) <= target:
+        base = float(np.abs(r[active]).max())
+        if base <= target:
             break
-        q = np.exp(lp)
-        ga = g_dual[active]
-        mean = np.einsum("kj,j->k", ga, q)
-        cov = np.einsum("kj,lj,j->kl", ga, ga, q) - np.outer(mean, mean)
-        step, *_ = np.linalg.lstsq(cov, -r[active], rcond=None)
-        base = np.abs(r[active]).max()
-        scale = 1.0
-        for _ in range(40):
+        step, *_ = np.linalg.lstsq(hessian[np.ix_(active, active)], -r[active], rcond=None)
+        if not np.all(np.isfinite(step)):  # a Hessian in the denormals
+            break
+        for halving in range(40):
             trial = lam.copy()
-            trial[np.flatnonzero(active)] += scale * step
-            trial[le] = np.maximum(trial[le], 0.0)
-            trial[ge] = np.minimum(trial[ge], 0.0)
-            lp_t, _ = log_posterior(trial)
-            r_t = residual_vec(lp_t)
-            act_t = eq | (le & ((trial > 0.0) | (r_t < -target))) | (
-                ge & ((trial < 0.0) | (r_t > target))
-            )
-            worst = np.abs(r_t[act_t]).max() if act_t.any() else 0.0
-            if worst < base or scale < 1e-8:
-                lam = trial
+            trial[active] += 0.5**halving * step
+            trial[sign * trial < 0.0] = 0.0
+            trial_point = evaluate(trial)
+            r_t = trial_point[1]
+            act_t = active_rows(trial, r_t)
+            if (float(np.abs(r_t[act_t]).max()) if act_t.any() else 0.0) < base:
                 break
-            scale *= 0.5
+        else:  # no step length reduces the residual: the round ends
+            break
+        lam, point = trial, trial_point
         steps += 1
-    return lam, steps
+    return lam, point, steps

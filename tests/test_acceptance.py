@@ -42,7 +42,7 @@ from epcovar.estimation import (
     quantile_regression_covar,
 )
 from epcovar.scenario import build_panel
-from epcovar.solver import dual_value_and_gradient, solve
+from epcovar.solver import dual, dual_rows, solve
 from epcovar.views import (
     LinearConstraintSet,
     compile_view,
@@ -350,13 +350,15 @@ def test_c09_discrete_solver_exactness():
         rows = np.vstack([rng.normal(size=j), np.ones(j)])
         target = float(rows[0] @ panel_r.prior + 0.1 * rng.normal())
         cs_r = LinearConstraintSet(rows, np.array([target, 1.0]), np.array([target, 1.0]))
-        lam = rng.normal(scale=0.5, size=2)
-        _, grad = dual_value_and_gradient(lam, panel_r, cs_r)
-        for k in range(2):
-            e = np.zeros(2)
+        rows_r, bounds_r, _, index = dual_rows(cs_r)
+        log_p = np.log(panel_r.prior)
+        lam = rng.normal(scale=0.5, size=2)[index]
+        _, grad, _, _ = dual(lam, log_p, rows_r, bounds_r)
+        for k in range(lam.size):
+            e = np.zeros(lam.size)
             e[k] = h
-            up, _ = dual_value_and_gradient(lam + e, panel_r, cs_r)
-            dn, _ = dual_value_and_gradient(lam - e, panel_r, cs_r)
+            up = dual(lam + e, log_p, rows_r, bounds_r)[0]
+            dn = dual(lam - e, log_p, rows_r, bounds_r)[0]
             grad_worst = max(grad_worst, abs((up - dn) / (2 * h) - grad[k]))
 
     rng = np.random.default_rng(106)

@@ -3,7 +3,7 @@
 Oracles used here, all independent of the solver's own dual path:
 - a scalar bisection on the one-dimensional exponential tilt for the
   two-scenario mean constraint;
-- central finite differences for the dual gradient;
+- central finite differences for the dual gradient and Hessian;
 - a dense simplex grid (J <= 3) and a primal SLSQP multi-start (J <= 6)
   for global KL minimality.
 """
@@ -19,7 +19,8 @@ from epcovar.errors import DegenerateError, InfeasibleError
 from epcovar.scenario import Probabilities, build_panel
 from epcovar.solver import (
     SolverOptions,
-    dual_value_and_gradient,
+    dual,
+    dual_rows,
     pool,
     relative_entropy,
     solve,
@@ -31,6 +32,7 @@ from epcovar.views import (
     no_view,
     quantile_view,
     value_view,
+    variance_view,
 )
 
 
@@ -86,9 +88,10 @@ class TestTwoPointTilt:
 
     def test_gradient_vanishes_at_optimum(self):
         rep = solve(self.panel, self.cs)
-        _, grad = dual_value_and_gradient(rep.multipliers, self.panel, self.cs)
+        rows, bounds, _, index = dual_rows(self.cs)
+        _, grad, _, _ = dual(rep.multipliers[index], np.log(self.panel.prior), rows, bounds)
+        assert grad.shape == (1,)  # the normalization row is not a dual row
         assert abs(grad[0]) < 1e-10
-        assert abs(grad[1]) < 1e-10
 
     def test_entropy_matches_direct_evaluation(self):
         rep = solve(self.panel, self.cs)
@@ -97,12 +100,18 @@ class TestTwoPointTilt:
 
 
 class TestDualValueAndGradient:
+    @staticmethod
+    def _dual(lam, panel, cs):
+        rows, bounds, _, _ = dual_rows(cs)
+        value, grad, _, _ = dual(lam, np.log(panel.prior), rows, bounds)
+        return value, grad
+
     def test_at_zero_multipliers(self):
         panel = build_panel([0.0, 1.0], [0.0, 1.0])
         cs = compile_view(expectation_view(0.75), panel)
-        value, grad = dual_value_and_gradient(np.zeros(2), panel, cs)
+        value, grad = self._dual(np.zeros(1), panel, cs)
         assert value == 0.0
-        np.testing.assert_allclose(grad, [0.75 - 0.5, 0.0], atol=1e-15)
+        np.testing.assert_allclose(grad, [0.75 - 0.5], atol=1e-15)
 
     def _random_system(self, rng):
         j = int(rng.integers(3, 9))
@@ -131,30 +140,43 @@ class TestDualValueAndGradient:
         h = 1e-6
         for _ in range(20):
             panel, cs = self._random_system(rng)
-            lam = rng.normal(scale=0.5, size=cs.n_rows)
-            # keep one-sided multipliers strictly inside their sign region so
-            # the objective is smooth at lam
-            for k in range(cs.n_rows):
-                if np.isinf(cs.lower[k]):
-                    lam[k] = abs(lam[k]) + 0.1
-                elif np.isinf(cs.upper[k]):
-                    lam[k] = -abs(lam[k]) - 0.1
-            _, grad = dual_value_and_gradient(lam, panel, cs)
-            for k in range(cs.n_rows):
-                e = np.zeros(cs.n_rows)
+            _, _, sign, index = dual_rows(cs)
+            lam = rng.normal(scale=0.5, size=cs.n_rows)[index]
+            # keep one-sided multipliers strictly inside the sign region the
+            # solver searches
+            lam = np.where(sign == 0, lam, sign * (np.abs(lam) + 0.1))
+            _, grad = self._dual(lam, panel, cs)
+            for k in range(lam.size):
+                e = np.zeros(lam.size)
                 e[k] = h
-                up, _ = dual_value_and_gradient(lam + e, panel, cs)
-                dn, _ = dual_value_and_gradient(lam - e, panel, cs)
+                up, _ = self._dual(lam + e, panel, cs)
+                dn, _ = self._dual(lam - e, panel, cs)
                 fd = (up - dn) / (2 * h)
                 assert abs(fd - grad[k]) <= 1e-6, (k, fd, grad[k])
+
+    def test_hessian_matches_central_differences_of_the_gradient(self):
+        rng = np.random.default_rng(98)
+        h = 1e-6
+        for _ in range(20):
+            panel, cs = self._random_system(rng)
+            rows, bounds, _, _ = dual_rows(cs)
+            log_p = np.log(panel.prior)
+            lam = rng.normal(scale=0.5, size=bounds.size)
+            hessian = dual(lam, log_p, rows, bounds)[2]
+            for k in range(lam.size):
+                e = np.zeros(lam.size)
+                e[k] = h
+                up = dual(lam + e, log_p, rows, bounds)[1]
+                dn = dual(lam - e, log_p, rows, bounds)[1]
+                np.testing.assert_allclose((up - dn) / (2 * h), hessian[:, k], atol=1e-6)
 
     def test_guards(self):
         panel = build_panel([0.0, 1.0], [0.0, 1.0])
         cs = compile_view(expectation_view(0.75), panel)
         with pytest.raises(ValueError, match="multipliers"):
-            dual_value_and_gradient(np.zeros(3), panel, cs)
+            self._dual(np.zeros(3), panel, cs)
         with pytest.raises(ValueError, match="finite"):
-            dual_value_and_gradient(np.array([np.nan, 0.0]), panel, cs)
+            self._dual(np.array([np.nan]), panel, cs)
 
 
 class TestSolve:
@@ -321,6 +343,27 @@ class TestSolve:
             rep = solve(panel, compile_view(view, panel))
             assert rep.residual <= SolverOptions().tol
 
+    def test_view_attainable_only_on_a_face_is_refused_quickly(self, monkeypatch):
+        # the largest variance with the mean anchored puts all mass on the
+        # endpoints: the tilt approaches it only as the interior weights
+        # vanish, and the line search stalls at a residual above tolerance
+        # while every weight is far above the positivity floor
+        x = np.linspace(0.0, 600.0, 21)
+        panel = build_panel(x, np.zeros_like(x))
+        cs = compile_view(variance_view(300.0**2), panel)
+        evaluations = []
+        real = solver_mod.dual
+
+        def counting(*args):
+            evaluations.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(solver_mod, "dual", counting)
+        with pytest.raises(InfeasibleError) as err:
+            solve(panel, cs)
+        assert SolverOptions().tol < err.value.residual <= 1e-6
+        assert len(evaluations) <= 500
+
     def test_degenerate_posterior_is_reported_not_clipped(self):
         # an extreme mean view on a wide-span panel drives the far tail's
         # weight under the positivity floor
@@ -354,7 +397,8 @@ class TestSolve:
         panel = build_panel(rng.normal(size=15), rng.normal(size=15))
         cs = compile_view(expectation_view(float(np.quantile(panel.x, 0.65))), panel)
         rep = solve(panel, cs)
-        value, _ = dual_value_and_gradient(rep.multipliers, panel, cs)
+        rows, bounds, _, index = dual_rows(cs)
+        value, _, _, _ = dual(rep.multipliers[index], np.log(panel.prior), rows, bounds)
         assert abs(rep.entropy + value) < 1e-9  # entropy = -(minimized dual)
 
 
