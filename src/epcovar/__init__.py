@@ -7,9 +7,8 @@ difference, and binned distribution views. Two engines are provided:
 
 - a discrete scenario engine that reweights a joint scenario prior by minimum
   relative entropy under compiled linear constraints; and
-- closed-form bivariate-normal analytics with the matching risk-spillover
-  (CoVaR - VaR) expressions and an independent numeric minimizer used to
-  cross-check every formula.
+- closed-form bivariate-normal analytics, with the risk spillover
+  CoVaR - VaR of every view.
 
 A prior-estimation pipeline (t marginals coupled by a t copula, plus an exact
 quantile-regression baseline) and a CLI report layer round out the toolkit.
@@ -28,7 +27,6 @@ from .analytics import (
     covar_variance_view,
     delta_covar_view,
     kl_bivariate_normal,
-    numeric_posterior_params,
     traditional_covar,
     var_normal,
 )
@@ -72,7 +70,6 @@ from .scenario import (
 )
 from .solver import (
     SolveReport,
-    SolverOptions,
     pool,
     relative_entropy,
     solve,

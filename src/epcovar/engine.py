@@ -13,13 +13,13 @@ echoes the unit into the report. Quantiles of sampled/gridded panels use the
 mid-distribution interpolated estimator; genuinely atomic panels should be
 queried with ``weighted_quantile`` directly.
 
-Every report row satisfies ``delta_covar = covar - var`` (within 1e-12; exact
-in scenario mode). Identical configuration, data and seed produce
-byte-identical reports. Views are independent solves over a shared immutable
-panel (safe to parallelize externally); rows always follow configuration
-order. A pooled row reports the mixture's worst view-constraint violation as
-its residual diagnostic, since a confidence-weighted mixture does not satisfy
-the individual views.
+Every report row satisfies ``delta_covar = covar - var`` exactly, in every
+mode. Identical configuration, data and seed produce byte-identical reports.
+Views are independent solves over a shared immutable panel (safe to
+parallelize externally); rows always follow configuration order. A pooled
+row reports the mixture's worst view-constraint violation as its residual
+diagnostic, since a confidence-weighted mixture does not satisfy the
+individual views.
 """
 
 from __future__ import annotations
@@ -376,10 +376,6 @@ def _analytic_rows(config: RunConfig, prior: BivariateNormalParams) -> list[Repo
     for view in config.views:
         try:
             out = analytics.covar_for_view(prior, view, config.alpha)
-            delta = (
-                0.0 if view.kind == "none"
-                else analytics.delta_covar_view(prior, view, config.alpha)
-            )
         except ValueError as exc:
             raise _tag("analytics", ConfigError(str(exc)))
         outcomes.append(out)
@@ -389,7 +385,7 @@ def _analytic_rows(config: RunConfig, prior: BivariateNormalParams) -> list[Repo
                 method="analytic",
                 var=var,
                 covar=out.covar,
-                delta_covar=delta,
+                delta_covar=out.covar - var,
                 collapsed_to_var=out.collapsed_to_var,
             )
         )

@@ -1,12 +1,10 @@
 """Univariate and bivariate standard-normal special functions.
 
-``norm_ppf`` uses Acklam's rational approximation (peak error ~1.15e-9)
-sharpened by one Newton step on the CDF, which brings it to a few ulp; every
-closed-form risk expression in this package is linear in ``norm_ppf(alpha)``,
-so its accuracy bounds theirs. ``bvn_cdf`` reduces the rectangle probability
-to a single integral of the conditional normal CDF and evaluates it with
-adaptive quadrature to ~1e-12 absolute, well inside the 1e-10 target; the
-degenerate correlations |rho| = 1 are handled exactly.
+``bvn_cdf`` reduces the rectangle probability to a single integral of the
+conditional normal CDF and evaluates it with adaptive quadrature to ~1e-12
+absolute, well inside the 1e-10 target; the degenerate correlations
+|rho| = 1 are handled exactly. The package takes the inverse CDF from
+``scipy.special.ndtri``.
 """
 
 from __future__ import annotations
@@ -18,25 +16,6 @@ from scipy.integrate import quad
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# Acklam's coefficients for the inverse normal CDF
-_A = (
-    -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-    1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
-)
-_B = (
-    -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-    6.680131188771972e01, -1.328068155288572e01,
-)
-_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-    -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00,
-)
-_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-    3.754408661907416e00,
-)
-_P_LOW = 0.02425
-
 
 def norm_pdf(z: float) -> float:
     return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
@@ -44,35 +23,6 @@ def norm_pdf(z: float) -> float:
 
 def norm_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / _SQRT2)
-
-
-def _acklam(p: float) -> float:
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (
-            ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        ) / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    if p > 1.0 - _P_LOW:
-        return -_acklam(1.0 - p)
-    q = p - 0.5
-    r = q * q
-    return (
-        (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-    ) / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-
-
-def norm_ppf(p: float) -> float:
-    """Inverse standard-normal CDF."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"probability must lie in (0, 1), got {p}")
-    if p > 0.5:
-        # mirror into the lower tail, where the CDF keeps full relative
-        # precision for the Newton step (1 - p is exact on [0.5, 1])
-        return -norm_ppf(1.0 - p)
-    z = _acklam(p)
-    err = norm_cdf(z) - p
-    z -= err / norm_pdf(z)
-    return z
 
 
 def bvn_cdf(zx: float, zy: float, rho: float) -> float:

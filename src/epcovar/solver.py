@@ -51,12 +51,8 @@ from .views import LinearConstraintSet
 
 _LOG_FLOOR = math.log(1e-300)
 _ROUND = 60  # Newton steps per round; the stall test runs after each round
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    tol: float = 1e-8           # max absolute constraint violation
-    max_iter: int = 10_000      # Newton steps
+TOL = 1e-8  # max absolute constraint violation
+MAX_ITER = 10_000  # Newton steps per solve
 
 
 @dataclass(frozen=True)
@@ -134,16 +130,12 @@ def dual(lam, log_prior: np.ndarray, rows: np.ndarray, bounds: np.ndarray):
     return log_z + float(lam @ bounds), bounds - mean, hessian, a - log_z
 
 
-def solve(
-    panel: ScenarioPanel,
-    constraints: LinearConstraintSet,
-    options: SolverOptions = SolverOptions(),
-) -> SolveReport:
+def solve(panel: ScenarioPanel, constraints: LinearConstraintSet) -> SolveReport:
     """Minimum-KL posterior under the compiled constraints.
 
     Returns a :class:`SolveReport`. Raises :class:`InfeasibleError`, carrying
     the phase-I certificate, when no posterior on the panel meets the
-    constraints within ``options.tol``; raises :class:`DegenerateError` when
+    constraints within ``TOL``; raises :class:`DegenerateError` when
     they are met only with posterior mass below the positivity floor (1e-300).
     """
     log_p = np.log(panel.prior)
@@ -156,28 +148,28 @@ def solve(
     point = evaluate(lam)
     iterations = 0
     if bounds.size:
-        budget = options.max_iter
+        budget = MAX_ITER
         violation = max_violation(constraints, panel.prior)
         certificate = None
         while True:
             length = min(_ROUND, budget)
-            lam, point, steps = _newton(lam, point, sign, evaluate, options.tol, length)
+            lam, point, steps = _newton(lam, point, sign, evaluate, TOL, length)
             iterations += steps
             budget -= steps
             lp = point[3]
             previous, violation = violation, max_violation(constraints, np.exp(lp))
-            if violation <= options.tol:
+            if violation <= TOL:
                 break
             # out of budget, or no step length reduced the residual
             exhausted = budget <= 0 or steps < length
             if exhausted or violation > 0.5 * previous:  # or stalled
                 if certificate is None:
                     certificate = _phase_one_certificate(constraints)
-                if certificate > options.tol:
+                if certificate > TOL:
                     raise InfeasibleError(
                         f"constraints unattainable: no posterior on the panel gets the "
                         f"max violation below {certificate:.3e}, above tolerance "
-                        f"{options.tol:.1e}",
+                        f"{TOL:.1e}",
                         residual=certificate,
                     )
                 _check_floor(lp)
@@ -189,13 +181,13 @@ def solve(
     achieved = np.einsum("kj,j->k", constraints.matrix, q)
     viol = np.maximum(constraints.lower - achieved, achieved - constraints.upper)
     residual = float(max(viol.max(), 0.0))
-    if residual > options.tol:
+    if residual > TOL:
         # attainable per the certificate, but not reached: the budget ran out
         # or the line search stalled
         worst = constraints.labels[int(np.argmax(viol))]
         raise InfeasibleError(
             f"constraints unattained: residual {residual:.3e} on row '{worst}' "
-            f"exceeds tolerance {options.tol:.1e}",
+            f"exceeds tolerance {TOL:.1e}",
             residual=residual,
         )
     _check_floor(lp)

@@ -1,14 +1,47 @@
 """Independent oracles shared by the unit and acceptance suites.
 
-Nothing here touches the solver's dual path or the closed-form expressions:
-scalar bisection, dense feasible-set scans, primal SLSQP, and plain-loop
-enumeration only.
+Nothing here touches the solver's dual path or the package's closed-form
+CoVaR functions: scalar bisection, dense feasible-set scans, primal SLSQP,
+plain-loop enumeration, the paper's spillover expressions written out per
+view kind, and a derivative-free minimizer of the bivariate-normal relative
+entropy over the five posterior parameters.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.optimize import minimize as scipy_minimize
+from scipy.special import ndtri
+
+from epcovar.analytics import BivariateNormalParams, _kl_arrays
+from epcovar.errors import NumericDomainError
+from epcovar.normal import bvn_cdf, norm_cdf
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_min(fn, lo, hi, iters=60):
+    """Golden-section search for the minimum of a unimodal function."""
+    a, b = lo, hi
+    c1 = b - _GOLDEN * (b - a)
+    c2 = a + _GOLDEN * (b - a)
+    f1, f2 = fn(c1), fn(c2)
+    for _ in range(iters):
+        if f1 <= f2:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - _GOLDEN * (b - a)
+            f1 = fn(c1)
+        else:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + _GOLDEN * (b - a)
+            f2 = fn(c2)
+    return 0.5 * (a + b)
+
+
+def _collapses(relation, prior_value, view_value):
+    return prior_value <= view_value if relation == "le" else prior_value >= view_value
 
 
 def tilt_mean_by_bisection(x, prior, target, lo=-60.0, hi=60.0):
@@ -120,19 +153,271 @@ def quantile_pinned_marginal(mu, sigma, q1, alpha_z):
         m = q1 - s * alpha_z
         return math.log(sigma / s) + (s * s + (m - mu) ** 2) / (2.0 * sigma**2) - 0.5
 
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = sigma / 20.0, sigma * 20.0
-    c1 = b - golden * (b - a)
-    c2 = a + golden * (b - a)
-    f1, f2 = kl(c1), kl(c2)
-    for _ in range(200):
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - golden * (b - a)
-            f1 = kl(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + golden * (b - a)
-            f2 = kl(c2)
-    s = 0.5 * (a + b)
+    s = _golden_min(kl, sigma / 20.0, sigma * 20.0, iters=200)
     return q1 - s * alpha_z, s
+
+def paper_spillover(p, view, alpha=0.95):
+    """The paper's closed-form spillover CoVaR - VaR, one expression per kind.
+
+    Views on Y evaluate the same expressions on the (Y, Y) self-pair. A
+    half-line value view has no displayed closed form: its CoVaR is the root
+    of Pr(X in A, Y <= y) = alpha Pr(X in A), found here by ``brentq``.
+    """
+    c = float(ndtri(alpha))
+    kind, rel = view.kind, view.relation
+    if kind == "none":
+        return 0.0
+    if kind == "distribution":
+        raise ValueError("distribution views have no closed form; use scenario mode")
+    if view.target == "y" and kind not in ("correlation", "relative"):
+        p = BivariateNormalParams(p.mu_y, p.mu_y, p.sigma_y, p.sigma_y, 1.0)
+    sx, sy, r = p.sigma_x, p.sigma_y, p.rho
+
+    def variance_factor(sigma1_sq):
+        return math.sqrt(1.0 - r**2 + r**2 * sigma1_sq / sx**2)
+
+    if kind == "expectation":
+        if rel != "eq" and _collapses(rel, p.mu_x, view.mean):
+            return 0.0
+        return r * (view.mean - p.mu_x) * sy / sx
+    if kind == "variance":
+        if rel != "eq" and _collapses(rel, sx * sx, view.variance):
+            return 0.0
+        return sy * (variance_factor(view.variance) - 1.0) * c
+    if kind == "mean_and_variance":
+        return (
+            r * (view.mean - p.mu_x) * sy / sx
+            + sy * (variance_factor(view.variance) - 1.0) * c
+        )
+    if kind == "quantile":
+        q_x = p.mu_x + sx * c
+        if rel != "eq" and _collapses(rel, q_x, view.quantile):
+            return 0.0
+        t = ((view.quantile - q_x) / sx + c) * c
+        disc = math.sqrt(t * t + 4.0 * (1.0 + c * c))
+        sy_post = sy * math.sqrt(
+            (1.0 + (1.0 - r**2) * c * c) / (1.0 + c * c)
+            + r**2 * t * (t + disc) / (2.0 * (1.0 + c * c) ** 2)
+        )
+        root = math.sqrt(max(sy_post**2 - (1.0 - r * r) * sy * sy, 0.0))
+        sign = -1.0 if r >= 0.0 else 1.0
+        return (
+            r * (view.quantile - q_x) * sy / sx
+            + (sy_post + sign * root - (1.0 - r) * sy) * c
+        )
+    if kind == "correlation":
+        if rel != "eq" and _collapses(rel, r, view.correlation):
+            return 0.0
+        if abs(r) == 1.0 and view.correlation == r:
+            return 0.0
+        denom = 1.0 - r * view.correlation
+        if denom <= 0.0:
+            raise NumericDomainError(
+                f"correlation view undefined for rho*rho1 = {r * view.correlation} >= 1"
+            )
+        return sy * (math.sqrt((1.0 - r * r) / denom) - 1.0) * c
+    if kind == "relative":
+        v = sx * sx - 2.0 * r * sx * sy + sy * sy
+        if v <= 0.0:
+            raise NumericDomainError("difference X - Y is degenerate")
+        radicand = 1.0 + (view.diff_variance - v) * (sy - r * sx) ** 2 / (v * v)
+        return (
+            (p.mu_x - p.mu_y - view.diff_mean) * sy * (sy - r * sx) / v
+            + sy * (math.sqrt(max(radicand, 0.0)) - 1.0) * c
+        )
+    if kind != "value":
+        raise ValueError(f"unknown view kind {kind!r}")
+    if rel == "eq":
+        return (
+            r * (view.value - p.mu_x) * sy / sx
+            + sy * (math.sqrt(1.0 - r * r) - 1.0) * c
+        )
+    z_l = (view.value - p.mu_x) / sx
+    beta = norm_cdf(z_l)
+
+    def excess(y):
+        z_y = (y - p.mu_y) / sy
+        if rel == "le":
+            return bvn_cdf(z_l, z_y, r) - alpha * beta
+        return norm_cdf(z_y) - bvn_cdf(z_l, z_y, r) - alpha * (1.0 - beta)
+
+    covar = brentq(excess, p.mu_y - 12.0 * sy, p.mu_y + 12.0 * sy, xtol=1e-15)
+    return covar - (p.mu_y + sy * c)
+
+
+def numeric_posterior_params(
+    prior, view, alpha=0.95, grid_points=11, levels=4, descent_sweeps=3
+):
+    """Posterior parameters by direct constrained minimization of the relative
+    entropy over (mu_X, mu_Y, sigma_X, sigma_Y, rho).
+
+    The view's equality constraints are eliminated exactly (so feasibility is
+    machine-precision), the remaining free coordinates are searched on a
+    nested refinement grid (`grid_points` per coordinate, boxes spanning +-4
+    prior standard deviations, `levels` refinements) followed by coordinate
+    descent with golden-section line searches and a final simplex polish.
+    Deterministic for fixed settings; independent of every closed form in
+    ``epcovar.analytics``, which it exists to check. One-sided views already
+    satisfied by the prior return the prior (zero entropy is a global
+    minimum); otherwise the boundary equality view is solved.
+
+    Value views fix the conditional law directly rather than a parameter
+    constraint and are not supported here; neither are distribution views,
+    whose bin constraints overdetermine a two-parameter normal marginal.
+    """
+    c = float(ndtri(alpha))
+    kind = view.kind
+    if kind in ("value", "distribution", "none"):
+        raise ValueError(f"{kind} views are not expressible as parameter constraints")
+
+    if view.relation != "eq":
+        prior_value, view_value = {
+            "expectation": lambda: (
+                prior.mu_x if view.target == "x" else prior.mu_y, view.mean
+            ),
+            "variance": lambda: (
+                (prior.sigma_x if view.target == "x" else prior.sigma_y) ** 2,
+                view.variance,
+            ),
+            "quantile": lambda: (
+                (prior.mu_x + prior.sigma_x * c)
+                if view.target == "x"
+                else (prior.mu_y + prior.sigma_y * c),
+                view.quantile,
+            ),
+            "correlation": lambda: (prior.rho, view.correlation),
+        }[kind]()
+        if _collapses(view.relation, prior_value, view_value):
+            return prior
+        view = replace(view, relation="eq")
+
+    mean_i = 0 if view.target == "x" else 1
+    sigma_i = 2 if view.target == "x" else 3
+
+    # free coordinate indices into (mu_x, mu_y, sigma_x, sigma_y, rho)
+    if kind == "expectation":
+        pinned = {mean_i: view.mean}
+        free = [i for i in range(5) if i != mean_i]
+        fill = None
+    elif kind == "variance":
+        pinned = {sigma_i: math.sqrt(view.variance)}
+        free = [i for i in range(5) if i != sigma_i]
+        fill = None
+    elif kind == "mean_and_variance":
+        pinned = {mean_i: view.mean, sigma_i: math.sqrt(view.variance)}
+        free = [i for i in range(5) if i not in pinned]
+        fill = None
+    elif kind == "quantile":
+        pinned = {}
+        free = [i for i in range(5) if i != mean_i]
+
+        def fill(cols):  # the pinned quantile ties the mean to the spread
+            cols[mean_i] = view.quantile - cols[sigma_i] * c
+    elif kind == "correlation":
+        pinned = {4: view.correlation}
+        free = [0, 1, 2, 3]
+        fill = None
+    elif kind == "relative":
+        pinned = {}
+        free = [1, 2, 3]
+
+        def fill(cols):
+            cols[0] = view.diff_mean + cols[1]
+            denom = 2.0 * cols[2] * cols[3]
+            rho = (cols[2] ** 2 + cols[3] ** 2 - view.diff_variance) / denom
+            cols[4] = np.where(np.abs(rho) < 1.0, rho, np.nan)
+    else:  # pragma: no cover
+        raise ValueError(f"unsupported view kind {kind!r}")
+
+    center = np.array(
+        [prior.mu_x, prior.mu_y, prior.sigma_x, prior.sigma_y, prior.rho]
+    )
+    half = np.array(
+        [4.0 * prior.sigma_x, 4.0 * prior.sigma_y, 4.0 * prior.sigma_x,
+         4.0 * prior.sigma_y, 0.999]
+    )
+    lo_cap = np.array([-np.inf, -np.inf, prior.sigma_x / 1e3, prior.sigma_y / 1e3, -0.9999])
+    hi_cap = np.array([np.inf, np.inf, np.inf, np.inf, 0.9999])
+
+    def evaluate(cols):
+        cols = [np.asarray(col, dtype=float) for col in cols]
+        for idx, val in pinned.items():
+            cols[idx] = np.broadcast_to(val, cols[free[0]].shape).astype(float)
+        if fill is not None:
+            fill(cols)
+        kl = _kl_arrays(cols[0], cols[1], cols[2], cols[3], cols[4], prior)
+        return np.where(np.isnan(cols[4]), np.inf, kl)
+
+    best = center.copy()
+    for idx, val in pinned.items():
+        best[idx] = val
+    spacing = None
+    for level in range(levels):
+        width = half if level == 0 else spacing
+        axes = []
+        for i in free:
+            lo = max(best[i] - width[i], lo_cap[i])
+            hi = min(best[i] + width[i], hi_cap[i])
+            axes.append(np.linspace(lo, hi, grid_points))
+        mesh = np.meshgrid(*axes, indexing="ij")
+        cols = [None] * 5
+        for axis_i, i in enumerate(free):
+            cols[i] = mesh[axis_i].ravel()
+        kl = evaluate(cols)
+        flat = int(np.argmin(kl))
+        for axis_i, i in enumerate(free):
+            best[i] = cols[i][flat]
+        spacing = np.zeros(5)
+        for axis_i, i in enumerate(free):
+            spacing[i] = axes[axis_i][1] - axes[axis_i][0] if grid_points > 1 else half[i]
+
+    def point_kl(vec):
+        cols = [np.asarray(v) for v in vec]
+        return float(evaluate(cols))
+
+    # coordinate descent with per-coordinate brackets that track progress;
+    # descent_sweeps scales the iteration budget
+    width = {i: 2.0 * spacing[i] for i in free}
+    current = point_kl(best)
+    for _ in range(10 * descent_sweeps):
+        previous = current
+        for i in free:
+            lo = max(best[i] - width[i], lo_cap[i])
+            hi = min(best[i] + width[i], hi_cap[i])
+
+            def along(v, i=i):
+                trial = best.copy()
+                trial[i] = v
+                return point_kl(trial)
+
+            new = _golden_min(along, lo, hi)
+            width[i] = max(8.0 * abs(new - best[i]), 0.25 * width[i])
+            best[i] = new
+        current = point_kl(best)
+        if previous - current < 1e-15 * max(1.0, abs(current)):
+            break
+
+    # simplex polish handles the narrow diagonal valleys (e.g. a derived
+    # correlation coupling both spreads) where axis-wise steps stall
+    def reduced(vec):
+        trial = best.copy()
+        trial[free] = np.clip(vec, lo_cap[free], hi_cap[free])
+        return point_kl(trial)
+
+    res = scipy_minimize(
+        reduced, best[free], method="Nelder-Mead",
+        options={"xatol": 1e-11, "fatol": 1e-15, "maxiter": 4000, "maxfev": 8000},
+    )
+    if res.fun <= current:
+        best[free] = np.clip(res.x, lo_cap[free], hi_cap[free])
+
+    full = best.copy()
+    for idx, val in pinned.items():
+        full[idx] = val
+    if fill is not None:
+        cols = [np.asarray(v) for v in full]
+        fill(cols)
+        full = np.array([float(col) for col in cols])
+    if not np.all(np.isfinite(full)):
+        raise NumericDomainError("search box exhausted without a feasible point")
+    return BivariateNormalParams(*full)

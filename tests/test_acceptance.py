@@ -15,6 +15,7 @@ from scipy.special import ndtri
 
 from _oracles import (
     brute_force_min_kl,
+    numeric_posterior_params,
     pair_candidate_minimum,
     quantile_pinned_marginal,
     tilt_mean_by_bisection,
@@ -30,7 +31,6 @@ from epcovar.analytics import (
     covar_variance_view,
     delta_covar_view,
     kl_bivariate_normal,
-    numeric_posterior_params,
     var_normal,
     var_normal_x,
 )

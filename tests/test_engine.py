@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from epcovar import cli
+from epcovar import analytics, cli
 from epcovar.analytics import (
     BivariateNormalParams,
     covar_expectation_view,
@@ -35,10 +35,14 @@ from epcovar.errors import ConfigError, DataError
 from epcovar.normal import bvn_cdf
 from epcovar.scenario import build_panel
 from epcovar.views import (
+    correlation_view,
     expectation_view,
+    mean_variance_view,
     no_view,
     quantile_view,
+    relative_view,
     value_view,
+    variance_view,
     view_from_dict,
 )
 
@@ -140,6 +144,51 @@ class TestAnalyticPipeline:
         report = run_pipeline(config)
         for row in report.rows:
             assert abs(row.delta_covar - (row.covar - row.var)) <= 1e-12
+
+    def test_spillover_is_exact_and_each_view_evaluated_once(self, losses_csv, monkeypatch):
+        views = (
+            no_view(),
+            expectation_view(0.013),
+            expectation_view(0.013, "le"),
+            expectation_view(0.013, "ge"),
+            variance_view(6e-4),
+            variance_view(6e-4, "le"),
+            variance_view(6e-4, "ge"),
+            mean_variance_view(0.008, 5e-4),
+            quantile_view(0.04, 0.95),
+            quantile_view(0.04, 0.95, "le"),
+            value_view(0.036),
+            value_view(0.036, "ge"),
+            value_view(0.003, "le"),
+            correlation_view(0.8),
+            relative_view(0.006, 4e-4),
+            expectation_view(0.01, target="y"),
+            value_view(0.027, "ge", target="y"),
+        )
+        pooled = (
+            expectation_view(0.013, confidence=0.5),
+            value_view(0.036, "ge", confidence=0.3),
+            value_view(0.036, confidence=0.2),
+        )
+        calls = []
+        real = analytics.bvn_cdf
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(analytics, "bvn_cdf", counting)
+        for chosen in (views, pooled):
+            report = run_pipeline(RunConfig(data=losses_csv, x="SVB", y="NBI", views=chosen))
+            for row in report.rows:
+                assert row.delta_covar == row.covar - row.var, row.label
+        report_calls = len(calls)
+        calls.clear()
+        series = ingest_csv(losses_csv, ["SVB", "NBI"]).series
+        prior = analytic_prior(series["SVB"], series["NBI"])
+        for view in views + pooled:
+            analytics.covar_for_view(prior, view, 0.95)
+        assert report_calls == len(calls) > 0
 
     def test_distribution_view_needs_scenario_mode(self, losses_csv):
         view = view_from_dict(

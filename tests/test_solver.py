@@ -17,14 +17,7 @@ from _oracles import brute_force_min_kl, tilt_mean_by_bisection
 from epcovar import solver as solver_mod
 from epcovar.errors import DegenerateError, InfeasibleError
 from epcovar.scenario import Probabilities, build_panel
-from epcovar.solver import (
-    SolverOptions,
-    dual,
-    dual_rows,
-    pool,
-    relative_entropy,
-    solve,
-)
+from epcovar.solver import TOL, dual, dual_rows, pool, relative_entropy, solve
 from epcovar.views import (
     LinearConstraintSet,
     compile_view,
@@ -209,7 +202,6 @@ class TestSolve:
 
     def test_feasibility_on_every_successful_solve(self):
         rng = np.random.default_rng(31)
-        opts = SolverOptions()
         for _ in range(30):
             j = int(rng.integers(4, 40))
             panel = build_panel(rng.normal(size=j), rng.normal(size=j))
@@ -222,10 +214,10 @@ class TestSolve:
             else:
                 view = expectation_view(float(np.quantile(panel.x, 0.3)), relation="le")
             cs = compile_view(view, panel)
-            rep = solve(panel, cs, opts)
+            rep = solve(panel, cs)
             achieved = cs.matrix @ rep.posterior.weights
-            assert np.all(achieved >= cs.lower - opts.tol)
-            assert np.all(achieved <= cs.upper + opts.tol)
+            assert np.all(achieved >= cs.lower - TOL)
+            assert np.all(achieved <= cs.upper + TOL)
 
     def test_redundant_constraint_changes_nothing(self):
         rng = np.random.default_rng(17)
@@ -326,7 +318,7 @@ class TestSolve:
             solve(panel, cs)
         assert err.value.min_log_weight < math.log(1e-300)
         # refused on the certificate: the view is attainable, not infeasible
-        assert len(certificates) == 1 and certificates[0] <= SolverOptions().tol
+        assert len(certificates) == 1 and certificates[0] <= TOL
 
     def test_converged_solve_never_computes_a_certificate(self, monkeypatch):
         def forbidden(constraints):
@@ -341,7 +333,7 @@ class TestSolve:
             value_view(float(np.quantile(panel.x, 0.9)), "ge"),
         ):
             rep = solve(panel, compile_view(view, panel))
-            assert rep.residual <= SolverOptions().tol
+            assert rep.residual <= TOL
 
     def test_view_attainable_only_on_a_face_is_refused_quickly(self, monkeypatch):
         # the largest variance with the mean anchored puts all mass on the
@@ -361,7 +353,7 @@ class TestSolve:
         monkeypatch.setattr(solver_mod, "dual", counting)
         with pytest.raises(InfeasibleError) as err:
             solve(panel, cs)
-        assert SolverOptions().tol < err.value.residual <= 1e-6
+        assert TOL < err.value.residual <= 1e-6
         assert len(evaluations) <= 500
 
     def test_degenerate_posterior_is_reported_not_clipped(self):
