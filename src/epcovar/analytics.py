@@ -12,9 +12,11 @@ provides:
 - the risk-spillover increment (``delta_covar_view``), CoVaR - VaR by
   definition;
 - the relative entropy between two bivariate normals;
-- the bivariate normal CDF needed by conditioning on value regions.
+- the posterior CDF of Y under a value view (``value_view_y_cdf``), the one
+  law that both the half-line CoVaR and the pooled analytic mixture use.
 
-``z(alpha)`` is ``scipy.special.ndtri``.
+``z(alpha)`` is ``scipy.special.ndtri``. Half-line value views and pooled
+mixtures have no closed form: each is a ``brentq`` root of a CDF minus alpha.
 
 One-sided views follow the collapse rule: when the prior already satisfies the
 view, it carries no information and CoVaR equals VaR exactly; otherwise the
@@ -30,6 +32,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import ndtri
 
 from .errors import NumericDomainError
@@ -332,43 +335,39 @@ def covar_correlation_view(
 
 
 def _bracketed_root(f, lo: float, hi: float) -> float:
-    """Bisection then secant polish for a continuous monotone function."""
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
-        raise NumericDomainError(
-            f"root not bracketed on [{lo:g}, {hi:g}]: f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}"
-        )
-    a, b, fa, fb = lo, hi, f_lo, f_hi
-    for _ in range(40):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0.0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-        if b - a < 1e-6 * (hi - lo):
-            break
-    x0, x1, f0, f1 = a, b, fa, fb
-    for _ in range(60):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        x2 = min(max(x2, a), b)
-        f2 = f(x2)
-        if f2 == 0.0 or abs(x2 - x1) < 1e-10 * max(1.0, abs(x2)):
-            return x2
-        if fa * f2 < 0.0:
-            b = x2
-        else:
-            a = x2
-        x0, f0, x1, f1 = x1, f1, x2, f2
-    return x1
+    """Root of a continuous monotone function on [lo, hi], by Brent's method."""
+    try:
+        return brentq(f, lo, hi, xtol=1e-14 * (hi - lo))
+    except ValueError as exc:  # f(lo) and f(hi) share a sign
+        raise NumericDomainError(f"root not bracketed on [{lo:g}, {hi:g}]: {exc}") from exc
+
+
+def _given_x(p: BivariateNormalParams, level: float) -> tuple[float, float]:
+    """Mean and spread of Y given X = level."""
+    mu = p.mu_y + p.rho * (level - p.mu_x) * p.sigma_y / p.sigma_x
+    return mu, p.sigma_y * math.sqrt(1.0 - p.rho**2)
+
+
+def _half_line(p: BivariateNormalParams, level: float, relation: str) -> tuple[float, float]:
+    """(h, r): the event is {s Z_X <= h}, s = +1 (le) or -1 (ge); r = corr(s Z_X, Y)."""
+    if relation not in ("le", "ge"):
+        raise ValueError(f"unknown relation {relation!r}")
+    s = 1.0 if relation == "le" else -1.0
+    return s * (level - p.mu_x) / p.sigma_x, s * p.rho
+
+
+def value_view_y_cdf(p: BivariateNormalParams, level: float, relation: str = "eq"):
+    """Posterior CDF of Y under the value view ``X = level``, ``X <= level``
+    or ``X >= level``: the law of Y given X at the point, or given X on the
+    half-line, Pr(s Z_X <= h, Y <= y) / Phi(h) from :func:`bvn_cdf`."""
+    if relation == "eq":
+        mu, sd = _given_x(p, level)
+        if sd == 0.0:
+            return lambda y: 1.0 if y >= mu else 0.0
+        return lambda y: norm_cdf((y - mu) / sd)
+    h, r = _half_line(p, level, relation)
+    mass = norm_cdf(h)
+    return lambda y: bvn_cdf(h, (y - p.mu_y) / p.sigma_y, r) / mass
 
 
 def covar_value_view(
@@ -377,50 +376,26 @@ def covar_value_view(
     """CoVaR of Y conditional on the realized value of X.
 
     eq: X = level exactly (the conditional distribution of Y given X).
-    le: X <= level; CoVaR solves Pr(X <= level, Y <= y) = alpha Pr(X <= level).
-    ge: X >= level; CoVaR solves Pr(X >= level, Y <= y) = alpha Pr(X >= level).
+    le: X <= level; CoVaR solves Pr(Y <= y | X <= level) = alpha.
+    ge: X >= level; CoVaR solves Pr(Y <= y | X >= level) = alpha.
 
-    The two conditional maps are continuous and monotone in y, so the root is
-    found by bisection on [mu_Y - 12 sigma_Y, mu_Y + 12 sigma_Y] with a secant
-    polish. ``traditional_covar`` is the eq case at level = VaR_alpha of X.
+    The half-line laws (:func:`value_view_y_cdf`) are continuous and monotone
+    in y; ``brentq`` finds the root on [mu_Y - 12 sigma_Y, mu_Y + 12 sigma_Y].
+    ``traditional_covar`` is the eq case at level = VaR_alpha of X.
     """
     c = _check_alpha(alpha)
-    z_l = (level - p.mu_x) / p.sigma_x
-    if relation == "eq":
-        return ViewOutcome(
-            covar=(
-                p.mu_y
-                + p.rho * (level - p.mu_x) * p.sigma_y / p.sigma_x
-                + p.sigma_y * math.sqrt(1.0 - p.rho**2) * c
-            ),
-            posterior=None,  # X collapses to a point; outside the family
-            collapsed_to_var=False,
-            branch="eq",
-        )
-    beta = norm_cdf(z_l)
+    if relation == "eq":  # X collapses to a point, outside the family
+        mu, sd = _given_x(p, level)
+        return ViewOutcome(mu + sd * c, None, collapsed_to_var=False, branch="eq")
+    h, _ = _half_line(p, level, relation)
+    if h >= 9.0:  # conditioning event has full mass: no information
+        return ViewOutcome(var_normal(p, alpha), p, True, f"{relation}-saturated")
+    if h <= -9.0:  # event mass below bvn_cdf's resolution
+        side = "below" if relation == "le" else "above"
+        raise NumericDomainError(f"no probability mass at or {side} level {level}")
+    cdf = value_view_y_cdf(p, level, relation)
     lo, hi = p.mu_y - 12.0 * p.sigma_y, p.mu_y + 12.0 * p.sigma_y
-    if relation == "le":
-        if z_l >= 9.0:  # conditioning event has full mass: no information
-            return ViewOutcome(var_normal(p, alpha), p, True, "le-saturated")
-        if z_l <= -9.0:  # event mass below quadrature resolution
-            raise NumericDomainError(f"no probability mass at or below level {level}")
-
-        def fn(y: float) -> float:
-            return bvn_cdf(z_l, (y - p.mu_y) / p.sigma_y, p.rho) - alpha * beta
-
-        return ViewOutcome(_bracketed_root(fn, lo, hi), None, False, "le")
-    if relation == "ge":
-        if z_l <= -9.0:
-            return ViewOutcome(var_normal(p, alpha), p, True, "ge-saturated")
-        if z_l >= 9.0:
-            raise NumericDomainError(f"no probability mass at or above level {level}")
-
-        def fn(y: float) -> float:
-            z_y = (y - p.mu_y) / p.sigma_y
-            return norm_cdf(z_y) - bvn_cdf(z_l, z_y, p.rho) - alpha * (1.0 - beta)
-
-        return ViewOutcome(_bracketed_root(fn, lo, hi), None, False, "ge")
-    raise ValueError(f"unknown relation {relation!r}")
+    return ViewOutcome(_bracketed_root(lambda y: cdf(y) - alpha, lo, hi), None, False, relation)
 
 
 def traditional_covar(p: BivariateNormalParams, alpha: float = 0.95) -> ViewOutcome:

@@ -36,9 +36,10 @@ import numpy as np
 
 from . import analytics
 from .analytics import BivariateNormalParams, ViewOutcome, _bracketed_root
-from .errors import ConfigError, DataError, EpcovarError
+from .errors import ConfigError, DataError, EpcovarError, NumericDomainError
 from .estimation import fit_t_copula, fit_t_marginal, generate_scenarios, pseudo_observations
-from .normal import bvn_cdf, norm_cdf
+# bvn_cdf is unused here, but bench/tracing.py rebinds engine.bvn_cdf by name
+from .normal import bvn_cdf, norm_cdf  # noqa: F401
 from .scenario import ScenarioPanel, interpolated_quantile
 from .solver import SolveReport, max_violation, pool, relative_entropy, solve
 from .views import ViewSpec, compile_view, describe, no_view, view_from_dict
@@ -347,26 +348,17 @@ def _pooled_scenario_row(config, panel, posteriors, var) -> list[ReportRow]:
 
 # -- analytic-mode evaluation -----------------------------------------------------
 
-def _analytic_y_cdf(prior: BivariateNormalParams, view: ViewSpec, out: ViewOutcome, alpha):
+def _analytic_y_cdf(prior: BivariateNormalParams, view: ViewSpec, out: ViewOutcome):
     """Posterior CDF of Y under one view, for pooling mixtures."""
     if out.posterior is not None:
         mu, sd = out.posterior.mu_y, out.posterior.sigma_y
         return lambda y: norm_cdf((y - mu) / sd)
+    if view.kind != "value":
+        raise NumericDomainError(
+            f"cannot pool {describe(view)}: its posterior has no bivariate-normal law of Y"
+        )
     p = analytics._self_view_params(prior) if view.target == "y" else prior
-    z_l = (view.value - p.mu_x) / p.sigma_x
-    if view.relation == "eq":
-        mu = p.mu_y + p.rho * (view.value - p.mu_x) * p.sigma_y / p.sigma_x
-        sd = p.sigma_y * math.sqrt(1.0 - p.rho**2)
-        if sd == 0.0:
-            return lambda y: 1.0 if y >= mu else 0.0
-        return lambda y: norm_cdf((y - mu) / sd)
-    beta = norm_cdf(z_l)
-    if view.relation == "le":
-        return lambda y: bvn_cdf(z_l, (y - p.mu_y) / p.sigma_y, p.rho) / beta
-    return lambda y: (
-        norm_cdf((y - p.mu_y) / p.sigma_y)
-        - bvn_cdf(z_l, (y - p.mu_y) / p.sigma_y, p.rho)
-    ) / (1.0 - beta)
+    return analytics.value_view_y_cdf(p, view.value, view.relation)
 
 
 def _analytic_rows(config: RunConfig, prior: BivariateNormalParams) -> list[ReportRow]:
@@ -391,10 +383,7 @@ def _analytic_rows(config: RunConfig, prior: BivariateNormalParams) -> list[Repo
         )
     c = _pooling_confidences(config)
     if c is not None:
-        cdfs = [
-            _analytic_y_cdf(prior, v, o, config.alpha)
-            for v, o in zip(config.views, outcomes)
-        ]
+        cdfs = [_analytic_y_cdf(prior, v, o) for v, o in zip(config.views, outcomes)]
 
         def mixture(y: float) -> float:
             return sum(w * f(y) for w, f in zip(c, cdfs)) - config.alpha
@@ -576,7 +565,8 @@ def backtest_stats(estimates, actuals) -> tuple[float, float]:
 
 # -- sensitivity scans --------------------------------------------------------------
 
-_SCANNABLE = ("expectation", "variance", "quantile", "correlation", "value")
+_SCAN_FIELDS = {"expectation": "mean", "variance": "variance", "quantile": "quantile",
+                "correlation": "correlation", "value": "value"}
 
 
 def sensitivity_scan(
@@ -606,22 +596,13 @@ def sensitivity_scan(
     else:
         prior = prior_or_config
         alpha = 0.95 if alpha is None else alpha
-    if kind not in _SCANNABLE:
-        raise ConfigError(f"scan kind must be one of {_SCANNABLE}, got {kind!r}")
+    if kind not in _SCAN_FIELDS:
+        raise ConfigError(f"scan kind must be one of {tuple(_SCAN_FIELDS)}, got {kind!r}")
     if steps < 2 or not math.isfinite(start) or not math.isfinite(stop) or start == stop:
         raise ConfigError(f"degenerate scan range [{start}, {stop}] with {steps} steps")
+    level = alpha if kind == "quantile" else None  # closed-form quantile views pin at alpha
     out = []
-    for value in np.linspace(start, stop, steps):
-        value = float(value)
-        if kind == "expectation":
-            covar = analytics.covar_expectation_view(prior, value, "eq", alpha).covar
-        elif kind == "variance":
-            covar = analytics.covar_variance_view(prior, value, "eq", alpha).covar
-        elif kind == "quantile":
-            covar = analytics.covar_quantile_view(prior, value, "eq", alpha).covar
-        elif kind == "correlation":
-            covar = analytics.covar_correlation_view(prior, value, "eq", alpha).covar
-        else:
-            covar = analytics.covar_value_view(prior, value, "eq", alpha).covar
-        out.append((value, covar))
+    for value in np.linspace(start, stop, steps).tolist():
+        view = ViewSpec(kind, quantile_level=level, **{_SCAN_FIELDS[kind]: value})
+        out.append((value, analytics.covar_for_view(prior, view, alpha).covar))
     return out

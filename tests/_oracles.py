@@ -3,23 +3,68 @@
 Nothing here touches the solver's dual path or the package's closed-form
 CoVaR functions: scalar bisection, dense feasible-set scans, primal SLSQP,
 plain-loop enumeration, the paper's spillover expressions written out per
-view kind, and a derivative-free minimizer of the bivariate-normal relative
-entropy over the five posterior parameters.
+view kind, a derivative-free minimizer of the bivariate-normal relative
+entropy over the five posterior parameters, and the bivariate normal CDF by
+adaptive quadrature of the conditional normal CDF.
 """
 
 import math
 from dataclasses import replace
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.optimize import minimize as scipy_minimize
 from scipy.special import ndtri
 
 from epcovar.analytics import BivariateNormalParams, _kl_arrays
 from epcovar.errors import NumericDomainError
-from epcovar.normal import bvn_cdf, norm_cdf
+from epcovar.normal import norm_cdf
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def norm_pdf(z: float) -> float:
+    return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
+
+
+def quadrature_bvn_cdf(zx: float, zy: float, rho: float) -> float:
+    """Pr(ZX <= zx, ZY <= zy) as one integral of the conditional normal CDF,
+    by adaptive quadrature to ~1e-12 absolute for |rho| <= 0.99; the
+    degenerate correlations |rho| = 1 are handled exactly."""
+    if not -1.0 <= rho <= 1.0:
+        raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
+    if math.isnan(zx) or math.isnan(zy):
+        raise ValueError("bvn_cdf arguments must not be NaN")
+    if rho >= 1.0 - 1e-13:
+        return norm_cdf(min(zx, zy))
+    if rho <= -1.0 + 1e-13:
+        return max(0.0, norm_cdf(zx) - norm_cdf(-zy))
+    # beyond ~9 sigma a margin saturates at double precision
+    if zx <= -9.0 or zy <= -9.0:
+        return 0.0
+    if zx >= 9.0:
+        return norm_cdf(zy)
+    if zy >= 9.0:
+        return norm_cdf(zx)
+    s = math.sqrt(1.0 - rho * rho)
+
+    def conditional(t: float) -> float:
+        return norm_pdf(t) * norm_cdf((zy - rho * t) / s)
+
+    # integrand support is effectively [-9, zx]; split at the kink of the
+    # conditional CDF argument when the correlation is strong
+    pieces = [-9.0, zx]
+    if abs(rho) > 0.9:
+        t_kink = zy / rho
+        if -9.0 < t_kink < zx:
+            pieces = [-9.0, t_kink, zx]
+    total = 0.0
+    for a, b in zip(pieces, pieces[1:]):
+        part, _ = quad(conditional, a, b, epsabs=1e-13, epsrel=1e-11, limit=200)
+        total += part
+    return min(max(total, 0.0), 1.0)
 
 
 def _golden_min(fn, lo, hi, iters=60):
@@ -238,8 +283,8 @@ def paper_spillover(p, view, alpha=0.95):
     def excess(y):
         z_y = (y - p.mu_y) / sy
         if rel == "le":
-            return bvn_cdf(z_l, z_y, r) - alpha * beta
-        return norm_cdf(z_y) - bvn_cdf(z_l, z_y, r) - alpha * (1.0 - beta)
+            return quadrature_bvn_cdf(z_l, z_y, r) - alpha * beta
+        return norm_cdf(z_y) - quadrature_bvn_cdf(z_l, z_y, r) - alpha * (1.0 - beta)
 
     covar = brentq(excess, p.mu_y - 12.0 * sy, p.mu_y + 12.0 * sy, xtol=1e-15)
     return covar - (p.mu_y + sy * c)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from epcovar import analytics, cli
+from epcovar import analytics, cli, engine
 from epcovar.analytics import (
     BivariateNormalParams,
     covar_expectation_view,
@@ -31,7 +31,7 @@ from epcovar.engine import (
     run_pipeline,
     sensitivity_scan,
 )
-from epcovar.errors import ConfigError, DataError
+from epcovar.errors import ConfigError, DataError, NumericDomainError
 from epcovar.normal import bvn_cdf
 from epcovar.scenario import build_panel
 from epcovar.views import (
@@ -62,6 +62,15 @@ def losses_csv(tmp_path_factory):
         for i in range(n)
     ]
     path.write_text("".join(lines))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def colinear_csv(tmp_path_factory):
+    """Y = 2X exactly, so the sample correlation is exactly 1."""
+    x = np.random.default_rng(22).standard_normal(60) * 0.02
+    path = tmp_path_factory.mktemp("data") / "colinear.csv"
+    path.write_text("X,Y\n" + "".join(f"{v!r},{2 * v!r}\n" for v in x.tolist()))
     return str(path)
 
 
@@ -177,18 +186,45 @@ class TestAnalyticPipeline:
             calls.append(args)
             return real(*args)
 
+        mixture_evaluations = []
+        real_root = engine._bracketed_root
+
+        def counting_root(f, lo, hi):
+            def counted(y):
+                mixture_evaluations.append(y)
+                return f(y)
+
+            return real_root(counted, lo, hi)
+
         monkeypatch.setattr(analytics, "bvn_cdf", counting)
+        monkeypatch.setattr(engine, "_bracketed_root", counting_root)
+        series = ingest_csv(losses_csv, ["SVB", "NBI"]).series
+        prior = analytic_prior(series["SVB"], series["NBI"])
         for chosen in (views, pooled):
+            calls.clear()
+            mixture_evaluations.clear()
             report = run_pipeline(RunConfig(data=losses_csv, x="SVB", y="NBI", views=chosen))
             for row in report.rows:
                 assert row.delta_covar == row.covar - row.var, row.label
-        report_calls = len(calls)
-        calls.clear()
-        series = ingest_csv(losses_csv, ["SVB", "NBI"]).series
-        prior = analytic_prior(series["SVB"], series["NBI"])
-        for view in views + pooled:
-            analytics.covar_for_view(prior, view, 0.95)
-        assert report_calls == len(calls) > 0
+            report_calls = len(calls)
+            calls.clear()
+            for view in chosen:
+                analytics.covar_for_view(prior, view, 0.95)
+            assert len(calls) > 0
+            # each view is evaluated once; the pooled mixture adds one call per
+            # evaluation for its one half-line value view, and nothing else
+            assert report_calls == len(calls) + len(mixture_evaluations)
+        assert len(mixture_evaluations) > 0
+
+    def test_pooling_a_degenerate_posterior_is_a_numeric_domain_error(self, colinear_csv):
+        # Y = 2X gives a sample correlation of exactly 1, where a correlation
+        # view leaves the bivariate-normal family and has no law to pool
+        series = ingest_csv(colinear_csv, ["X", "Y"]).series
+        assert analytic_prior(series["X"], series["Y"]).rho == 1.0
+        views = (correlation_view(0.5, confidence=0.5), expectation_view(0.1, confidence=0.5))
+        config = RunConfig(data=colinear_csv, x="X", y="Y", views=views)
+        with pytest.raises(NumericDomainError, match=r"cannot pool rho~ = 0\.5"):
+            run_pipeline(config)
 
     def test_distribution_view_needs_scenario_mode(self, losses_csv):
         view = view_from_dict(
@@ -576,6 +612,16 @@ class TestCli:
             ["--data", losses_csv, "--x", "SVB", "--y", "NBI", "--views", str(views)]
         )
         assert rc == 5
+
+    def test_pooled_degenerate_posterior_exits_numeric_domain(self, colinear_csv, tmp_path, capsys):
+        views = tmp_path / "views.json"
+        views.write_text(
+            '[{"kind": "correlation", "correlation": 0.5, "confidence": 0.5},'
+            ' {"kind": "expectation", "mean": 0.1, "confidence": 0.5}]'
+        )
+        rc = self._run(["--data", colinear_csv, "--x", "X", "--y", "Y", "--views", str(views)])
+        assert rc == 5
+        assert "numeric-domain error" in capsys.readouterr().err
 
     def test_scan_tsv(self, losses_csv, capsys):
         rc = self._run(

@@ -1,4 +1,5 @@
-"""Normal special functions against independent library implementations."""
+"""Normal special functions against independent library implementations and
+the quadrature oracle."""
 
 import math
 
@@ -7,7 +8,8 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
-from epcovar.normal import bvn_cdf, norm_cdf, norm_pdf
+from _oracles import norm_pdf, quadrature_bvn_cdf
+from epcovar.normal import bvn_cdf, norm_cdf
 
 
 class TestUnivariate:
@@ -64,6 +66,31 @@ class TestBivariateCdf:
         for rho in (-0.7, 0.2, 0.9):
             vals = [bvn_cdf(float(z), 0.7, rho) for z in zs]
             assert all(a <= b + 1e-13 for a, b in zip(vals, vals[1:]))
+
+    def test_against_quadrature_oracle(self):
+        rng = np.random.default_rng(4)
+        points = [tuple(rng.uniform(-6, 6, 2)) for _ in range(200)]
+        points += [(0.0, float(z)) for z in np.linspace(-5, 5, 11)]
+        points += [(float(z), 0.0) for z in np.linspace(-5, 5, 11)]
+        for a, b in points:
+            for rho in (-0.99, -0.6, 0.0, 0.35, 0.99, float(rng.uniform(-0.99, 0.99))):
+                want = quadrature_bvn_cdf(a, b, rho)
+                assert abs(bvn_cdf(a, b, rho) - want) < 1e-10, (a, b, rho)
+
+    def test_frechet_bounds_near_unit_correlation(self):
+        # max(0, Phi(h) + Phi(k) - 1) <= Phi2(h, k; rho) <= min(Phi(h), Phi(k));
+        # an adaptive quadrature broke the upper bound by 2.3e-4 at the first point
+        rng = np.random.default_rng(5)
+        cases = [(5.153, -0.486, 0.9999987)]
+        for _ in range(2000):
+            a, b = rng.uniform(-8, 8, 2)
+            gap = 10 ** rng.uniform(-12, -2)
+            cases.append((float(a), float(b), float((1.0 - gap) * rng.choice([-1.0, 1.0]))))
+        for a, b, rho in cases:
+            value = bvn_cdf(a, b, rho)
+            lower = max(0.0, norm_cdf(a) + norm_cdf(b) - 1.0)
+            upper = min(norm_cdf(a), norm_cdf(b))
+            assert lower - 1e-15 <= value <= upper + 1e-15, (a, b, rho)
 
     def test_rho_guard(self):
         with pytest.raises(ValueError):
