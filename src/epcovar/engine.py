@@ -81,6 +81,12 @@ class RunConfig:
             raise ConfigError(f"format must be one of {_FORMATS}, got {self.fmt!r}")
         if len(self.views) == 0:
             raise ConfigError("configure at least one view (the no-view sentinel counts)")
+        for name in ("scenarios", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.mode == "scenario" and self.scenarios < 100:
             raise ConfigError(f"scenario mode needs at least 100 scenarios, got {self.scenarios}")
         object.__setattr__(self, "views", tuple(self.views))
@@ -282,12 +288,12 @@ def ep_covar_on_panel(
     """Compile one view, reweight the panel, read off the conditional quantile."""
     constraints = compile_view(view, panel)
     report = solve(panel, constraints)
-    covar = interpolated_quantile(panel.y, report.posterior, alpha)
+    covar = interpolated_quantile(panel.sorted_y, report.posterior, alpha)
     return covar, report
 
 
 def _scenario_rows(config: RunConfig, panel: ScenarioPanel) -> list[ReportRow]:
-    var = interpolated_quantile(panel.y, panel.prior, config.alpha)
+    var = interpolated_quantile(panel.sorted_y, panel.prior, config.alpha)
     rows = []
     posteriors = []
     for view in config.views:
@@ -328,7 +334,7 @@ def _pooled_scenario_row(config, panel, posteriors, var) -> list[ReportRow]:
     if c is None:
         return []
     mixed = pool(posteriors, c)
-    covar = interpolated_quantile(panel.y, mixed, config.alpha)
+    covar = interpolated_quantile(panel.sorted_y, mixed, config.alpha)
     # the mixture need not satisfy any single view; its worst constraint
     # violation across the pooled views is reported as a diagnostic
     violation = max(max_violation(compile_view(v, panel), mixed.weights) for v in config.views)

@@ -5,7 +5,8 @@ fitted by profile maximum likelihood, a t copula calibrated by Kendall-tau
 inversion (``rho = sin(pi tau / 2)``) with its degrees of freedom chosen by a
 one-dimensional pseudo-likelihood search, and a seeded sampler that maps
 copula draws through the marginal quantile functions into a
-:class:`~epcovar.scenario.ScenarioPanel` with uniform weights.
+:class:`~epcovar.scenario.ScenarioPanel` with uniform weights. It maps X and Y
+on two threads, and its panel is bitwise equal to serial sampling.
 
 Also hosts the exact two-variable quantile-regression baseline: the pinball
 objective is piecewise linear, so for data in general position an optimal line
@@ -20,6 +21,7 @@ moment-based views require.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,13 +225,16 @@ def fit_t_copula(u, v) -> TCopulaParams:
     if abs(rho) >= 1.0 - 1e-12:
         raise ValueError(f"implied correlation {rho} sits on the boundary (tau={tau})")
 
+    # pseudo-observations are permutations of one rank grid, so each dof
+    # needs the t quantile of the distinct values only
+    levels, inverse = np.unique(np.concatenate([u, v]), return_inverse=True)
+    iu, iv = inverse[:u.size], inverse[u.size:]
     cache: dict[float, float] = {}
 
     def loglik(dof: float) -> float:
         if dof not in cache:
-            tx = t_quantile(u, dof)
-            ty = t_quantile(v, dof)
-            cache[dof] = _t_copula_loglik(tx, ty, rho, dof)
+            t = t_quantile(levels, dof)
+            cache[dof] = _t_copula_loglik(t[iu], t[iv], rho, dof)
         return cache[dof]
 
     grid = np.geomspace(DOF_MIN, DOF_MAX, _DOF_GRID_SIZE)
@@ -260,23 +265,39 @@ def generate_scenarios(
     unit: str = "fraction",
 ) -> ScenarioPanel:
     """Sample a uniform-weight panel: t-copula draws mapped through the
-    marginal quantile functions. Reproducible for a fixed seed."""
+    marginal quantile functions. Reproducible for a fixed seed.
+
+    All draws are made on the calling thread. X is then mapped on a second
+    thread while the calling thread maps Y (scipy's special functions release
+    the interpreter lock). The panel is bitwise equal to serial sampling.
+    """
     if n_scenarios < 100:
         raise ValueError(f"need at least 100 scenarios, got {n_scenarios}")
     rng = np.random.default_rng(seed)
     z1 = rng.standard_normal(n_scenarios)
     z2 = rng.standard_normal(n_scenarios)
-    zc = cop.rho * z1 + math.sqrt(1.0 - cop.rho**2) * z2
     w = rng.chisquare(cop.dof, n_scenarios) / cop.dof
     scale = 1.0 / np.sqrt(w)
-    u = stdtr(cop.dof, z1 * scale)
-    v = stdtr(cop.dof, zc * scale)
-    eps = 1e-12
-    u = np.clip(u, eps, 1.0 - eps)
-    v = np.clip(v, eps, 1.0 - eps)
-    x = mx.location + mx.scale * t_quantile(u, mx.dof)
-    y = my.location + my.scale * t_quantile(v, my.dof)
+    # the worker thread writes only into arrays allocated here, so it leaves
+    # no memory behind in an allocator arena of its own
+    x = z1 * scale
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        x_done = pool.submit(_marginal_losses_inplace, mx, cop.dof, x)
+        y = (cop.rho * z1 + math.sqrt(1.0 - cop.rho**2) * z2) * scale
+        _marginal_losses_inplace(my, cop.dof, y)
+        x_done.result()
     return build_panel(x, y, unit=unit)
+
+
+def _marginal_losses_inplace(m: TMarginal, copula_dof: float, draws: np.ndarray) -> None:
+    """Overwrite t-copula draws with losses: the copula's t CDF, clipped into
+    (0, 1), then the marginal's quantile function."""
+    eps = 1e-12
+    stdtr(copula_dof, draws, out=draws)
+    np.clip(draws, eps, 1.0 - eps, out=draws)
+    stdtrit(m.dof, draws, out=draws)
+    draws *= m.scale
+    draws += m.location
 
 
 def pinball_loss(residuals, alpha: float) -> float:

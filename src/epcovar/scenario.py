@@ -14,17 +14,22 @@ Conventions used throughout the package:
   smallest scenario value whose cumulative probability reaches alpha) for
   genuinely atomic data; it keeps Pr(value <= quantile) >= alpha exact and is
   deterministic under ties.
+- A panel sorts its Y losses once: ``ScenarioPanel.sorted_y`` holds the
+  stable order, the tie groups and the distinct values, computed on the
+  first quantile read and reused by every later one (VaR, each view, the
+  pooled row).
 - Scenario moments use the population convention (probabilities are exact
   weights, not sample frequencies). Their J-length products are ``np.einsum``
   kernels rather than BLAS calls, which would wait on a thread hand-off.
 
-All types are frozen and hold read-only arrays; they are safe to share across
-threads.
+All types are frozen and hold read-only arrays, the cached sort order
+included; they are safe to share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +117,34 @@ class ScenarioPanel:
     def prior_probabilities(self) -> Probabilities:
         return Probabilities(self.prior)
 
+    @cached_property
+    def sorted_y(self) -> SortedLosses:
+        """Y losses whose sort order ``interpolated_quantile`` computes once."""
+        return SortedLosses(self.y)
+
+
+class SortedLosses:
+    """A loss vector with its stable sort order, computed on first use.
+
+    ``groups`` holds the order, a mask marking the last sorted entry of each
+    tie group and the distinct values, as read-only arrays. Wrap only arrays
+    that nobody writes to afterwards, such as a panel's.
+    """
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    @cached_property
+    def groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        order = np.argsort(self.values, kind="stable")
+        uniq, start = np.unique(self.values[order], return_index=True)
+        last = np.zeros(order.size, dtype=bool)
+        last[start[1:] - 1] = True
+        last[-1] = True
+        for a in (order, last, uniq):
+            a.flags.writeable = False
+        return order, last, uniq
+
 
 def build_panel(x, y, prior=None, unit: str = "fraction") -> ScenarioPanel:
     """Assemble a panel, normalizing ``prior`` or defaulting to uniform weights.
@@ -169,12 +202,18 @@ def interpolated_quantile(values, probs, alpha: float) -> float:
     or gridded from a continuous density this removes the O(grid spacing)
     snapping of the atomic estimator; on genuinely atomic data prefer
     ``weighted_quantile``.
+
+    ``values`` may be a :class:`SortedLosses`, such as ``panel.sorted_y``;
+    its sort is then done on the first call only.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    v, cum = _sorted_cumulative(values, probs)
-    uniq, start = np.unique(v, return_index=True)
-    cum_at = np.append(cum[start[1:] - 1], cum[-1])  # mass up to and incl. each value
+    s = values if isinstance(values, SortedLosses) else SortedLosses(values)
+    p = as_weights(probs)
+    if s.values.size != p.size:
+        raise ValueError(f"length mismatch: values has {s.values.size}, probs has {p.size}")
+    order, last, uniq = s.groups
+    cum_at = np.cumsum(p[order])[last]  # mass up to and incl. each value
     mass = np.diff(np.concatenate(([0.0], cum_at)))
     mid = cum_at - mass / 2.0
     return float(np.interp(alpha, mid, uniq))

@@ -550,6 +550,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="100"):
             RunConfig(data=losses_csv, x="A", y="B", mode="scenario", scenarios=10)
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("scenarios", 1e4), ("scenarios", 20000.0), ("scenarios", True),
+         ("seed", 1.5), ("seed", "7"), ("seed", False), ("seed", -1)],
+    )
+    def test_scenarios_and_seed_must_be_integers(self, key, value):
+        base = {"data": "x.csv", "x": "A", "y": "B", "mode": "scenario"}
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({**base, key: value})
+
     def test_views_file_accepts_bare_list(self, tmp_path):
         path = tmp_path / "views.json"
         path.write_text('[{"kind": "none"}]')
@@ -592,6 +602,28 @@ class TestCli:
         assert self._run(
             ["--data", losses_csv, "--x", "SVB", "--y", "NBI", "--alpha", "2"]
         ) == 2
+
+    @pytest.mark.parametrize(
+        "key,value", [("scenarios", 1e4), ("seed", 1.5), ("seed", "7"), ("seed", -1)]
+    )
+    def test_non_integer_or_negative_scenarios_and_seed_exit_config(
+        self, losses_csv, tmp_path, capsys, key, value
+    ):
+        config = tmp_path / "run.json"
+        config.write_text(
+            json.dumps({"data": losses_csv, "x": "SVB", "y": "NBI", "mode": "scenario",
+                        key: value})
+        )
+        assert self._run([str(config)]) == 2
+        assert f"config error: {key} must be" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exits_config(self, losses_csv, capsys):
+        rc = self._run(
+            ["--data", losses_csv, "--x", "SVB", "--y", "NBI", "--mode", "scenario",
+             "--scenarios", "500", "--seed", "-1"]
+        )
+        assert rc == 2
+        assert "config error: seed must be non-negative" in capsys.readouterr().err
 
     def test_data_error_exit(self, losses_csv):
         assert self._run(["--data", losses_csv, "--x", "WAL", "--y", "NBI"]) == 3

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import pair_candidate_minimum
-from scipy.special import stdtr
+from scipy.special import stdtr, stdtrit
 from scipy.stats import kendalltau
 from scipy.stats import t as student_t
 
@@ -171,6 +171,23 @@ class TestGenerateScenarios:
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
         c = generate_scenarios(self.MX, self.MY, self.COP, 5_000, seed=43)
         assert not np.array_equal(a.x, c.x)
+
+    @pytest.mark.parametrize("n", [100, 5_000])
+    def test_threaded_sampler_equals_serial_reference(self, n):
+        rng = np.random.default_rng(42)
+        z1 = rng.standard_normal(n)
+        z2 = rng.standard_normal(n)
+        w = rng.chisquare(self.COP.dof, n) / self.COP.dof
+        scale = 1.0 / np.sqrt(w)
+        zc = self.COP.rho * z1 + math.sqrt(1.0 - self.COP.rho**2) * z2
+        eps = 1e-12
+        u = np.clip(stdtr(self.COP.dof, z1 * scale), eps, 1.0 - eps)
+        v = np.clip(stdtr(self.COP.dof, zc * scale), eps, 1.0 - eps)
+        x = self.MX.location + self.MX.scale * stdtrit(self.MX.dof, u)
+        y = self.MY.location + self.MY.scale * stdtrit(self.MY.dof, v)
+        panel = generate_scenarios(self.MX, self.MY, self.COP, n, seed=42)
+        assert panel.x.tobytes() == x.tobytes()
+        assert panel.y.tobytes() == y.tobytes()
 
     def test_panel_invariants_hold(self):
         panel = generate_scenarios(self.MX, self.MY, self.COP, 500, seed=1)

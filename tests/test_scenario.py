@@ -1,5 +1,8 @@
 """Panel construction and probability-weighted statistics."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +160,73 @@ class TestInterpolatedQuantile:
     def test_alpha_guard(self):
         with pytest.raises(ValueError, match="alpha"):
             interpolated_quantile([1, 2], [0.5, 0.5], 1.0)
+
+    def test_length_guard(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            interpolated_quantile([1.0, 2.0, 3.0], [0.5, 0.5], 0.5)
+        panel = build_panel([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="length mismatch"):
+            interpolated_quantile(panel.sorted_y, [0.5, 0.5], 0.5)
+
+    def test_cached_order_equals_plain_array_on_tied_atoms(self):
+        # atomic losses with ties (signed zeros among them) and uneven
+        # weights: the panel's cached order, a plain array and a per-call
+        # re-sort must give bitwise the same quantile
+        def resorting_quantile(values, probs, alpha):
+            order = np.argsort(values, kind="stable")
+            v, cum = values[order], np.cumsum(probs[order])
+            uniq, start = np.unique(v, return_index=True)
+            cum_at = np.append(cum[start[1:] - 1], cum[-1])
+            mid = cum_at - np.diff(np.concatenate(([0.0], cum_at))) / 2.0
+            return float(np.interp(alpha, mid, uniq))
+
+        rng = np.random.default_rng(11)
+        y = rng.integers(-5, 6, size=400).astype(float) * 0.25
+        y[::7] *= -1.0
+        panel = build_panel(rng.normal(size=400), y, rng.uniform(0.1, 3.0, size=400))
+        weights = [panel.prior, rng.dirichlet(np.full(400, 0.3))]
+        for w in weights:
+            for alpha in (0.01, 0.3, 0.5, 0.9, 0.95, 0.999):
+                cached = interpolated_quantile(panel.sorted_y, w, alpha)
+                assert cached == interpolated_quantile(np.array(y), w, alpha)
+                assert cached == resorting_quantile(y, w, alpha)
+
+    def test_cached_order_is_read_only_and_computed_once(self):
+        panel = build_panel([0.0, 1.0, 2.0, 3.0], [2.0, 1.0, 1.0, 0.5])
+        assert panel.sorted_y is panel.sorted_y
+        assert "groups" not in vars(panel.sorted_y)  # the first quantile sorts
+        interpolated_quantile(panel.sorted_y, panel.prior, 0.5)
+        groups = panel.sorted_y.groups
+        interpolated_quantile(panel.sorted_y, panel.prior, 0.9)
+        assert panel.sorted_y.groups is groups
+        order, last, uniq = groups
+        assert order.tolist() == [3, 1, 2, 0]
+        assert last.tolist() == [True, False, True, True]
+        assert uniq.tolist() == [0.5, 1.0, 2.0]
+        for arr in groups:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_concurrent_first_reads_agree(self):
+        # threads racing on a panel's first quantile may each sort, but every
+        # answer must equal the serial one
+        rng = np.random.default_rng(3)
+        y = rng.normal(size=20_000)
+        alphas = np.linspace(0.05, 0.95, 8)
+        want = [interpolated_quantile(y, np.full(y.size, 1 / y.size), a) for a in alphas]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                panel = build_panel(y, y)
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    got = list(pool.map(
+                        lambda a: interpolated_quantile(panel.sorted_y, panel.prior, a), alphas
+                    ))
+                assert got == want
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestMoments:
