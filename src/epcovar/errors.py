@@ -47,7 +47,8 @@ class DegenerateError(EpcovarError):
     Raised instead of silently clipping, so pathological (e.g. bimodal,
     split-support) posteriors surface to the caller: the view is met, or can
     be met, only as some weights vanish. ``min_log_weight`` is the natural log
-    of the smallest posterior weight encountered.
+    of the smallest weight of the first solver iterate that fell below the
+    floor, not of a limit the weights approach.
     """
 
     def __init__(self, message: str, min_log_weight: float):

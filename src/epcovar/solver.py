@@ -23,14 +23,18 @@ One-sided constraints already satisfied by the prior leave it untouched.
 
 Refusals are decided by a property of the view, not by the rounding of the
 dual iterates. When a round of Newton steps fails to at least halve the max
-violation, ends because no step length reduces the residual, or the
-iteration budget runs out, a phase-I certificate is computed: the smallest
-max violation any posterior on the panel can reach with the normalization row
-exact (Boyd & Vandenberghe, §11.4). A certificate above tolerance raises
+violation, ends because no step length reduces the residual, ends because a
+step drove some weight below the positivity floor, or the iteration budget
+runs out, a phase-I certificate is computed: the smallest max violation any
+posterior on the panel can reach with the normalization row exact (Boyd &
+Vandenberghe, §11.4). A certificate above tolerance raises
 :class:`~epcovar.errors.InfeasibleError` carrying it; a certificate within
 tolerance while the iterate's weights underflow the positivity floor raises
 :class:`~epcovar.errors.DegenerateError`, because the view is reachable only
-as weights vanish. A solve that meets tolerance never computes it.
+as weights vanish. A solve that meets tolerance never computes it. A view
+attainable only on a face of the simplex (correlation 1, say) has no tilted
+optimum, and its multipliers run off to infinity; stopping at the floor
+refuses it within a few steps.
 
 Every product of length J is an elementwise or ``np.einsum`` kernel, never a
 BLAS call: the dual has K << J rows, and at this shape a BLAS call would wait
@@ -160,7 +164,7 @@ def solve(panel: ScenarioPanel, constraints: LinearConstraintSet) -> SolveReport
             previous, violation = violation, max_violation(constraints, np.exp(lp))
             if violation <= TOL:
                 break
-            # out of budget, or no step length reduced the residual
+            # out of budget, a step crossed the floor, or no step length helped
             exhausted = budget <= 0 or steps < length
             if exhausted or violation > 0.5 * previous:  # or stalled
                 if certificate is None:
@@ -318,8 +322,10 @@ def _newton(lam, point, sign, evaluate, tol, length):
     (rank-deficient) row sets well-behaved. One-sided multipliers are
     projected back onto their sign after every step. The step is halved until
     the largest active residual falls; when no halving makes it fall, the
-    round ends. Returns the final multipliers, their dual evaluation and the
-    number of steps taken.
+    round ends. The round also ends after a step that leaves some log weight
+    below ``_LOG_FLOOR``, since :func:`solve` never returns such an iterate:
+    the short round sends it to the certificate. Returns the final
+    multipliers, their dual evaluation and the number of steps taken.
     """
     target = min(tol * 1e-4, 1e-12)
 
@@ -353,4 +359,6 @@ def _newton(lam, point, sign, evaluate, tol, length):
             break
         lam, point = trial, trial_point
         steps += 1
+        if float(point[3].min()) < _LOG_FLOOR:  # solve never returns this iterate
+            break
     return lam, point, steps

@@ -21,12 +21,36 @@ from epcovar.solver import TOL, dual, dual_rows, pool, relative_entropy, solve
 from epcovar.views import (
     LinearConstraintSet,
     compile_view,
+    correlation_view,
+    distribution_view,
     expectation_view,
+    mean_variance_view,
     no_view,
     quantile_view,
+    relative_view,
     value_view,
     variance_view,
 )
+
+
+def _calls(monkeypatch, name):
+    """Record each call of ``solver.<name>`` and its result."""
+    results = []
+    real = getattr(solver_mod, name)
+
+    def recording(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(solver_mod, name, recording)
+    return results
+
+
+def _t5_panel(seed, size):
+    """A t(5) pair with correlation 0.6, seeded."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_t(5, size=size)
+    return build_panel(x, 0.6 * x + 0.8 * rng.standard_t(5, size=size))
 
 
 class TestRelativeEntropy:
@@ -306,14 +330,7 @@ class TestSolve:
         # tolerance, the weight of x = 0 is below exp(-1e6)
         panel = build_panel([0.0, 699.999, 700.0], [0.0, 0.0, 0.0])
         cs = compile_view(expectation_view(700.0), panel)
-        certificates = []
-        real = solver_mod._phase_one_certificate
-
-        def recording(constraints):
-            certificates.append(real(constraints))
-            return certificates[-1]
-
-        monkeypatch.setattr(solver_mod, "_phase_one_certificate", recording)
+        certificates = _calls(monkeypatch, "_phase_one_certificate")
         with pytest.raises(DegenerateError) as err:
             solve(panel, cs)
         assert err.value.min_log_weight < math.log(1e-300)
@@ -327,10 +344,16 @@ class TestSolve:
         monkeypatch.setattr(solver_mod, "_phase_one_certificate", forbidden)
         rng = np.random.default_rng(5)
         panel = build_panel(rng.normal(size=200), rng.normal(size=200))
+        mean, var = float(panel.x.mean()), float(panel.x.var())
         for view in (
             expectation_view(float(np.quantile(panel.x, 0.7))),
             quantile_view(float(np.quantile(panel.x, 0.5)), 0.7),
             value_view(float(np.quantile(panel.x, 0.9)), "ge"),
+            correlation_view(0.9),
+            variance_view(1.5 * var),
+            mean_variance_view(mean + 0.3 * math.sqrt(var), 0.8 * var),
+            relative_view(0.2, 1.3),
+            distribution_view([-10.0, 0.0, 10.0], [0.6, 0.4]),
         ):
             rep = solve(panel, compile_view(view, panel))
             assert rep.residual <= TOL
@@ -343,18 +366,42 @@ class TestSolve:
         x = np.linspace(0.0, 600.0, 21)
         panel = build_panel(x, np.zeros_like(x))
         cs = compile_view(variance_view(300.0**2), panel)
-        evaluations = []
-        real = solver_mod.dual
-
-        def counting(*args):
-            evaluations.append(None)
-            return real(*args)
-
-        monkeypatch.setattr(solver_mod, "dual", counting)
+        evaluations = _calls(monkeypatch, "dual")
         with pytest.raises(InfeasibleError) as err:
             solve(panel, cs)
         assert TOL < err.value.residual <= 1e-6
         assert len(evaluations) <= 500
+
+    def test_correlation_one_is_refused_in_one_round(self, monkeypatch):
+        # the tilt toward correlation 1 has no optimum: its multipliers run
+        # off to infinity, and the weights cross the positivity floor within
+        # a few steps, which ends the round and sends it to the certificate
+        panel = _t5_panel(5, 1000)
+        cs = compile_view(correlation_view(1.0), panel)
+        evaluations = _calls(monkeypatch, "dual")
+        certificates = _calls(monkeypatch, "_phase_one_certificate")
+        with pytest.raises((InfeasibleError, DegenerateError)) as err:
+            solve(panel, cs)
+        assert len(certificates) == 1
+        # the verdict is the certificate's
+        if certificates[0] > TOL:
+            assert err.type is InfeasibleError and err.value.residual == certificates[0]
+        else:
+            assert err.type is DegenerateError
+        assert len(evaluations) <= 50
+
+    def test_mean_beyond_the_panel_is_refused_within_a_few_steps(self, monkeypatch):
+        # the first Newton step already drives the smallest weight under the
+        # floor, so the round ends before any line search runs out of halvings
+        panel = _t5_panel(5, 1000)
+        beyond = float(panel.x.max()) + 0.5 * float(panel.x.std())
+        cs = compile_view(expectation_view(beyond), panel)
+        evaluations = _calls(monkeypatch, "dual")
+        certificates = _calls(monkeypatch, "_phase_one_certificate")
+        with pytest.raises(InfeasibleError) as err:
+            solve(panel, cs)
+        assert err.value.residual == certificates[0] > TOL
+        assert len(evaluations) <= 10
 
     def test_degenerate_posterior_is_reported_not_clipped(self):
         # an extreme mean view on a wide-span panel drives the far tail's
