@@ -175,66 +175,93 @@ def ingest_csv(source, columns=None, min_rows: int | None = None) -> IngestResul
     """Load loss series from a header-rowed CSV.
 
     ``columns`` selects which series to keep (default: every column with at
-    least one numeric cell, which drops date-like columns). Rows missing any
-    selected cell are dropped pairwise and counted. Raises
-    :class:`~epcovar.errors.DataError` for a missing column, an unparseable
-    non-missing cell, or fewer than ``min_rows`` usable rows.
+    least one numeric cell, which drops date-like columns). A cell is a Python
+    ``float`` literal, surrounding whitespace allowed (``0.25``, ``-1e-3``,
+    ``inf``, ``-nan``, ``1_000``), or a missing token: empty, ``nan``, ``na``,
+    ``null`` or ``none`` in any case. Blank lines are skipped. Rows missing
+    any selected cell, a short row's absent cells included, are dropped
+    pairwise and counted. A leading UTF-8 byte-order mark is ignored. Raises
+    :class:`~epcovar.errors.DataError` for a missing, duplicated or empty
+    selection of columns, an unparseable non-missing cell, or fewer than
+    ``min_rows`` usable rows.
     """
     if hasattr(source, "read"):
-        reader = csv.reader(source)
-        rows = list(reader)
+        rows = list(csv.reader(source))
     else:
         try:
-            with open(source, "r", encoding="utf-8", newline="") as fh:
+            with open(source, "r", encoding="utf-8-sig", newline="") as fh:
                 rows = list(csv.reader(fh))
         except OSError as exc:
             raise DataError(f"cannot read {source}: {exc}") from exc
     if not rows:
         raise DataError("empty file: no header row")
+    if rows[0]:
+        rows[0][0] = rows[0][0].removeprefix("\ufeff")
     header = [h.strip() for h in rows[0]]
-    body = [r for r in rows[1:] if any(cell.strip() for cell in r)]
-
-    def lenient(cell: str) -> float | None:
-        text = cell.strip()
-        if text.lower() in _MISSING_TOKENS:
-            return math.nan
-        try:
-            return float(text)
-        except ValueError:
-            return None  # unparseable
-
+    data = rows[1:]
     if columns is None:
         # keep columns with at least one numeric cell (drops date-like columns)
+        body = _nonblank(data)
         columns = []
         for j, name in enumerate(header):
-            cells = (lenient(r[j]) if j < len(r) else math.nan for r in body)
+            cells = (_lenient(r[j]) if j < len(r) else math.nan for r in body)
             if any(v is not None and not math.isnan(v) for v in cells):
                 columns.append(name)
+    if not columns:
+        raise DataError(f"no columns selected; available columns: {header}")
     missing = [c for c in columns if c not in header]
     if missing:
         raise DataError(
             f"missing column(s) {missing}; available columns: {header}"
         )
-    parsed: list[list[float]] = []
-    for name in columns:
-        j = header.index(name)
-        col = []
-        for i, row in enumerate(body):
-            value = lenient(row[j] if j < len(row) else "")
-            if value is None:
-                raise DataError(
-                    f"unparseable cell {row[j]!r} in column {name!r} at data row {i + 1}"
-                )
-            col.append(value)
-        parsed.append(col)
+    repeated = sorted({c for c in columns if header.count(c) > 1})
+    if repeated:
+        raise DataError(f"column(s) {repeated} appear more than once in the header {header}")
+    index = [header.index(name) for name in columns]
+    try:
+        # When float() accepts a cell, the cell-by-cell reading below gives
+        # the same value, and a row with a float cell is not blank.
+        parsed = [[float(row[j]) for row in data] for j in index]
+        n_body = len(data)
+    except (ValueError, IndexError):
+        body = _nonblank(data)
+        parsed = [_parse_column(body, j, name) for j, name in zip(index, columns)]
+        n_body = len(body)
     table = np.array(parsed, dtype=float)
     keep = ~np.isnan(table).any(axis=0)
     n_rows = int(keep.sum())
-    n_dropped = int(len(body) - n_rows)
+    n_dropped = n_body - n_rows
     if min_rows is not None and n_rows < min_rows:
         raise DataError(f"only {n_rows} usable rows, need at least {min_rows}")
     series = {c: table[i, keep] for i, c in enumerate(columns)}
     return IngestResult(series=series, n_rows=n_rows, n_dropped=n_dropped)
+
+
+def _nonblank(rows: list[list[str]]) -> list[list[str]]:
+    return [r for r in rows if any(cell.strip() for cell in r)]
+
+
+def _lenient(cell: str) -> float | None:
+    """NaN for a missing token, the float for a literal, None otherwise."""
+    text = cell.strip()
+    if text.lower() in _MISSING_TOKENS:
+        return math.nan
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _parse_column(body: list[list[str]], j: int, name: str) -> list[float]:
+    col = []
+    for i, row in enumerate(body):
+        value = _lenient(row[j] if j < len(row) else "")
+        if value is None:
+            raise DataError(
+                f"unparseable cell {row[j]!r} in column {name!r} at data row {i + 1}"
+            )
+        col.append(value)
+    return col
 
 
 # -- priors ----------------------------------------------------------------------

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import gammaln, stdtr, stdtrit
 from scipy.stats import kendalltau
 
-from .scenario import ScenarioPanel, build_panel
+from .scenario import ScenarioPanel
 
 DOF_MIN = 2.1
 DOF_MAX = 100.0
@@ -177,8 +177,8 @@ def fit_t_marginal(samples) -> TMarginal:
     dof, _ = _golden_max(lambda u: profile(math.exp(u)), lo, hi)
     dof = min(math.exp(dof), DOF_MAX)
     if profile(float(grid[-1])) >= profile(dof):
-        dof = DOF_MAX
-    loc, scale = _fit_location_scale(x, dof, loc0, scale0)
+        dof = DOF_MAX  # == grid[-1], so the cache holds its fit as well
+    loc, scale, _ = cache[dof]
     return TMarginal(location=loc, scale=scale, dof=float(dof))
 
 
@@ -286,7 +286,7 @@ def generate_scenarios(
         y = (cop.rho * z1 + math.sqrt(1.0 - cop.rho**2) * z2) * scale
         _marginal_losses_inplace(my, cop.dof, y)
         x_done.result()
-    return build_panel(x, y, unit=unit)
+    return ScenarioPanel(x, y, np.full(n_scenarios, 1.0 / n_scenarios), unit, _fresh=True)
 
 
 def _marginal_losses_inplace(m: TMarginal, copula_dof: float, draws: np.ndarray) -> None:

@@ -23,12 +23,14 @@ Conventions used throughout the package:
   kernels rather than BLAS calls, which would wait on a thread hand-off.
 
 All types are frozen and hold read-only arrays, the cached sort order
-included; they are safe to share across threads.
+included; they are safe to share across threads. They copy the arrays they
+are given, except where the package hands over arrays that it has just made
+and nobody else holds (``_fresh=True``): those are frozen in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -37,8 +39,10 @@ PANEL_PROB_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
+def _freeze(a: np.ndarray, fresh: bool = False) -> np.ndarray:
+    """``a`` as a read-only float array: a copy, or, for a ``fresh`` float
+    array that nobody else holds, ``a`` itself."""
+    out = np.asarray(a, dtype=float) if fresh else np.array(a, dtype=float, copy=True)
     out.flags.writeable = False
     return out
 
@@ -80,11 +84,10 @@ class ScenarioPanel:
     y: np.ndarray
     prior: np.ndarray
     unit: str = "fraction"
+    _fresh: InitVar[bool] = False
 
-    def __post_init__(self):
-        x = _freeze(np.atleast_1d(self.x))
-        y = _freeze(np.atleast_1d(self.y))
-        p = _freeze(np.atleast_1d(self.prior))
+    def __post_init__(self, _fresh):
+        x, y, p = (_freeze(np.atleast_1d(a), _fresh) for a in (self.x, self.y, self.prior))
         if not (x.size == y.size == p.size):
             raise ValueError(
                 f"length mismatch: x has {x.size}, y has {y.size}, prior has {p.size}"
@@ -152,8 +155,8 @@ def build_panel(x, y, prior=None, unit: str = "fraction") -> ScenarioPanel:
     ``prior`` entries must be strictly positive; they are rescaled to sum to
     one. Raises ValueError naming the offending index on bad input.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = np.array(x, dtype=float)
+    y = np.array(y, dtype=float)
     if x.size != y.size:
         raise ValueError(f"length mismatch: x has {x.size}, y has {y.size}")
     if prior is None:
@@ -167,7 +170,7 @@ def build_panel(x, y, prior=None, unit: str = "fraction") -> ScenarioPanel:
         if np.any(p <= 0.0):
             raise ValueError(f"non-positive weight at index {int(np.argmax(p <= 0.0))}")
         p = p / p.sum()
-    return ScenarioPanel(x=x, y=y, prior=p, unit=unit)
+    return ScenarioPanel(x=x, y=y, prior=p, unit=unit, _fresh=True)
 
 
 def _sorted_cumulative(values, probs):

@@ -39,13 +39,13 @@ last bin closed on the right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Literal
 
 import numpy as np
 
 from .errors import InfeasibleViewError
-from .scenario import ScenarioPanel, moments
+from .scenario import ScenarioPanel, _freeze, moments
 
 Kind = Literal[
     "expectation",
@@ -204,11 +204,10 @@ class LinearConstraintSet:
     lower: np.ndarray
     upper: np.ndarray
     labels: tuple[str, ...] = field(default=())
+    _fresh: InitVar[bool] = False
 
-    def __post_init__(self):
-        g = np.array(self.matrix, dtype=float, copy=True)
-        lo = np.array(self.lower, dtype=float, copy=True)
-        hi = np.array(self.upper, dtype=float, copy=True)
+    def __post_init__(self, _fresh):
+        g, lo, hi = (_freeze(a, _fresh) for a in (self.matrix, self.lower, self.upper))
         if g.ndim != 2:
             raise ValueError("constraint matrix must be two-dimensional")
         k = g.shape[0]
@@ -230,8 +229,6 @@ class LinearConstraintSet:
         labels = tuple(self.labels) if self.labels else tuple(f"row{i}" for i in range(k))
         if len(labels) != k:
             raise ValueError("labels must match the matrix row count")
-        for arr in (g, lo, hi):
-            arr.flags.writeable = False
         object.__setattr__(self, "matrix", g)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
@@ -369,7 +366,7 @@ def compile_view(view: ViewSpec, panel: ScenarioPanel) -> LinearConstraintSet:
     _row(rows, lows, highs, labels, np.ones(panel.size), 1.0, 1.0, "normalization")
     return LinearConstraintSet(
         matrix=np.vstack(rows), lower=np.array(lows), upper=np.array(highs),
-        labels=tuple(labels),
+        labels=tuple(labels), _fresh=True,
     )
 
 

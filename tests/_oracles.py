@@ -4,10 +4,12 @@ Nothing here touches the solver's dual path or the package's closed-form
 CoVaR functions: scalar bisection, dense feasible-set scans, primal SLSQP,
 plain-loop enumeration, the paper's spillover expressions written out per
 view kind, a derivative-free minimizer of the bivariate-normal relative
-entropy over the five posterior parameters, and the bivariate normal CDF by
-adaptive quadrature of the conditional normal CDF.
+entropy over the five posterior parameters, the bivariate normal CDF by
+adaptive quadrature of the conditional normal CDF, and a cell-by-cell CSV
+reader.
 """
 
+import csv
 import math
 from dataclasses import replace
 
@@ -18,7 +20,8 @@ from scipy.optimize import minimize as scipy_minimize
 from scipy.special import ndtri
 
 from epcovar.analytics import BivariateNormalParams, _kl_arrays
-from epcovar.errors import NumericDomainError
+from epcovar.engine import IngestResult
+from epcovar.errors import DataError, NumericDomainError
 from epcovar.normal import norm_cdf
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -466,3 +469,66 @@ def numeric_posterior_params(
     if not np.all(np.isfinite(full)):
         raise NumericDomainError("search box exhausted without a feasible point")
     return BivariateNormalParams(*full)
+
+
+_MISSING_TOKENS = {"", "nan", "na", "null", "none"}
+
+
+def cell_by_cell_ingest(source, columns=None, min_rows=None) -> IngestResult:
+    """``engine.ingest_csv`` read one cell at a time: blank rows filtered
+    first, then every selected cell stripped, matched against the missing
+    tokens and parsed. Knows nothing of byte-order marks or duplicated
+    header names."""
+    if hasattr(source, "read"):
+        rows = list(csv.reader(source))
+    else:
+        try:
+            with open(source, "r", encoding="utf-8", newline="") as fh:
+                rows = list(csv.reader(fh))
+        except OSError as exc:
+            raise DataError(f"cannot read {source}: {exc}") from exc
+    if not rows:
+        raise DataError("empty file: no header row")
+    header = [h.strip() for h in rows[0]]
+    body = [r for r in rows[1:] if any(cell.strip() for cell in r)]
+
+    def lenient(cell: str):
+        text = cell.strip()
+        if text.lower() in _MISSING_TOKENS:
+            return math.nan
+        try:
+            return float(text)
+        except ValueError:
+            return None  # unparseable
+
+    if columns is None:
+        columns = []
+        for j, name in enumerate(header):
+            cells = (lenient(r[j]) if j < len(r) else math.nan for r in body)
+            if any(v is not None and not math.isnan(v) for v in cells):
+                columns.append(name)
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise DataError(
+            f"missing column(s) {missing}; available columns: {header}"
+        )
+    parsed = []
+    for name in columns:
+        j = header.index(name)
+        col = []
+        for i, row in enumerate(body):
+            value = lenient(row[j] if j < len(row) else "")
+            if value is None:
+                raise DataError(
+                    f"unparseable cell {row[j]!r} in column {name!r} at data row {i + 1}"
+                )
+            col.append(value)
+        parsed.append(col)
+    table = np.array(parsed, dtype=float)
+    keep = ~np.isnan(table).any(axis=0)
+    n_rows = int(keep.sum())
+    n_dropped = int(len(body) - n_rows)
+    if min_rows is not None and n_rows < min_rows:
+        raise DataError(f"only {n_rows} usable rows, need at least {min_rows}")
+    series = {c: table[i, keep] for i, c in enumerate(columns)}
+    return IngestResult(series=series, n_rows=n_rows, n_dropped=n_dropped)

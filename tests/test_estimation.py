@@ -1,6 +1,8 @@
 """Prior estimation: synthetic-recovery oracles and the exact QR baseline."""
 
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from epcovar.estimation import (
     QRFit,
     TCopulaParams,
     TMarginal,
+    _fit_location_scale,
     fit_t_copula,
     fit_t_marginal,
     generate_scenarios,
@@ -22,6 +25,8 @@ from epcovar.estimation import (
     quantile_regression_covar,
     t_quantile,
 )
+
+_BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def sample_t_copula(rho, dof, n, rng):
@@ -108,6 +113,26 @@ class TestFitTMarginal:
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError, match="at least 30"):
             fit_t_marginal(np.arange(10.0))
+
+    def test_reuses_the_searched_location_scale_fit(self, tmp_path, monkeypatch):
+        # the fit equals one more EM run at the chosen dof, on the benchmark's
+        # datasets and on a sample whose fit hits the dof cap
+        monkeypatch.syspath_prepend(str(_BENCH))
+        workloads = importlib.import_module("workloads")
+        samples = [np.random.default_rng(99).standard_normal(2_000)]
+        for seed in (1, 2, 3):
+            for workload_id in (1, 2):
+                ds = workloads.make_dataset(tmp_path, seed, workload_id, 0)
+                samples += [ds.x, ds.y]
+        capped = 0
+        for x in samples:
+            fit = fit_t_marginal(x)
+            loc0 = float(np.median(x))
+            scale0 = float(np.median(np.abs(x - loc0))) * 1.4826
+            loc, scale = _fit_location_scale(x, fit.dof, loc0, scale0)
+            assert repr(fit) == repr(TMarginal(loc, scale, fit.dof))
+            capped += fit.effectively_normal
+        assert capped >= 1
 
 
 class TestFitTCopula:

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from epcovar.estimation import TCopulaParams, TMarginal, generate_scenarios
 from epcovar.scenario import (
     Probabilities,
+    ScenarioPanel,
     build_panel,
     interpolated_quantile,
     moments,
@@ -53,6 +55,26 @@ class TestBuildPanel:
             panel.x[0] = 5.0
         with pytest.raises(ValueError):
             panel.prior[0] = 0.9
+
+    @pytest.mark.parametrize("make", [build_panel, ScenarioPanel])
+    def test_caller_arrays_are_copied(self, make):
+        x, y, p = np.array([0.0, 1.0, 2.0]), np.array([2.0, 1.0, 0.0]), np.array([0.2, 0.3, 0.5])
+        panel = make(x, y, p)
+        x[:] = y[:] = p[:] = 7.0
+        assert panel.x.tolist() == [0.0, 1.0, 2.0]
+        assert panel.y.tolist() == [2.0, 1.0, 0.0]
+        assert panel.prior.tolist() == [0.2, 0.3, 0.5]
+
+    def test_sampled_panel_is_read_only_with_build_panel_prior(self):
+        panel = generate_scenarios(
+            TMarginal(0.0, 1.0, 5.0), TMarginal(0.0, 2.0, 4.0), TCopulaParams(0.5, 6.0), 300, 1
+        )
+        for arr in (panel.x, panel.y, panel.prior):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        rebuilt = build_panel(panel.x, panel.y, unit=panel.unit)
+        assert rebuilt.prior.tobytes() == panel.prior.tobytes()
 
     def test_unit_metadata_carried(self):
         assert build_panel([0, 1], [0, 1], unit="percent").unit == "percent"

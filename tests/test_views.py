@@ -120,6 +120,20 @@ class TestConstraintSetInvariants:
         with pytest.raises(ValueError, match="finite"):
             LinearConstraintSet(g, np.array([0.0, 1.0]), np.array([0.0, 1.0]))
 
+    def test_caller_arrays_are_copied(self):
+        g, lo, hi = np.array([[0.0, 1.0], [1.0, 1.0]]), np.array([0.2, 1.0]), np.array([0.4, 1.0])
+        cs = LinearConstraintSet(g, lo, hi)
+        g[0, 1] = lo[0] = hi[0] = 7.0
+        assert cs.matrix.tolist() == [[0.0, 1.0], [1.0, 1.0]]
+        assert (cs.lower[0], cs.upper[0]) == (0.2, 0.4)
+
+    def test_compiled_arrays_are_read_only(self, panel_atoms):
+        cs = compile_view(mean_variance_view(60.0, 700.0), panel_atoms)
+        for arr in (cs.matrix, cs.lower, cs.upper):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
 
 class TestCompileExpectation:
     def test_worked_two_scenario_system(self, panel01):
