@@ -181,12 +181,15 @@ def ingest_csv(source, columns=None, min_rows: int | None = None) -> IngestResul
     ``null`` or ``none`` in any case. Blank lines are skipped. Rows missing
     any selected cell, a short row's absent cells included, are dropped
     pairwise and counted. A leading UTF-8 byte-order mark is ignored. Raises
-    :class:`~epcovar.errors.DataError` for a missing, duplicated or empty
-    selection of columns, an unparseable non-missing cell, or fewer than
-    ``min_rows`` usable rows.
+    :class:`~epcovar.errors.DataError` for a ``columns`` list that is empty,
+    names a column missing from the header or one the header repeats, an
+    unparseable non-missing cell, or fewer than ``min_rows`` usable rows.
+    Each column is first read with ``float`` alone; only a column with a
+    missing token, an unparseable cell, or a blank or short row takes the
+    slower cell-by-cell reading.
     """
     if hasattr(source, "read"):
-        rows = list(csv.reader(source))
+        rows = list(csv.reader(_without_bom(source)))
     else:
         try:
             with open(source, "r", encoding="utf-8-sig", newline="") as fh:
@@ -195,10 +198,9 @@ def ingest_csv(source, columns=None, min_rows: int | None = None) -> IngestResul
             raise DataError(f"cannot read {source}: {exc}") from exc
     if not rows:
         raise DataError("empty file: no header row")
-    if rows[0]:
-        rows[0][0] = rows[0][0].removeprefix("\ufeff")
     header = [h.strip() for h in rows[0]]
     data = rows[1:]
+    body = data  # the data rows, until blank ones are filtered out
     if columns is None:
         # keep columns with at least one numeric cell (drops date-like columns)
         body = _nonblank(data)
@@ -207,42 +209,60 @@ def ingest_csv(source, columns=None, min_rows: int | None = None) -> IngestResul
             cells = (_lenient(r[j]) if j < len(r) else math.nan for r in body)
             if any(v is not None and not math.isnan(v) for v in cells):
                 columns.append(name)
-    if not columns:
-        raise DataError(f"no columns selected; available columns: {header}")
+    else:
+        if not columns:
+            raise DataError(f"no columns selected; available columns: {header}")
+        repeated = sorted({c for c in columns if header.count(c) > 1})
+        if repeated:
+            raise DataError(
+                f"column(s) {repeated} appear more than once in the header {header}"
+            )
     missing = [c for c in columns if c not in header]
     if missing:
         raise DataError(
             f"missing column(s) {missing}; available columns: {header}"
         )
-    repeated = sorted({c for c in columns if header.count(c) > 1})
-    if repeated:
-        raise DataError(f"column(s) {repeated} appear more than once in the header {header}")
-    index = [header.index(name) for name in columns]
-    try:
-        # When float() accepts a cell, the cell-by-cell reading below gives
-        # the same value, and a row with a float cell is not blank.
-        parsed = [[float(row[j]) for row in data] for j in index]
-        n_body = len(data)
-    except (ValueError, IndexError):
-        body = _nonblank(data)
-        parsed = [_parse_column(body, j, name) for j, name in zip(index, columns)]
-        n_body = len(body)
+    parsed = []
+    for name in columns:
+        j = header.index(name)
+        try:
+            # When float() accepts every cell, the cell-by-cell reading gives
+            # the same values, and no row is blank.
+            parsed.append([float(row[j]) for row in body])
+        except (ValueError, IndexError):
+            if body is data:
+                body = _nonblank(data)
+            parsed.append(_parse_column(body, j, name))
     table = np.array(parsed, dtype=float)
     keep = ~np.isnan(table).any(axis=0)
     n_rows = int(keep.sum())
-    n_dropped = n_body - n_rows
+    n_dropped = len(body) - n_rows
     if min_rows is not None and n_rows < min_rows:
         raise DataError(f"only {n_rows} usable rows, need at least {min_rows}")
     series = {c: table[i, keep] for i, c in enumerate(columns)}
     return IngestResult(series=series, n_rows=n_rows, n_dropped=n_dropped)
 
 
+def _without_bom(lines):
+    """``lines`` with a UTF-8 byte-order mark removed from the first one."""
+    lines = iter(lines)
+    for first in lines:
+        yield first.removeprefix("\ufeff")
+        break
+    yield from lines
+
+
 def _nonblank(rows: list[list[str]]) -> list[list[str]]:
-    return [r for r in rows if any(cell.strip() for cell in r)]
+    """The rows with a non-whitespace character in some cell."""
+    return [r for r in rows if "".join(r).strip()]
 
 
 def _lenient(cell: str) -> float | None:
     """NaN for a missing token, the float for a literal, None otherwise."""
+    try:
+        return float(cell)  # what follows gives the same where float() accepts it
+    except ValueError:
+        pass
     text = cell.strip()
     if text.lower() in _MISSING_TOKENS:
         return math.nan

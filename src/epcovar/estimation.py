@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import gammaln, stdtr, stdtrit
 from scipy.stats import kendalltau
 
-from .scenario import ScenarioPanel
+from .scenario import ScenarioPanel, _uniform_prior
 
 DOF_MIN = 2.1
 DOF_MAX = 100.0
@@ -286,7 +286,7 @@ def generate_scenarios(
         y = (cop.rho * z1 + math.sqrt(1.0 - cop.rho**2) * z2) * scale
         _marginal_losses_inplace(my, cop.dof, y)
         x_done.result()
-    return ScenarioPanel(x, y, np.full(n_scenarios, 1.0 / n_scenarios), unit, _fresh=True)
+    return ScenarioPanel(x, y, _uniform_prior(n_scenarios), unit, _fresh=True)
 
 
 def _marginal_losses_inplace(m: TMarginal, copula_dof: float, draws: np.ndarray) -> None:

@@ -149,6 +149,10 @@ class SortedLosses:
         return order, last, uniq
 
 
+def _uniform_prior(n: int) -> np.ndarray:
+    return np.full(n, 1.0 / n)
+
+
 def build_panel(x, y, prior=None, unit: str = "fraction") -> ScenarioPanel:
     """Assemble a panel, normalizing ``prior`` or defaulting to uniform weights.
 
@@ -160,7 +164,7 @@ def build_panel(x, y, prior=None, unit: str = "fraction") -> ScenarioPanel:
     if x.size != y.size:
         raise ValueError(f"length mismatch: x has {x.size}, y has {y.size}")
     if prior is None:
-        p = np.full(x.size, 1.0 / x.size)
+        p = _uniform_prior(x.size)
     else:
         p = np.asarray(prior, dtype=float)
         if p.size != x.size:

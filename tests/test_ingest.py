@@ -83,16 +83,14 @@ def csv_path(tmp_path_factory):
 @given(text=csv_text(), columns=SELECTIONS, min_rows=st.sampled_from([None, 1, 4]))
 @example(text="A,B\n1,2\n\n   \n3,NULL\n5,6\n", columns=["A", "B"], min_rows=None)
 @example(text="A,B\n0.1,0.2\n\n oops ,0.3\n", columns=["B", "A"], min_rows=None)
+@example(text="A,B\nNA,2\n3,4\n", columns=["A", "B"], min_rows=None)
+@example(text="A,B\n1,2\n3,NA\n\n", columns=["A", "B"], min_rows=None)
+@example(text="date\n2021-01-01\n\n2021-01-02\n", columns=None, min_rows=None)
 def test_matches_cell_by_cell_oracle(csv_path, text, columns, min_rows):
     csv_path.write_text(text, encoding="utf-8", newline="")
     for source in (lambda: io.StringIO(text, newline=""), lambda: str(csv_path)):
         expected = _outcome(cell_by_cell_ingest, source(), columns, min_rows)
-        got = _outcome(ingest_csv, source(), columns, min_rows)
-        if columns is None and got[0] == "error" and got[1].startswith("no columns selected"):
-            # the oracle finds no numeric column either, and makes up a row count
-            assert cell_by_cell_ingest(source(), None).series == {}
-        else:
-            assert got == expected
+        assert _outcome(ingest_csv, source(), columns, min_rows) == expected
 
 
 def test_numeric_file_skips_the_cell_by_cell_parse(monkeypatch):
@@ -106,23 +104,42 @@ def test_numeric_file_skips_the_cell_by_cell_parse(monkeypatch):
     np.testing.assert_array_equal(res.series["B"], [-2e-3, 1000.0])
 
 
-class TestByteOrderMark:
-    TEXT = "\ufeffSVB,NBI\n0.1,0.2\n0.3,0.4\n"
+def test_one_missing_column_leaves_the_others_on_the_one_pass_parse(monkeypatch):
+    read = []
+    parse_column = engine._parse_column
+    monkeypatch.setattr(engine, "_parse_column", lambda body, j, name: read.append(name)
+                        or parse_column(body, j, name))
+    res = ingest_csv(io.StringIO("A,B,C\n1,2,3\n4,NA,6\n7,8,9\n"), ["A", "B", "C"])
+    assert read == ["B"]
+    assert (res.n_rows, res.n_dropped) == (2, 1)
+    np.testing.assert_array_equal(res.series["C"], [3.0, 9.0])
 
-    def test_path_source(self, tmp_path):
+
+TEXTS = ["\ufeffSVB,NBI\n0.1,0.2\n0.3,0.4\n", '\ufeff"SVB","NBI"\r\n0.1,0.2\r\n0.3,0.4\r\n']
+
+
+@pytest.mark.parametrize("text", TEXTS, ids=["bare", "quoted"])
+class TestByteOrderMark:
+    def test_path_source(self, tmp_path, text):
         path = tmp_path / "excel.csv"
-        path.write_bytes(self.TEXT.encode("utf-8"))
+        path.write_bytes(text.encode("utf-8"))
         assert path.read_bytes()[:3] == b"\xef\xbb\xbf"
         res = ingest_csv(path, ["SVB", "NBI"])
         assert res.n_rows == 2
         np.testing.assert_array_equal(res.series["SVB"], [0.1, 0.3])
 
-    def test_file_like_source(self):
-        res = ingest_csv(io.StringIO(self.TEXT), ["SVB", "NBI"])
+    def test_file_like_source(self, text):
+        res = ingest_csv(io.StringIO(text, newline=""), ["SVB", "NBI"])
+        np.testing.assert_array_equal(res.series["SVB"], [0.1, 0.3])
         np.testing.assert_array_equal(res.series["NBI"], [0.2, 0.4])
 
-    def test_auto_detected_column_names(self):
-        assert list(ingest_csv(io.StringIO(self.TEXT)).series) == ["SVB", "NBI"]
+    def test_auto_detected_column_names(self, text):
+        assert list(ingest_csv(io.StringIO(text, newline="")).series) == ["SVB", "NBI"]
+
+
+def test_mark_only_at_the_start_of_the_file_is_removed():
+    with pytest.raises(DataError, match=r"unparseable cell '\\ufeff0.3'"):
+        ingest_csv(io.StringIO("SVB,NBI\n0.1,0.2\n\ufeff0.3,0.4\n"), ["SVB", "NBI"])
 
 
 class TestColumnSelection:
@@ -136,7 +153,15 @@ class TestColumnSelection:
         res = ingest_csv(buf, ["SVB", "NBI"])
         assert res.n_rows == 2
 
-    @pytest.mark.parametrize("columns", [[], None])
-    def test_empty_selection_is_rejected(self, columns):
-        with pytest.raises(DataError, match="no columns selected"):
-            ingest_csv(io.StringIO("date,note\n2021-01-01,x\n"), columns)
+    def test_empty_selection_is_rejected(self):
+        with pytest.raises(DataError, match=r"no columns selected; available columns: \['date'"):
+            ingest_csv(io.StringIO("date,note\n2021-01-01,x\n"), [])
+
+    def test_auto_detection_without_numeric_columns_returns_no_series(self):
+        res = ingest_csv(io.StringIO("date,note\n2021-01-01,x\n\n2021-01-02,y\n"))
+        assert res.series == {}
+
+    def test_auto_detection_reads_a_repeated_name_from_its_first_copy(self):
+        res = ingest_csv(io.StringIO("A,B,A\n1,2,3\n4,5,6\n"))
+        assert list(res.series) == ["A", "B"]
+        np.testing.assert_array_equal(res.series["A"], [1.0, 4.0])
