@@ -182,18 +182,20 @@ def ingest_csv(source, columns=None, min_rows: int | None = None) -> IngestResul
     any selected cell, a short row's absent cells included, are dropped
     pairwise and counted. A leading UTF-8 byte-order mark is ignored. Raises
     :class:`~epcovar.errors.DataError` for a ``columns`` list that is empty,
-    names a column missing from the header or one the header repeats, an
-    unparseable non-missing cell, or fewer than ``min_rows`` usable rows.
+    names a column missing from the header or one the header repeats, a
+    malformed CSV line (such as a cell over the ``csv`` module's field size
+    limit), an unparseable non-missing cell, or fewer than ``min_rows``
+    usable rows.
     Each column is first read with ``float`` alone; only a column with a
     missing token, an unparseable cell, or a blank or short row takes the
     slower cell-by-cell reading.
     """
     if hasattr(source, "read"):
-        rows = list(csv.reader(_without_bom(source)))
+        rows = _csv_rows(_without_bom(source))
     else:
         try:
             with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-                rows = list(csv.reader(fh))
+                rows = _csv_rows(fh)
         except OSError as exc:
             raise DataError(f"cannot read {source}: {exc}") from exc
     if not rows:
@@ -241,6 +243,14 @@ def ingest_csv(source, columns=None, min_rows: int | None = None) -> IngestResul
         raise DataError(f"only {n_rows} usable rows, need at least {min_rows}")
     series = {c: table[i, keep] for i, c in enumerate(columns)}
     return IngestResult(series=series, n_rows=n_rows, n_dropped=n_dropped)
+
+
+def _csv_rows(lines) -> list[list[str]]:
+    reader = csv.reader(lines)
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from exc
 
 
 def _without_bom(lines):
@@ -316,15 +326,20 @@ def fitted_prior(x: np.ndarray, y: np.ndarray) -> BivariateNormalParams:
     elliptical pair equals the linear correlation; with distinct fitted
     marginals it is an approximation.
     """
-    mx, my = fit_t_marginal(x), fit_t_marginal(y)
-    cop = fit_t_copula(pseudo_observations(x), pseudo_observations(y))
+    mx, my, cop = _fit_t_prior(x, y)
     return BivariateNormalParams(mx.mean, my.mean, mx.std, my.std, cop.rho)
 
 
 def scenario_prior(config: RunConfig, x: np.ndarray, y: np.ndarray) -> ScenarioPanel:
+    mx, my, cop = _fit_t_prior(x, y)
+    return generate_scenarios(mx, my, cop, config.scenarios, config.seed, unit=config.unit)
+
+
+def _fit_t_prior(x: np.ndarray, y: np.ndarray):
+    """Student-t marginals of X and Y and the t copula of their ranks."""
     mx, my = fit_t_marginal(x), fit_t_marginal(y)
     cop = fit_t_copula(pseudo_observations(x), pseudo_observations(y))
-    return generate_scenarios(mx, my, cop, config.scenarios, config.seed, unit=config.unit)
+    return mx, my, cop
 
 
 # -- scenario-mode evaluation ----------------------------------------------------

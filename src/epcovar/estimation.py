@@ -15,7 +15,13 @@ finds the global optimum exactly.
 
 Degrees of freedom are searched on [2.1, 100]; a fit at the cap is flagged
 "effectively normal". The dof floor keeps variances finite, which the
-moment-based views require.
+moment-based views require. Both fits run one search (``_search_dof``): the
+objective on a 60-point log grid, evaluated for all grid dofs in one call,
+then golden section on the argmax's bracket, then the cap test. The
+marginal's objective profiles (location, scale) by the EM of Liu & Rubin
+(Statistica Sinica 5, 1995); its 60 grid EMs run in lockstep as the rows of
+one array, each row with the one-dof EM's arithmetic and stopping rule, so
+every fit is bitwise equal to fitting one dof at a time.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ DOF_MIN = 2.1
 DOF_MAX = 100.0
 _DOF_GRID_SIZE = 60
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_BLOCK_ELEMENTS = 1 << 15  # a block of lockstep rows stays in cache
 
 
 @dataclass(frozen=True)
@@ -94,32 +101,112 @@ def t_quantile(p, dof: float):
     return t if t.ndim else float(t)
 
 
-def _t_loglik(z: np.ndarray, dof: float, scale: float) -> float:
-    n = z.size
-    const = (
-        gammaln((dof + 1.0) / 2.0)
-        - gammaln(dof / 2.0)
-        - 0.5 * math.log(dof * math.pi)
-        - math.log(scale)
-    )
-    return float(n * const - (dof + 1.0) / 2.0 * np.log1p(z * z / dof).sum())
+def _t_logliks(x: np.ndarray, locs: np.ndarray, scales: np.ndarray, dofs: np.ndarray):
+    """Student-t log-likelihoods of the sample ``x`` at each (location, scale,
+    dof) triple, evaluated in blocks of at most ``_BLOCK_ELEMENTS`` elements
+    (or one triple)."""
+    out = np.empty(dofs.size)
+    rows = max(1, _BLOCK_ELEMENTS // x.size)
+    for start in range(0, dofs.size, rows):
+        s = slice(start, start + rows)
+        const = np.array([
+            gammaln((dof + 1.0) / 2.0)
+            - gammaln(dof / 2.0)
+            - 0.5 * math.log(dof * math.pi)
+            - math.log(scale)
+            for dof, scale in zip(dofs[s].tolist(), scales[s].tolist())
+        ])
+        z = (x - locs[s, None]) / scales[s, None]
+        tails = np.log1p(z * z / dofs[s, None]).sum(axis=1)
+        out[s] = x.size * const - (dofs[s] + 1.0) / 2.0 * tails
+    return out
 
 
 def _fit_location_scale(x: np.ndarray, dof: float, loc0: float, scale0: float):
-    """EM-style fixed point for (location, scale) at fixed dof."""
+    """EM fixed point for (location, scale) at fixed dof (Liu & Rubin, 1995).
+
+    Stops at the first iterate whose location and scale both move by less
+    than 1e-10 relative, or after 500 steps. The residual ``x - loc`` of one
+    step is the ``x - loc_new`` of the step before.
+    """
+    n = x.size
+    num = dof + 1.0
+    r = x - loc0
+    z = np.empty_like(x)
+    w = np.empty_like(x)
     loc, scale = loc0, scale0
     for _ in range(500):
-        z = (x - loc) / scale
-        w = (dof + 1.0) / (dof + z * z)
-        loc_new = float((w * x).sum() / w.sum())
-        scale_new = math.sqrt(float((w * (x - loc_new) ** 2).mean()))
+        np.divide(r, scale, z)
+        np.multiply(z, z, z)
+        np.add(z, dof, z)
+        np.divide(num, z, w)
+        np.multiply(w, x, z)
+        loc_new = float(np.add.reduce(z)) / float(np.add.reduce(w))
+        np.subtract(x, loc_new, r)
+        np.multiply(r, r, z)
+        np.multiply(w, z, z)
+        scale_new = math.sqrt(float(np.add.reduce(z)) / n)
         if abs(loc_new - loc) < 1e-10 * max(1.0, abs(loc)) and (
             abs(scale_new - scale) < 1e-10 * scale
         ):
-            loc, scale = loc_new, scale_new
-            break
+            return loc_new, scale_new
         loc, scale = loc_new, scale_new
     return loc, scale
+
+
+def _fit_location_scale_rows(x: np.ndarray, dofs: np.ndarray, loc0: float, scale0: float):
+    """``_fit_location_scale`` at every dof of ``dofs``, run in lockstep.
+
+    Row i of a block holds the EM at ``dofs[i]`` and does the same
+    elementwise arithmetic as the one-dof loop; each row's sums reduce one
+    C-contiguous row, and a row leaves the block at the iterate where it
+    first passes the convergence test. A block holds at most
+    ``_BLOCK_ELEMENTS`` elements (or one row), so at n = 500 the 60 grid
+    dofs form one block, while a large sample runs a row at a time. Returns
+    the locations and scales, bitwise equal to the one-dof loop's.
+    """
+    n = x.size
+    locs = np.empty(dofs.size)
+    scales = np.empty(dofs.size)
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    for start in range(0, dofs.size, rows):
+        idx = np.arange(start, min(start + rows, dofs.size))
+        dof = dofs[idx, None]
+        loc = np.full((idx.size, 1), loc0)
+        scale = np.full((idx.size, 1), scale0)
+        r = np.subtract(x, loc)
+        z = np.empty_like(r)
+        w = np.empty_like(r)
+        for _ in range(500):
+            k = idx.size
+            rk, zk, wk = r[:k], z[:k], w[:k]
+            np.divide(rk, scale, out=zk)
+            np.multiply(zk, zk, out=zk)
+            np.add(zk, dof, out=zk)
+            np.divide(dof + 1.0, zk, out=wk)
+            np.multiply(wk, x, out=zk)
+            loc_new = zk.sum(axis=1, keepdims=True) / wk.sum(axis=1, keepdims=True)
+            np.subtract(x, loc_new, out=rk)
+            np.multiply(rk, rk, out=zk)
+            np.multiply(wk, zk, out=zk)
+            scale_new = np.sqrt(zk.sum(axis=1, keepdims=True) / n)
+            done = (np.abs(loc_new - loc) < 1e-10 * np.maximum(1.0, np.abs(loc))) & (
+                np.abs(scale_new - scale) < 1e-10 * scale
+            )
+            loc, scale = loc_new, scale_new
+            if done.any():
+                hit = done[:, 0]
+                locs[idx[hit]] = loc[hit, 0]
+                scales[idx[hit]] = scale[hit, 0]
+                keep = ~hit
+                idx, dof, loc, scale = idx[keep], dof[keep], loc[keep], scale[keep]
+                if not idx.size:
+                    break
+                r[:idx.size] = rk[keep]
+        else:
+            locs[idx] = loc[:, 0]
+            scales[idx] = scale[:, 0]
+    return locs, scales
 
 
 def _golden_max(fn, lo: float, hi: float, iters: int = 40) -> tuple[float, float]:
@@ -140,13 +227,33 @@ def _golden_max(fn, lo: float, hi: float, iters: int = 40) -> tuple[float, float
     return best, fn(best)
 
 
+def _search_dof(grid_values, value_at) -> float:
+    """Maximize a profile objective over dof in [DOF_MIN, DOF_MAX].
+
+    ``grid_values`` maps a 60-point log grid to the objective at every point
+    in one call; ``value_at`` evaluates one dof. The argmax's bracket is
+    refined by golden section in log dof, and the cap wins when the
+    objective there is at least that at the refined dof.
+    """
+    grid = np.geomspace(DOF_MIN, DOF_MAX, _DOF_GRID_SIZE)
+    values = grid_values(grid)
+    k = int(np.argmax(values))
+    lo = math.log(grid[max(k - 1, 0)])
+    hi = math.log(grid[min(k + 1, grid.size - 1)])
+    best, _ = _golden_max(lambda u: value_at(math.exp(u)), lo, hi)
+    dof = min(math.exp(best), DOF_MAX)
+    if values[-1] >= value_at(dof):
+        dof = DOF_MAX  # == grid[-1], so grid_values has evaluated it
+    return dof
+
+
 def fit_t_marginal(samples) -> TMarginal:
     """Maximum-likelihood Student-t fit by profiling the likelihood over dof.
 
-    dof is searched on a log grid over [2.1, 100] and refined by golden
-    section; (location, scale) are re-optimized at every dof. A degenerate
-    (zero-spread) sample is rejected. Estimates hitting the dof cap are
-    reported as effectively normal.
+    dof is searched on a log grid over [2.1, 100], whose 60 EM fits run in
+    lockstep, and refined by golden section; (location, scale) are
+    re-optimized at every dof. A degenerate (zero-spread) sample is rejected.
+    Estimates hitting the dof cap are reported as effectively normal.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
@@ -163,21 +270,20 @@ def fit_t_marginal(samples) -> TMarginal:
     scale0 = mad * 1.4826 if mad > 0.0 else float(x.std())
     cache: dict[float, tuple[float, float, float]] = {}
 
+    def profile_rows(dofs: np.ndarray) -> np.ndarray:
+        locs, scales = _fit_location_scale_rows(x, dofs, loc0, scale0)
+        values = _t_logliks(x, locs, scales, dofs)
+        cache.update(zip(dofs.tolist(), zip(locs.tolist(), scales.tolist(), values.tolist())))
+        return values
+
     def profile(dof: float) -> float:
         if dof not in cache:
             loc, scale = _fit_location_scale(x, dof, loc0, scale0)
-            cache[dof] = (loc, scale, _t_loglik((x - loc) / scale, dof, scale))
+            value = _t_logliks(x, np.array([loc]), np.array([scale]), np.array([dof]))
+            cache[dof] = (loc, scale, float(value[0]))
         return cache[dof][2]
 
-    grid = np.geomspace(DOF_MIN, DOF_MAX, _DOF_GRID_SIZE)
-    values = [profile(float(g)) for g in grid]
-    k = int(np.argmax(values))
-    lo = math.log(grid[max(k - 1, 0)])
-    hi = math.log(grid[min(k + 1, grid.size - 1)])
-    dof, _ = _golden_max(lambda u: profile(math.exp(u)), lo, hi)
-    dof = min(math.exp(dof), DOF_MAX)
-    if profile(float(grid[-1])) >= profile(dof):
-        dof = DOF_MAX  # == grid[-1], so the cache holds its fit as well
+    dof = _search_dof(profile_rows, profile)
     loc, scale, _ = cache[dof]
     return TMarginal(location=loc, scale=scale, dof=float(dof))
 
@@ -186,19 +292,40 @@ def _tie_fraction(a: np.ndarray) -> float:
     return 1.0 - np.unique(a).size / a.size
 
 
-def _t_copula_loglik(tx: np.ndarray, ty: np.ndarray, rho: float, dof: float) -> float:
-    """Log pseudo-likelihood of a bivariate t copula at transformed points."""
+def _t_copula_logliks(
+    levels: np.ndarray, iu: np.ndarray, iv: np.ndarray, rho: float, dofs: np.ndarray
+) -> np.ndarray:
+    """Log pseudo-likelihood of a bivariate t copula at each dof of ``dofs``.
+
+    The points are ``levels[iu]`` and ``levels[iv]``, all inside (0, 1); each
+    dof takes one ``stdtrit`` call over the distinct levels, and the dofs are
+    evaluated in blocks of at most ``_BLOCK_ELEMENTS`` elements (or one row).
+    """
     det = 1.0 - rho * rho
-    quad = (tx * tx - 2.0 * rho * tx * ty + ty * ty) / det
-    log_joint = (
-        gammaln((dof + 2.0) / 2.0)
-        + gammaln(dof / 2.0)
-        - 2.0 * gammaln((dof + 1.0) / 2.0)
-        - 0.5 * math.log(det)
-        - (dof + 2.0) / 2.0 * np.log1p(quad / dof)
-        + (dof + 1.0) / 2.0 * (np.log1p(tx * tx / dof) + np.log1p(ty * ty / dof))
-    )
-    return float(log_joint.sum())
+    out = np.empty(dofs.size)
+    rows = max(1, _BLOCK_ELEMENTS // max(levels.size, iu.size))
+    for start in range(0, dofs.size, rows):
+        block = dofs[start:start + rows]
+        t = np.empty((block.size, levels.size))
+        for i, dof in enumerate(block.tolist()):
+            stdtrit(dof, levels, out=t[i])
+        tx, ty = t[:, iu], t[:, iv]
+        const = np.array([
+            gammaln((dof + 2.0) / 2.0)
+            + gammaln(dof / 2.0)
+            - 2.0 * gammaln((dof + 1.0) / 2.0)
+            - 0.5 * math.log(det)
+            for dof in block.tolist()
+        ])
+        d = block[:, None]
+        quad = (tx * tx - 2.0 * rho * tx * ty + ty * ty) / det
+        log_joint = (
+            const[:, None]
+            - (d + 2.0) / 2.0 * np.log1p(quad / d)
+            + (d + 1.0) / 2.0 * (np.log1p(tx * tx / d) + np.log1p(ty * ty / d))
+        )
+        out[start:start + rows] = log_joint.sum(axis=1)
+    return out
 
 
 def fit_t_copula(u, v) -> TCopulaParams:
@@ -231,22 +358,17 @@ def fit_t_copula(u, v) -> TCopulaParams:
     iu, iv = inverse[:u.size], inverse[u.size:]
     cache: dict[float, float] = {}
 
+    def loglik_rows(dofs: np.ndarray) -> np.ndarray:
+        values = _t_copula_logliks(levels, iu, iv, rho, dofs)
+        cache.update(zip(dofs.tolist(), values.tolist()))
+        return values
+
     def loglik(dof: float) -> float:
         if dof not in cache:
-            t = t_quantile(levels, dof)
-            cache[dof] = _t_copula_loglik(t[iu], t[iv], rho, dof)
+            cache[dof] = float(_t_copula_logliks(levels, iu, iv, rho, np.array([dof]))[0])
         return cache[dof]
 
-    grid = np.geomspace(DOF_MIN, DOF_MAX, _DOF_GRID_SIZE)
-    values = [loglik(float(g)) for g in grid]
-    k = int(np.argmax(values))
-    lo = math.log(grid[max(k - 1, 0)])
-    hi = math.log(grid[min(k + 1, grid.size - 1)])
-    dof, _ = _golden_max(lambda w: loglik(math.exp(w)), lo, hi)
-    dof = min(math.exp(dof), DOF_MAX)
-    if loglik(float(grid[-1])) >= loglik(dof):
-        dof = DOF_MAX
-    return TCopulaParams(rho=rho, dof=float(dof))
+    return TCopulaParams(rho=rho, dof=float(_search_dof(loglik_rows, loglik)))
 
 
 def pseudo_observations(x) -> np.ndarray:

@@ -117,9 +117,6 @@ class ScenarioPanel:
             raise ValueError(f"unknown asset {asset!r}, expected 'x' or 'y'")
         return self.x if asset == "x" else self.y
 
-    def prior_probabilities(self) -> Probabilities:
-        return Probabilities(self.prior)
-
     @cached_property
     def sorted_y(self) -> SortedLosses:
         """Y losses whose sort order ``interpolated_quantile`` computes once."""

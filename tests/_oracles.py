@@ -5,8 +5,9 @@ CoVaR functions: scalar bisection, dense feasible-set scans, primal SLSQP,
 plain-loop enumeration, the paper's spillover expressions written out per
 view kind, a derivative-free minimizer of the bivariate-normal relative
 entropy over the five posterior parameters, the bivariate normal CDF by
-adaptive quadrature of the conditional normal CDF, and a cell-by-cell CSV
-reader.
+adaptive quadrature of the conditional normal CDF, a cell-by-cell CSV
+reader, and the Student-t marginal and t-copula fits with their degrees of
+freedom searched one dof at a time.
 """
 
 import csv
@@ -17,10 +18,12 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.optimize import minimize as scipy_minimize
-from scipy.special import ndtri
+from scipy.special import gammaln, ndtri, stdtrit
+from scipy.stats import kendalltau
 
 from epcovar.analytics import BivariateNormalParams, _kl_arrays
 from epcovar.engine import IngestResult
+from epcovar.estimation import TCopulaParams, TMarginal
 from epcovar.errors import DataError, NumericDomainError
 from epcovar.normal import norm_cdf
 
@@ -532,3 +535,125 @@ def cell_by_cell_ingest(source, columns=None, min_rows=None) -> IngestResult:
         raise DataError(f"only {n_rows} usable rows, need at least {min_rows}")
     series = {c: table[i, keep] for i, c in enumerate(columns)}
     return IngestResult(series=series, n_rows=n_rows, n_dropped=n_dropped)
+
+
+# -- t fits, one dof at a time ----------------------------------------------------
+
+_DOF_MIN, _DOF_MAX, _DOF_GRID_SIZE = 2.1, 100.0, 60
+
+
+def _t_loglik(z, dof, scale):
+    n = z.size
+    const = (
+        gammaln((dof + 1.0) / 2.0)
+        - gammaln(dof / 2.0)
+        - 0.5 * math.log(dof * math.pi)
+        - math.log(scale)
+    )
+    return float(n * const - (dof + 1.0) / 2.0 * np.log1p(z * z / dof).sum())
+
+
+def loop_location_scale(x, dof, loc0, scale0):
+    """EM fixed point for (location, scale) at fixed dof, one plain loop."""
+    loc, scale = loc0, scale0
+    for _ in range(500):
+        z = (x - loc) / scale
+        w = (dof + 1.0) / (dof + z * z)
+        loc_new = float((w * x).sum() / w.sum())
+        scale_new = math.sqrt(float((w * (x - loc_new) ** 2).mean()))
+        if abs(loc_new - loc) < 1e-10 * max(1.0, abs(loc)) and (
+            abs(scale_new - scale) < 1e-10 * scale
+        ):
+            loc, scale = loc_new, scale_new
+            break
+        loc, scale = loc_new, scale_new
+    return loc, scale
+
+
+def _golden_max(fn, lo, hi, iters=40):
+    a, b = lo, hi
+    c1 = b - _GOLDEN * (b - a)
+    c2 = a + _GOLDEN * (b - a)
+    f1, f2 = fn(c1), fn(c2)
+    for _ in range(iters):
+        if f1 >= f2:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - _GOLDEN * (b - a)
+            f1 = fn(c1)
+        else:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + _GOLDEN * (b - a)
+            f2 = fn(c2)
+    best = 0.5 * (a + b)
+    return best, fn(best)
+
+
+def per_dof_t_marginal(samples):
+    """Profile-likelihood Student-t fit: every grid dof fitted by its own EM
+    loop, the argmax bracket refined by golden section, the cap test last."""
+    x = np.asarray(samples, dtype=float)
+    loc0 = float(np.median(x))
+    mad = float(np.median(np.abs(x - loc0)))
+    scale0 = mad * 1.4826 if mad > 0.0 else float(x.std())
+    cache = {}
+
+    def profile(dof):
+        if dof not in cache:
+            loc, scale = loop_location_scale(x, dof, loc0, scale0)
+            cache[dof] = (loc, scale, _t_loglik((x - loc) / scale, dof, scale))
+        return cache[dof][2]
+
+    grid = np.geomspace(_DOF_MIN, _DOF_MAX, _DOF_GRID_SIZE)
+    values = [profile(float(g)) for g in grid]
+    k = int(np.argmax(values))
+    lo = math.log(grid[max(k - 1, 0)])
+    hi = math.log(grid[min(k + 1, grid.size - 1)])
+    dof, _ = _golden_max(lambda u: profile(math.exp(u)), lo, hi)
+    dof = min(math.exp(dof), _DOF_MAX)
+    if profile(float(grid[-1])) >= profile(dof):
+        dof = _DOF_MAX
+    loc, scale, _ = cache[dof]
+    return TMarginal(location=loc, scale=scale, dof=float(dof))
+
+
+def _t_copula_loglik(tx, ty, rho, dof):
+    det = 1.0 - rho * rho
+    quad = (tx * tx - 2.0 * rho * tx * ty + ty * ty) / det
+    log_joint = (
+        gammaln((dof + 2.0) / 2.0)
+        + gammaln(dof / 2.0)
+        - 2.0 * gammaln((dof + 1.0) / 2.0)
+        - 0.5 * math.log(det)
+        - (dof + 2.0) / 2.0 * np.log1p(quad / dof)
+        + (dof + 1.0) / 2.0 * (np.log1p(tx * tx / dof) + np.log1p(ty * ty / dof))
+    )
+    return float(log_joint.sum())
+
+
+def per_dof_t_copula(u, v):
+    """t-copula fit by Kendall-tau inversion and a pseudo-likelihood dof
+    search that evaluates one dof at a time."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    tau = float(kendalltau(u, v).statistic)
+    rho = math.sin(math.pi * tau / 2.0)
+    levels, inverse = np.unique(np.concatenate([u, v]), return_inverse=True)
+    iu, iv = inverse[:u.size], inverse[u.size:]
+    cache = {}
+
+    def loglik(dof):
+        if dof not in cache:
+            t = stdtrit(dof, levels)
+            cache[dof] = _t_copula_loglik(t[iu], t[iv], rho, dof)
+        return cache[dof]
+
+    grid = np.geomspace(_DOF_MIN, _DOF_MAX, _DOF_GRID_SIZE)
+    values = [loglik(float(g)) for g in grid]
+    k = int(np.argmax(values))
+    lo = math.log(grid[max(k - 1, 0)])
+    hi = math.log(grid[min(k + 1, grid.size - 1)])
+    dof, _ = _golden_max(lambda w: loglik(math.exp(w)), lo, hi)
+    dof = min(math.exp(dof), _DOF_MAX)
+    if loglik(float(grid[-1])) >= loglik(dof):
+        dof = _DOF_MAX
+    return TCopulaParams(rho=rho, dof=float(dof))

@@ -248,6 +248,30 @@ class TestScenarioPipeline:
         assert first.rows[1].residual <= 1e-8
         assert first.rows[1].entropy > 0.0
 
+    def test_both_fitted_priors_call_the_fits_through_engine(self, losses_csv, monkeypatch):
+        # per-layer tracing rebinds these engine attributes, so both priors
+        # must look them up there at call time
+        calls = []
+        for name in ("fit_t_marginal", "fit_t_copula", "pseudo_observations",
+                     "generate_scenarios"):
+            real = getattr(engine, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(engine, name, counted)
+        series = ingest_csv(losses_csv, ["SVB", "NBI"]).series
+        x, y = series["SVB"], series["NBI"]
+        engine.fitted_prior(x, y)
+        fit_calls = ["fit_t_marginal"] * 2 + ["pseudo_observations"] * 2 + ["fit_t_copula"]
+        assert sorted(calls) == sorted(fit_calls)
+        calls.clear()
+        config = RunConfig(data=losses_csv, x="SVB", y="NBI", mode="scenario",
+                           scenarios=500, seed=9)
+        engine.scenario_prior(config, x, y)
+        assert sorted(calls) == sorted(fit_calls + ["generate_scenarios"])
+
     def test_grid_discretized_mean_view_matches_closed_form(self):
         prior = BivariateNormalParams(0.10, 0.02, 0.10, 0.08, 0.5)
         panel = normal_grid_panel(prior)

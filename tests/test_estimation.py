@@ -7,16 +7,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import pair_candidate_minimum
+from _oracles import (
+    loop_location_scale,
+    pair_candidate_minimum,
+    per_dof_t_copula,
+    per_dof_t_marginal,
+)
 from scipy.special import stdtr, stdtrit
 from scipy.stats import kendalltau
 from scipy.stats import t as student_t
 
+from epcovar import estimation
 from epcovar.estimation import (
     QRFit,
     TCopulaParams,
     TMarginal,
     _fit_location_scale,
+    _fit_location_scale_rows,
     fit_t_copula,
     fit_t_marginal,
     generate_scenarios,
@@ -172,6 +179,82 @@ class TestFitTCopula:
         assert u.min() > 0.0 and u.max() < 1.0
         # rank transform preserves order
         assert np.all(np.argsort(u) == np.argsort(x))
+
+
+class TestDofSearchMatchesPerDofOracle:
+    """The lockstep grid, the lean EM and the shared search give fits
+    ``repr``-identical to the search that fits one dof at a time."""
+
+    GRID = np.geomspace(estimation.DOF_MIN, estimation.DOF_MAX, estimation._DOF_GRID_SIZE)
+
+    @staticmethod
+    def assert_same_fits(x, y):
+        for sample in (x, y):
+            assert repr(fit_t_marginal(sample)) == repr(per_dof_t_marginal(sample))
+        u, v = pseudo_observations(x), pseudo_observations(y)
+        assert repr(fit_t_copula(u, v)) == repr(per_dof_t_copula(u, v))
+
+    @pytest.mark.parametrize("workload_id", [1, 2])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_datasets(self, tmp_path, monkeypatch, seed, workload_id):
+        monkeypatch.syspath_prepend(str(_BENCH))
+        workloads = importlib.import_module("workloads")
+        ds = workloads.make_dataset(tmp_path, seed, workload_id, 0)
+        self.assert_same_fits(ds.x, ds.y)
+
+    def test_thirty_observations(self):
+        rng = np.random.default_rng(30)
+        x = rng.standard_t(4.0, 30)
+        self.assert_same_fits(x, 0.5 * x + rng.standard_t(4.0, 30))
+
+    def test_fits_at_the_dof_cap(self):
+        rng = np.random.default_rng(104)
+        x, y = rng.standard_normal(2_000), rng.standard_normal(2_000)
+        assert fit_t_marginal(x).effectively_normal and fit_t_marginal(y).effectively_normal
+        assert fit_t_copula(pseudo_observations(x), pseudo_observations(y)).dof == 100.0
+        self.assert_same_fits(x, y)
+
+    def test_heavy_tails_near_the_dof_floor(self):
+        u, v = sample_t_copula(0.5, 2.2, 2_000, np.random.default_rng(22))
+        x, y = stdtrit(2.2, u), stdtrit(2.2, v)
+        assert max(fit_t_marginal(x).dof, fit_t_marginal(y).dof) < 2.5
+        assert fit_t_copula(pseudo_observations(x), pseudo_observations(y)).dof < 2.5
+        self.assert_same_fits(x, y)
+
+    @pytest.mark.parametrize("n", [5_000, 50_000])
+    def test_samples_spanning_several_row_blocks(self, n):
+        # n = 5,000 puts six grid rows in a block, n = 50,000 one
+        rng = np.random.default_rng(50)
+        x = rng.standard_t(4.0, n)
+        y = 0.6 * x + rng.standard_t(4.0, n)
+        assert estimation._DOF_GRID_SIZE * n > 2 * estimation._BLOCK_ELEMENTS
+        self.assert_same_fits(x, y)
+
+    def test_lockstep_em_equals_the_one_dof_loop_on_every_grid_dof(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(24):
+            n = int(rng.integers(30, 3_000))
+            dof = float(rng.uniform(2.2, 40.0))
+            x = float(rng.normal()) + float(rng.uniform(0.01, 3.0)) * rng.standard_t(dof, n)
+            loc0 = float(np.median(x))
+            scale0 = float(np.median(np.abs(x - loc0))) * 1.4826
+            locs, scales = _fit_location_scale_rows(x, self.GRID, loc0, scale0)
+            for i, g in enumerate(self.GRID.tolist()):
+                want = loop_location_scale(x, g, loc0, scale0)
+                assert _fit_location_scale(x, g, loc0, scale0) == want, (trial, g)
+                assert (locs[i], scales[i]) == want, (trial, g)
+
+    def test_rows_stopped_by_the_iteration_cap(self):
+        # from a start scale of 1e-140 the scale grows by about sqrt(dof + 1)
+        # a step, so the lowest grid dofs run out of their 500 steps
+        x = np.random.default_rng(1).standard_t(4.0, 200)
+        loc0 = float(np.median(x))
+        locs, scales = _fit_location_scale_rows(x, self.GRID, loc0, 1e-140)
+        assert scales[0] < 1e-10 < 0.5 < scales[-1]
+        for i, g in enumerate(self.GRID.tolist()):
+            want = loop_location_scale(x, g, loc0, 1e-140)
+            assert _fit_location_scale(x, g, loc0, 1e-140) == want, g
+            assert (locs[i], scales[i]) == want, g
 
 
 class TestGenerateScenarios:

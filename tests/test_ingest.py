@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import cell_by_cell_ingest
-from epcovar import engine
+from epcovar import cli, engine
 from epcovar.engine import ingest_csv
 from epcovar.errors import DataError
 
@@ -165,3 +165,18 @@ class TestColumnSelection:
         res = ingest_csv(io.StringIO("A,B,A\n1,2,3\n4,5,6\n"))
         assert list(res.series) == ["A", "B"]
         np.testing.assert_array_equal(res.series["A"], [1.0, 4.0])
+
+
+class TestMalformedCsv:
+    # a quoted cell longer than the csv module's field size limit (131,072)
+    TEXT = 'SVB,NBI\n0.1,0.2\n"' + "x" * 200_000 + '",0.4\n'
+
+    def test_field_over_the_size_limit_is_a_data_error(self):
+        with pytest.raises(DataError, match=r"malformed CSV at line 3: field larger"):
+            ingest_csv(io.StringIO(self.TEXT), ["SVB", "NBI"])
+
+    def test_cli_exits_with_the_data_error_code(self, tmp_path, capsys):
+        path = tmp_path / "losses.csv"
+        path.write_text(self.TEXT, encoding="utf-8")
+        assert cli.main(["--data", str(path), "--x", "SVB", "--y", "NBI"]) == 3
+        assert "data error: ingest: malformed CSV at line 3" in capsys.readouterr().err
