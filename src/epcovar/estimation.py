@@ -91,16 +91,6 @@ class QRFit:
     alpha: float
 
 
-def t_quantile(p, dof: float):
-    """Student-t quantile (``scipy.special.stdtrit``) of probabilities strictly
-    inside (0, 1); scalar in, scalar out."""
-    p_arr = np.asarray(p, dtype=float)
-    if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
-        raise ValueError("probabilities must lie strictly inside (0, 1)")
-    t = stdtrit(dof, p_arr)
-    return t if t.ndim else float(t)
-
-
 def _t_logliks(x: np.ndarray, locs: np.ndarray, scales: np.ndarray, dofs: np.ndarray):
     """Student-t log-likelihoods of the sample ``x`` at each (location, scale,
     dof) triple, evaluated in blocks of at most ``_BLOCK_ELEMENTS`` elements
@@ -392,6 +382,9 @@ def generate_scenarios(
     All draws are made on the calling thread. X is then mapped on a second
     thread while the calling thread maps Y (scipy's special functions release
     the interpreter lock). The panel is bitwise equal to serial sampling.
+    This is one of the package's two threaded stages; the other is the
+    engine's evaluation of a scenario report's views. They never overlap, so
+    at most one worker thread is alive at a time.
     """
     if n_scenarios < 100:
         raise ValueError(f"need at least 100 scenarios, got {n_scenarios}")

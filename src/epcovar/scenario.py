@@ -17,7 +17,8 @@ Conventions used throughout the package:
 - A panel sorts its Y losses once: ``ScenarioPanel.sorted_y`` holds the
   stable order, the tie groups and the distinct values, computed on the
   first quantile read and reused by every later one (VaR, each view, the
-  pooled row).
+  pooled row). ``ScenarioPanel.log_prior`` caches ``np.log(prior)`` for
+  every solve on the panel in the same way.
 - Scenario moments use the population convention (probabilities are exact
   weights, not sample frequencies). Their J-length products are ``np.einsum``
   kernels rather than BLAS calls, which would wait on a thread hand-off.
@@ -57,9 +58,10 @@ class Probabilities:
     """Strictly positive probability vector over J scenarios."""
 
     weights: np.ndarray
+    _fresh: InitVar[bool] = False
 
-    def __post_init__(self):
-        w = _freeze(np.atleast_1d(self.weights))
+    def __post_init__(self, _fresh):
+        w = _freeze(np.atleast_1d(self.weights), _fresh)
         if w.ndim != 1:
             raise ValueError("weights must be one-dimensional")
         if not np.all(np.isfinite(w)):
@@ -116,6 +118,11 @@ class ScenarioPanel:
         if asset not in ("x", "y"):
             raise ValueError(f"unknown asset {asset!r}, expected 'x' or 'y'")
         return self.x if asset == "x" else self.y
+
+    @cached_property
+    def log_prior(self) -> np.ndarray:
+        """``np.log(prior)``, computed on first use and read-only."""
+        return _freeze(np.log(self.prior), fresh=True)
 
     @cached_property
     def sorted_y(self) -> SortedLosses:
@@ -217,9 +224,12 @@ def interpolated_quantile(values, probs, alpha: float) -> float:
     if s.values.size != p.size:
         raise ValueError(f"length mismatch: values has {s.values.size}, probs has {p.size}")
     order, last, uniq = s.groups
-    cum_at = np.cumsum(p[order])[last]  # mass up to and incl. each value
-    mass = np.diff(np.concatenate(([0.0], cum_at)))
-    mid = cum_at - mass / 2.0
+    cum = p[order]
+    cum_at = np.cumsum(cum, out=cum)[last]  # mass up to and incl. each value
+    del cum
+    mid = np.diff(np.concatenate(([0.0], cum_at)))  # the mass of each value
+    np.divide(mid, 2.0, out=mid)
+    np.subtract(cum_at, mid, out=mid)
     return float(np.interp(alpha, mid, uniq))
 
 

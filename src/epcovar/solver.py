@@ -38,7 +38,13 @@ refuses it within a few steps.
 
 Every product of length J is an elementwise or ``np.einsum`` kernel, never a
 BLAS call: the dual has K << J rows, and at this shape a BLAS call would wait
-on a thread hand-off that costs far more than the arithmetic.
+on a thread hand-off that costs far more than the arithmetic. The dual works
+in place: one evaluation allocates two J-length arrays, the log weights
+(which become ``log q``) and the shifted weights, and reads the dual rows as
+a slice of the constraint matrix. Newton's line search needs only the
+gradient, so the solver evaluates the Hessian lazily, at the points a step
+is taken from, from those points' own weights; it has the bits an eager
+evaluation would give.
 """
 
 from __future__ import annotations
@@ -76,7 +82,8 @@ def relative_entropy(post, prior) -> float:
         raise ValueError(f"length mismatch: post has {q.size}, prior has {p.size}")
     if np.any(q <= 0.0) or np.any(p <= 0.0):
         raise ValueError("relative entropy needs strictly positive weights")
-    return float(np.einsum("j,j->", q, np.log(q) - np.log(p)))
+    log_ratio = np.log(q)
+    return float(np.einsum("j,j->", q, np.subtract(log_ratio, np.log(p), out=log_ratio)))
 
 
 def dual_rows(constraints: LinearConstraintSet):
@@ -85,7 +92,10 @@ def dual_rows(constraints: LinearConstraintSet):
     The normalization row is left out, because :func:`dual` normalises the
     posterior itself; a two-sided finite row becomes an upper and a lower row.
     ``sign`` is +1 on upper-bounded rows (multiplier >= 0), -1 on
-    lower-bounded rows (multiplier <= 0) and 0 on equality rows.
+    lower-bounded rows (multiplier <= 0) and 0 on equality rows. When the
+    dual rows are the matrix's leading rows, as for every compiled view
+    (whose normalization row comes last), the rows are a read-only slice of
+    the matrix rather than a copy.
     """
     picked = []
     for k in range(constraints.n_rows):
@@ -102,10 +112,13 @@ def dual_rows(constraints: LinearConstraintSet):
     index = np.array([k for k, _, _ in picked], dtype=int)
     bounds = np.array([bound for _, bound, _ in picked], dtype=float)
     sign = np.array([s for _, _, s in picked], dtype=int)
+    if np.array_equal(index, np.arange(index.size)):  # the leading rows: no copy
+        return constraints.matrix[: index.size], bounds, sign, index
     return constraints.matrix[index], bounds, sign, index
 
 
-def dual(lam, log_prior: np.ndarray, rows: np.ndarray, bounds: np.ndarray):
+def dual(lam, log_prior: np.ndarray, rows: np.ndarray, bounds: np.ndarray,
+         lazy_hessian: bool = False):
     """Normalised entropy-pooling dual, in minimisation form, at ``lam``.
 
     With ``ln q(lam) = ln p - G^T lam - ln Z(lam)`` on the dual ``rows`` G
@@ -118,20 +131,41 @@ def dual(lam, log_prior: np.ndarray, rows: np.ndarray, bounds: np.ndarray):
 
     The value is zero at lam = 0, and minus the entropy of the posterior at
     the optimum. Exponents are shifted by their maximum, so nothing overflows.
+    With ``lazy_hessian`` the Hessian slot holds a function of no arguments
+    that computes it from this point's weights and total, with the same
+    bits, on its first call, so a rejected line-search trial never pays for
+    it; later calls return the same array. Two J-length arrays are
+    allocated: the log weights, turned into ``log q`` in place, and the
+    shifted weights, which the first call of the Hessian function frees.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != bounds.shape:
         raise ValueError(f"expected {bounds.size} multipliers, got {lam.shape}")
     if not np.all(np.isfinite(lam)):
         raise ValueError("multipliers must be finite")
-    a = log_prior - np.einsum("kj,k->j", rows, lam)
+    a = np.einsum("kj,k->j", rows, lam)
+    np.subtract(log_prior, a, out=a)
     shift = float(a.max())
-    w = np.exp(a - shift)
+    w = np.subtract(a, shift)
+    np.exp(w, out=w)
     total = float(w.sum())
     log_z = shift + math.log(total)
     mean = np.einsum("kj,j->k", rows, w) / total
-    hessian = np.einsum("kj,lj,j->kl", rows, rows, w) / total - np.outer(mean, mean)
-    return log_z + float(lam @ bounds), bounds - mean, hessian, a - log_z
+    np.subtract(a, log_z, out=a)
+    covariance = None
+
+    def hessian():
+        nonlocal w, covariance
+        if covariance is None:  # the first call computes it, and frees the weights
+            covariance, w = _covariance(rows, w, total, mean), None
+        return covariance
+
+    return log_z + float(lam @ bounds), bounds - mean, hessian if lazy_hessian else hessian(), a
+
+
+def _covariance(rows, w, total, mean) -> np.ndarray:
+    """Covariance of the rows under the weights ``w / total`` with mean ``mean``."""
+    return np.einsum("kj,lj,j->kl", rows, rows, w) / total - np.outer(mean, mean)
 
 
 def solve(panel: ScenarioPanel, constraints: LinearConstraintSet) -> SolveReport:
@@ -142,11 +176,11 @@ def solve(panel: ScenarioPanel, constraints: LinearConstraintSet) -> SolveReport
     constraints within ``TOL``; raises :class:`DegenerateError` when
     they are met only with posterior mass below the positivity floor (1e-300).
     """
-    log_p = np.log(panel.prior)
+    log_p = panel.log_prior
     rows, bounds, sign, index = dual_rows(constraints)
 
     def evaluate(lam):
-        return dual(lam, log_p, rows, bounds)
+        return dual(lam, log_p, rows, bounds, lazy_hessian=True)
 
     lam = np.zeros(bounds.size)
     point = evaluate(lam)
@@ -199,9 +233,9 @@ def solve(panel: ScenarioPanel, constraints: LinearConstraintSet) -> SolveReport
     multipliers = np.zeros(constraints.n_rows)
     np.add.at(multipliers, index, lam)
     multipliers[constraints.normalization_row] = value - float(lam @ bounds)  # ln Z
-    entropy = float(np.einsum("j,j->", q, lp - log_p))
+    entropy = float(np.einsum("j,j->", q, np.subtract(lp, log_p, out=lp)))
     return SolveReport(
-        posterior=Probabilities(q),
+        posterior=Probabilities(q, _fresh=True),
         multipliers=multipliers,
         residual=residual,
         iterations=iterations,
@@ -311,14 +345,17 @@ def pool(posteriors, confidences) -> Probabilities:
     mixed = np.zeros(ps[0].size)
     for weight, p in zip(c, ps):
         mixed += weight * p
-    return Probabilities(mixed)
+    return Probabilities(mixed, _fresh=True)
 
 
 def _newton(lam, point, sign, evaluate, tol, length):
     """Up to ``length`` damped Newton steps on the active rows of the dual.
 
-    ``point`` is ``evaluate(lam)``. The Hessian on the active rows is their
-    posterior covariance; a least-squares solve keeps redundant
+    ``point`` is ``evaluate(lam)``, with the Hessian slot a function that
+    computes it (``dual(..., lazy_hessian=True)``); it is called only at the
+    point a step is taken from, never at a line-search trial, and a rejected
+    trial is freed before the next is evaluated. The Hessian on the active
+    rows is their posterior covariance; a least-squares solve keeps redundant
     (rank-deficient) row sets well-behaved. One-sided multipliers are
     projected back onto their sign after every step. The step is halved until
     the largest active residual falls; when no halving makes it fall, the
@@ -343,7 +380,7 @@ def _newton(lam, point, sign, evaluate, tol, length):
         base = float(np.abs(r[active]).max())
         if base <= target:
             break
-        step, *_ = np.linalg.lstsq(hessian[np.ix_(active, active)], -r[active], rcond=None)
+        step, *_ = np.linalg.lstsq(hessian()[np.ix_(active, active)], -r[active], rcond=None)
         if not np.all(np.isfinite(step)):  # a Hessian in the denormals
             break
         for halving in range(40):
@@ -355,6 +392,7 @@ def _newton(lam, point, sign, evaluate, tol, length):
             act_t = active_rows(trial, r_t)
             if (float(np.abs(r_t[act_t]).max()) if act_t.any() else 0.0) < base:
                 break
+            del trial_point  # freed before the next trial is evaluated
         else:  # no step length reduces the residual: the round ends
             break
         lam, point = trial, trial_point

@@ -252,11 +252,43 @@ def _bounds(relation: Relation, target: float) -> tuple[float, float]:
     return target, np.inf
 
 
-def _row(rows, lows, highs, labels, row, lo, hi, label) -> None:
-    rows.append(np.asarray(row, dtype=float))
-    lows.append(float(lo))
-    highs.append(float(hi))
-    labels.append(label)
+class _Rows:
+    """Constraint rows written in place into one preallocated matrix.
+
+    ``slot`` is the next free row: a caller writes into it, then ``add``
+    keeps it as a constraint, or leaves it to be overwritten. The matrix has
+    room for ``capacity`` rows and the normalization row, which
+    ``constraint_set`` writes last.
+    """
+
+    def __init__(self, capacity: int, size: int):
+        self.matrix = np.empty((capacity + 1, size))
+        self.lower: list[float] = []
+        self.upper: list[float] = []
+        self.labels: list[str] = []
+
+    def slot(self) -> np.ndarray:
+        return self.matrix[len(self.labels)]
+
+    def add(self, lo, hi, label: str, values=None) -> None:
+        """Keep ``slot()``, or a copy of ``values``, as ``lo <= row . p <= hi``."""
+        if values is not None:
+            self.slot()[:] = values
+        self.lower.append(float(lo))
+        self.upper.append(float(hi))
+        self.labels.append(label)
+
+    def constraint_set(self) -> LinearConstraintSet:
+        self.add(1.0, 1.0, "normalization", 1.0)
+        return LinearConstraintSet(
+            matrix=self.matrix[: len(self.labels)], lower=np.array(self.lower),
+            upper=np.array(self.upper), labels=tuple(self.labels), _fresh=True,
+        )
+
+
+# rows a view of each kind can compile to, besides the normalization row
+_CAPACITY = {"expectation": 1, "variance": 2, "mean_and_variance": 2, "quantile": 1,
+             "value": 1, "correlation": 5, "relative": 2, "none": 0}
 
 
 def compile_view(view: ViewSpec, panel: ScenarioPanel) -> LinearConstraintSet:
@@ -264,27 +296,28 @@ def compile_view(view: ViewSpec, panel: ScenarioPanel) -> LinearConstraintSet:
 
     Raises :class:`InfeasibleViewError` when a required indicator row is empty
     (no scenario in the band/bin while the view puts positive mass there).
+    Each row is computed in place in the one matrix the set holds.
     """
     loss = panel.losses(view.target)
     t = view.target.upper()
-    rows: list[np.ndarray] = []
-    lows: list[float] = []
-    highs: list[float] = []
-    labels: list[str] = []
+    capacity = len(view.bin_probs) if view.kind == "distribution" else _CAPACITY[view.kind]
+    rows = _Rows(capacity, panel.size)
 
     if view.kind == "expectation":
         lo, hi = _bounds(view.relation, view.mean)
-        _row(rows, lows, highs, labels, loss, lo, hi, f"mean({t})")
+        rows.add(lo, hi, f"mean({t})", loss)
 
     elif view.kind in ("variance", "mean_and_variance"):
         anchor = view.mean if view.kind == "mean_and_variance" else moments(loss, panel.prior)[0]
         second = view.variance + anchor * anchor
-        _row(rows, lows, highs, labels, loss, anchor, anchor, f"mean({t})")
+        rows.add(anchor, anchor, f"mean({t})", loss)
         lo, hi = _bounds(view.relation, second)
-        _row(rows, lows, highs, labels, loss * loss, lo, hi, f"second_moment({t})")
+        np.multiply(loss, loss, out=rows.slot())
+        rows.add(lo, hi, f"second_moment({t})")
 
     elif view.kind == "quantile":
-        ind = (loss <= view.quantile).astype(float)
+        ind = rows.slot()
+        np.less_equal(loss, view.quantile, out=ind)
         if not ind.any():
             raise InfeasibleViewError(
                 f"no scenario of {t} lies at or below the quantile threshold {view.quantile}"
@@ -297,25 +330,26 @@ def compile_view(view: ViewSpec, panel: ScenarioPanel) -> LinearConstraintSet:
         else:
             lo, hi = -np.inf, level
         # mass bounds beyond [0, 1] are vacuous but harmless
-        _row(rows, lows, highs, labels, ind, lo, hi, f"quantile_mass({t}<={view.quantile:g})")
+        rows.add(lo, hi, f"quantile_mass({t}<={view.quantile:g})")
 
     elif view.kind == "value":
+        ind = rows.slot()
         if view.relation == "eq":
             band = view.value_band
             if band is None:
                 band = VALUE_BAND_FRACTION * np.sqrt(moments(loss, panel.prior)[1])
-            ind = ((loss >= view.value - band) & (loss <= view.value + band)).astype(float)
+            np.logical_and(loss >= view.value - band, loss <= view.value + band, out=ind)
             label = f"value_band({t}={view.value:g}+-{band:g})"
         elif view.relation == "le":
-            ind = (loss <= view.value).astype(float)
+            np.less_equal(loss, view.value, out=ind)
             label = f"value_mass({t}<={view.value:g})"
         else:
-            ind = (loss >= view.value).astype(float)
+            np.greater_equal(loss, view.value, out=ind)
             label = f"value_mass({t}>={view.value:g})"
         if not ind.any():
             raise InfeasibleViewError(f"no scenario of {t} falls in the required region: {label}")
         if not ind.all():  # region covering every scenario adds no information
-            _row(rows, lows, highs, labels, ind, 1.0, 1.0, label)
+            rows.add(1.0, 1.0, label)
 
     elif view.kind == "correlation":
         mx, vx = moments(panel.x, panel.prior)
@@ -323,31 +357,37 @@ def compile_view(view: ViewSpec, panel: ScenarioPanel) -> LinearConstraintSet:
         sx, sy = np.sqrt(vx), np.sqrt(vy)
         if sx == 0.0 or sy == 0.0:
             raise InfeasibleViewError("correlation view needs non-degenerate prior marginals")
-        _row(rows, lows, highs, labels, panel.x, mx, mx, "mean(X)")
-        _row(rows, lows, highs, labels, panel.y, my, my, "mean(Y)")
-        _row(rows, lows, highs, labels, panel.x**2, vx + mx * mx, vx + mx * mx, "second_moment(X)")
-        _row(rows, lows, highs, labels, panel.y**2, vy + my * my, vy + my * my, "second_moment(Y)")
+        rows.add(mx, mx, "mean(X)", panel.x)
+        rows.add(my, my, "mean(Y)", panel.y)
+        np.multiply(panel.x, panel.x, out=rows.slot())
+        rows.add(vx + mx * mx, vx + mx * mx, "second_moment(X)")
+        np.multiply(panel.y, panel.y, out=rows.slot())
+        rows.add(vy + my * my, vy + my * my, "second_moment(Y)")
         cross = view.correlation * sx * sy + mx * my
         lo, hi = _bounds(view.relation, cross)
-        _row(rows, lows, highs, labels, panel.x * panel.y, lo, hi, "cross_moment(XY)")
+        np.multiply(panel.x, panel.y, out=rows.slot())
+        rows.add(lo, hi, "cross_moment(XY)")
 
     elif view.kind == "relative":
-        diff = panel.x - panel.y
+        diff = rows.slot()
+        np.subtract(panel.x, panel.y, out=diff)
         if not diff.any():
             raise InfeasibleViewError("difference X - Y is identically zero on this panel")
         second = view.diff_variance + view.diff_mean**2
-        _row(rows, lows, highs, labels, diff, view.diff_mean, view.diff_mean, "mean(X-Y)")
-        _row(rows, lows, highs, labels, diff * diff, second, second, "second_moment(X-Y)")
+        rows.add(view.diff_mean, view.diff_mean, "mean(X-Y)")
+        np.multiply(diff, diff, out=rows.slot())
+        rows.add(second, second, "second_moment(X-Y)")
 
     elif view.kind == "distribution":
         edges, probs = view.bin_edges, view.bin_probs
         n_bins = len(probs)
         for i in range(n_bins):
             left, right = edges[i], edges[i + 1]
+            ind = rows.slot()
             if i == n_bins - 1:
-                ind = ((loss >= left) & (loss <= right)).astype(float)
+                np.logical_and(loss >= left, loss <= right, out=ind)
             else:
-                ind = ((loss >= left) & (loss < right)).astype(float)
+                np.logical_and(loss >= left, loss < right, out=ind)
             label = f"bin[{left:g},{right:g}{']' if i == n_bins - 1 else ')'}"
             if not ind.any():
                 if probs[i] > 0.0:
@@ -358,16 +398,12 @@ def compile_view(view: ViewSpec, panel: ScenarioPanel) -> LinearConstraintSet:
                 continue  # empty bin with zero mass is vacuous
             if ind.all() and probs[i] == 1.0:
                 continue  # bin covering every scenario adds no information
-            _row(rows, lows, highs, labels, ind, probs[i], probs[i], label)
+            rows.add(probs[i], probs[i], label)
 
     elif view.kind != "none":  # pragma: no cover - guarded by ViewSpec
         raise ValueError(f"unknown view kind {view.kind!r}")
 
-    _row(rows, lows, highs, labels, np.ones(panel.size), 1.0, 1.0, "normalization")
-    return LinearConstraintSet(
-        matrix=np.vstack(rows), lower=np.array(lows), upper=np.array(highs),
-        labels=tuple(labels), _fresh=True,
-    )
+    return rows.constraint_set()
 
 
 def describe(view: ViewSpec) -> str:

@@ -8,6 +8,11 @@ entropy over the five posterior parameters, the bivariate normal CDF by
 adaptive quadrature of the conditional normal CDF, a cell-by-cell CSV
 reader, and the Student-t marginal and t-copula fits with their degrees of
 freedom searched one dof at a time.
+
+Two oracles are earlier forms of package code, kept to show that the
+current forms give the same bits: the entropy-pooling dual written with a
+fresh temporary per step and an eager Hessian, and the scenario-mode report
+rows with every view evaluated in turn on the calling thread.
 """
 
 import csv
@@ -22,10 +27,13 @@ from scipy.special import gammaln, ndtri, stdtrit
 from scipy.stats import kendalltau
 
 from epcovar.analytics import BivariateNormalParams, _kl_arrays
-from epcovar.engine import IngestResult
+from epcovar.engine import IngestResult, ReportRow, _pooling_confidences, ep_covar_on_panel
 from epcovar.estimation import TCopulaParams, TMarginal
 from epcovar.errors import DataError, NumericDomainError
 from epcovar.normal import norm_cdf
+from epcovar.scenario import interpolated_quantile
+from epcovar.solver import max_violation, pool, relative_entropy
+from epcovar.views import compile_view, describe
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -657,3 +665,46 @@ def per_dof_t_copula(u, v):
     if loglik(float(grid[-1])) >= loglik(dof):
         dof = _DOF_MAX
     return TCopulaParams(rho=rho, dof=float(dof))
+
+
+# -- earlier forms of the scenario engine ----------------------------------------
+
+def temporaries_dual(lam, log_prior, rows, bounds):
+    """The entropy-pooling dual with a fresh array per step and the Hessian
+    computed at every evaluation: (value, gradient, Hessian, log q)."""
+    lam = np.asarray(lam, dtype=float)
+    a = log_prior - np.einsum("kj,k->j", rows, lam)
+    shift = float(a.max())
+    w = np.exp(a - shift)
+    total = float(w.sum())
+    log_z = shift + math.log(total)
+    mean = np.einsum("kj,j->k", rows, w) / total
+    hessian = np.einsum("kj,lj,j->kl", rows, rows, w) / total - np.outer(mean, mean)
+    return log_z + float(lam @ bounds), bounds - mean, hessian, a - log_z
+
+
+def serial_scenario_rows(config, panel):
+    """Scenario-mode report rows with the views evaluated one after another
+    on the calling thread, and the pooled row's recompiles likewise."""
+    var = interpolated_quantile(panel.sorted_y, panel.prior, config.alpha)
+    rows = []
+    posteriors = []
+    for view in config.views:
+        covar, rep = ep_covar_on_panel(panel, view, config.alpha)
+        posteriors.append(rep.posterior)
+        rows.append(ReportRow(
+            label=describe(view), method="scenario-EP", var=var, covar=covar,
+            delta_covar=covar - var, residual=rep.residual, iterations=rep.iterations,
+            entropy=rep.entropy,
+        ))
+    c = _pooling_confidences(config)
+    if c is not None:
+        mixed = pool(posteriors, c)
+        covar = interpolated_quantile(panel.sorted_y, mixed, config.alpha)
+        violation = max(max_violation(compile_view(v, panel), mixed.weights) for v in config.views)
+        rows.append(ReportRow(
+            label="pooled(" + "; ".join(describe(v) for v in config.views) + ")",
+            method="pooled", var=var, covar=covar, delta_covar=covar - var,
+            residual=violation, iterations=0, entropy=relative_entropy(mixed, panel.prior),
+        ))
+    return rows

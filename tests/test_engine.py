@@ -4,12 +4,15 @@ import io
 import json
 import subprocess
 import sys
+import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from _oracles import serial_scenario_rows
 from epcovar import analytics, cli, engine
 from epcovar.analytics import (
     BivariateNormalParams,
@@ -31,11 +34,18 @@ from epcovar.engine import (
     run_pipeline,
     sensitivity_scan,
 )
-from epcovar.errors import ConfigError, DataError, NumericDomainError
+from epcovar.errors import (
+    ConfigError,
+    DataError,
+    InfeasibleError,
+    InfeasibleViewError,
+    NumericDomainError,
+)
 from epcovar.normal import bvn_cdf
 from epcovar.scenario import build_panel
 from epcovar.views import (
     correlation_view,
+    distribution_view,
     expectation_view,
     mean_variance_view,
     no_view,
@@ -345,6 +355,135 @@ class TestScenarioPipeline:
         )
         with pytest.raises(ConfigError, match="sum"):
             run_pipeline(config)
+
+
+def _every_scenario_kind(confidence=1.0):
+    views = (
+        expectation_view(0.01),
+        variance_view(5e-4),
+        variance_view(3e-4, "le"),
+        mean_variance_view(0.005, 4.5e-4),
+        quantile_view(0.03, level=0.9),
+        value_view(0.03),
+        value_view(0.03, "ge"),
+        value_view(0.0, "le"),
+        value_view(0.02, "ge", target="y"),
+        correlation_view(0.7),
+        relative_view(0.002, 3e-4),
+        distribution_view([-1.0, -0.01, 0.0, 0.01, 1.0], [0.2, 0.25, 0.25, 0.3]),
+        no_view(),
+    )
+    return tuple(replace(v, confidence=confidence) for v in views)
+
+
+class TestThreadedViews:
+    """The view stage runs on two threads from ``_THREADED_MIN_SCENARIOS``
+    scenarios; reports and errors are the serial loop's
+    (``_oracles.serial_scenario_rows``). Most tests lower the cut-over to
+    their J = 5,000 panels, so that the threaded path runs."""
+
+    def _config(self, losses_csv, views, scenarios=5000):
+        return RunConfig(data=losses_csv, x="SVB", y="NBI", mode="scenario",
+                         scenarios=scenarios, seed=9, views=views)
+
+    def _serial(self, monkeypatch, config):
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_scenario_rows", serial_scenario_rows)
+            try:
+                return run_pipeline(config)
+            except Exception as exc:  # compared with the threaded run's error
+                return exc
+
+    def _thread_counts(self, monkeypatch):
+        """``threading.active_count()`` at each view evaluation."""
+        seen = []
+        real = engine.ep_covar_on_panel
+
+        def counting(*args):
+            seen.append(threading.active_count())
+            return real(*args)
+
+        monkeypatch.setattr(engine, "ep_covar_on_panel", counting)
+        return seen
+
+    def _assert_matches_serial(self, monkeypatch, config):
+        report = run_pipeline(config)
+        serial = self._serial(monkeypatch, config)
+        assert repr(report.rows) == repr(serial.rows)
+        for fmt in ("table", "csv", "json"):
+            assert render_report(report, fmt) == render_report(serial, fmt)
+        return report
+
+    def test_reports_match_the_serial_oracle(self, losses_csv, monkeypatch):
+        monkeypatch.setattr(engine, "_THREADED_MIN_SCENARIOS", 5000)
+        views = _every_scenario_kind()
+        self._assert_matches_serial(monkeypatch, self._config(losses_csv, views))
+        pooled = _every_scenario_kind(1.0 / len(views))
+        report = self._assert_matches_serial(monkeypatch, self._config(losses_csv, pooled))
+        assert [r.method for r in report.rows][-2:] == ["scenario-EP", "pooled"]
+
+    def test_threads_from_the_cut_over_and_not_below(self, losses_csv, monkeypatch):
+        before = threading.active_count()
+        views = _every_scenario_kind(1.0 / 13)
+        seen = self._thread_counts(monkeypatch)
+        config = self._config(losses_csv, views, scenarios=engine._THREADED_MIN_SCENARIOS)
+        self._assert_matches_serial(monkeypatch, config)
+        assert max(seen[:13]) == before + 1
+        seen.clear()
+        run_pipeline(self._config(losses_csv, views, scenarios=engine._THREADED_MIN_SCENARIOS - 1))
+        assert seen == [before] * 13
+
+    @pytest.mark.parametrize(
+        "views, error",
+        [
+            # view 0 fails at compile, view 2 in the solve
+            ((value_view(99.0, "ge"), expectation_view(0.01), expectation_view(1000.0)),
+             InfeasibleViewError),
+            # view 0 fails in the solve, view 2 at compile
+            ((expectation_view(1000.0), expectation_view(0.01), value_view(99.0, "ge")),
+             InfeasibleError),
+            # only the last view fails
+            ((expectation_view(0.01), variance_view(5e-4), mean_variance_view(0.005, 4.5e-4),
+              expectation_view(-1000.0)), InfeasibleError),
+        ],
+    )
+    def test_first_failing_view_in_order_raises(self, losses_csv, monkeypatch, views, error):
+        monkeypatch.setattr(engine, "_THREADED_MIN_SCENARIOS", 5000)
+        config = self._config(losses_csv, views)
+        with pytest.raises(error) as err:
+            run_pipeline(config)
+        serial = self._serial(monkeypatch, config)
+        assert type(serial) is error and str(err.value) == str(serial)
+        assert str(err.value).startswith("solver: ")
+        assert getattr(err.value, "residual", None) == getattr(serial, "residual", None)
+
+    def test_at_most_one_worker_and_none_left(self, losses_csv, monkeypatch):
+        monkeypatch.setattr(engine, "_THREADED_MIN_SCENARIOS", 5000)
+        before = threading.active_count()
+        seen = self._thread_counts(monkeypatch)
+        run_pipeline(self._config(losses_csv, _every_scenario_kind(1.0 / 13)))
+        assert threading.active_count() == before
+        assert len(seen) == 13 and max(seen) == before + 1
+        failing = (expectation_view(0.01), expectation_view(1000.0), variance_view(5e-4))
+        with pytest.raises(InfeasibleError):
+            run_pipeline(self._config(losses_csv, failing))
+        assert threading.active_count() == before
+
+    def test_each_item_once_in_order_under_fast_switching(self):
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                calls = []
+
+                def square(i):
+                    calls.append(i)
+                    return i * i
+
+                assert engine._on_two_threads(square, range(200)) == [i * i for i in range(200)]
+                assert sorted(calls) == list(range(200))
+        finally:
+            sys.setswitchinterval(switch)
 
 
 class TestAnalyticPooling:

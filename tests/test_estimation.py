@@ -30,7 +30,6 @@ from epcovar.estimation import (
     pinball_loss,
     pseudo_observations,
     quantile_regression_covar,
-    t_quantile,
 )
 
 _BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -45,14 +44,8 @@ def sample_t_copula(rho, dof, n, rng):
 
 
 class TestTQuantile:
-    def test_matches_library_inverse(self):
-        # scipy's own inverse carries ~1e-10 error deep in the tails, so the
-        # comparison allows for both implementations' budgets
-        ps = np.array([1e-8, 1e-4, 0.01, 0.25, 0.5, 0.77, 0.95, 0.9999, 1 - 1e-8])
-        for dof in (2.1, 3.0, 5.0, 12.0, 60.0, 100.0):
-            got = t_quantile(ps, dof)
-            ref = student_t.ppf(ps, dof)
-            assert np.max(np.abs(got - ref)) < 4e-10, dof
+    """The Student-t quantile the copula fit and the sampler call:
+    ``scipy.special.stdtrit``."""
 
     def test_frozen_high_precision_values(self):
         # references computed with 50-digit arithmetic (regularized
@@ -64,14 +57,7 @@ class TestTQuantile:
             (0.99999999, 100.0, 6.101573470927392),
         ]
         for p, dof, truth in cases:
-            assert abs(t_quantile(p, dof) - truth) < 1e-10, (p, dof)
-
-    def test_probability_guard(self):
-        with pytest.raises(ValueError):
-            t_quantile(np.array([0.0, 0.5]), 5.0)
-
-    def test_scalar_in_scalar_out(self):
-        assert t_quantile(0.5, 7.0) == 0.0
+            assert abs(float(stdtrit(dof, p)) - truth) < 1e-10, (p, dof)
 
 
 class TestMarginalTypes:

@@ -2,6 +2,7 @@
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from epcovar.scenario import (
     moments,
     weighted_quantile,
 )
+from epcovar.solver import solve
+from epcovar.views import compile_view, expectation_view
 
 
 class TestBuildPanel:
@@ -73,6 +76,21 @@ class TestBuildPanel:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1.0
+
+    def test_log_prior_is_cached_and_read_only(self, monkeypatch):
+        built = []
+        log_prior = ScenarioPanel.__dict__["log_prior"].func
+        prop = cached_property(lambda panel: built.append(1) or log_prior(panel))
+        prop.__set_name__(ScenarioPanel, "log_prior")
+        monkeypatch.setattr(ScenarioPanel, "log_prior", prop)
+        panel = build_panel([0.0, 1.0, 2.0], [1.0, 0.0, 2.0], prior=[0.2, 0.3, 0.5])
+        cs = compile_view(expectation_view(1.2), panel)
+        first = panel.log_prior
+        solve(panel, cs)
+        solve(panel, cs)
+        assert panel.log_prior is first and built == [1]
+        assert first.tobytes() == np.log(panel.prior).tobytes()
+        assert not first.flags.writeable
 
     def test_unit_metadata_carried(self):
         assert build_panel([0, 1], [0, 1], unit="percent").unit == "percent"

@@ -5,7 +5,9 @@ Oracles used here, all independent of the solver's own dual path:
   two-scenario mean constraint;
 - central finite differences for the dual gradient and Hessian;
 - a dense simplex grid (J <= 3) and a primal SLSQP multi-start (J <= 6)
-  for global KL minimality.
+  for global KL minimality;
+- the dual written with a fresh temporary per step and an eager Hessian,
+  which the in-place dual must match bit for bit.
 """
 
 import math
@@ -13,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import brute_force_min_kl, tilt_mean_by_bisection
+from _oracles import brute_force_min_kl, temporaries_dual, tilt_mean_by_bisection
 from epcovar import solver as solver_mod
 from epcovar.errors import DegenerateError, InfeasibleError
 from epcovar.scenario import Probabilities, build_panel
@@ -38,8 +40,8 @@ def _calls(monkeypatch, name):
     results = []
     real = getattr(solver_mod, name)
 
-    def recording(*args):
-        results.append(real(*args))
+    def recording(*args, **kwargs):
+        results.append(real(*args, **kwargs))
         return results[-1]
 
     monkeypatch.setattr(solver_mod, name, recording)
@@ -194,6 +196,91 @@ class TestDualValueAndGradient:
             self._dual(np.zeros(3), panel, cs)
         with pytest.raises(ValueError, match="finite"):
             self._dual(np.array([np.nan]), panel, cs)
+
+
+def _read_only(a):
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+class TestLeanDual:
+    """The in-place dual against the dual written with temporaries."""
+
+    @staticmethod
+    def _bits(point):
+        value, grad, hessian, log_q = point
+        return (np.float64(value).tobytes(), grad.tobytes(), hessian.tobytes(), log_q.tobytes())
+
+    def test_matches_the_temporaries_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(1201)
+        for size in (2, 3, 50, 1_000, 20_000):
+            for k in range(1, 6):
+                prior = rng.uniform(0.1, 1.0, size)
+                log_prior = _read_only(np.log(prior / prior.sum()))
+                rows = rng.standard_normal((k, size))
+                rows[rng.random((k, size)) < 0.3] = 0.0  # some indicator-like sparsity
+                rows = _read_only(rows)
+                bounds = rng.standard_normal(k)
+                kept = (log_prior.copy(), rows.copy(), bounds.copy())
+                for scale in (0.0, 0.1, 3.0, 40.0):
+                    lam = scale * rng.standard_normal(k)
+                    lam_kept = lam.copy()
+                    want = self._bits(temporaries_dual(lam, log_prior, rows, bounds))
+                    assert self._bits(dual(lam, log_prior, rows, bounds)) == want, (size, k, scale)
+                    value, grad, hessian, log_q = dual(
+                        lam, log_prior, rows, bounds, lazy_hessian=True
+                    )
+                    first = hessian()
+                    assert hessian() is first  # computed once
+                    assert self._bits((value, grad, first, log_q)) == want, (size, k, scale)
+                    assert lam.tobytes() == lam_kept.tobytes()
+                for before, after in zip(kept, (log_prior, rows, bounds)):
+                    assert before.tobytes() == after.tobytes()
+                assert not log_prior.flags.writeable and not rows.flags.writeable
+
+    def test_dual_rows_are_a_slice_when_they_lead_the_matrix(self):
+        panel = _t5_panel(3, 500)
+        cs = compile_view(mean_variance_view(0.1, 1.5), panel)
+        rows, _, _, index = dual_rows(cs)
+        assert index.tolist() == [0, 1]
+        assert np.shares_memory(rows, cs.matrix) and not rows.flags.writeable
+        assert rows.tobytes() == cs.matrix[index].tobytes()
+        # a two-sided finite row becomes an upper and a lower row: a copy
+        g = np.vstack([panel.x, np.ones(panel.size)])
+        band = LinearConstraintSet(g, np.array([0.0, 1.0]), np.array([0.2, 1.0]))
+        rows, _, sign, index = dual_rows(band)
+        assert index.tolist() == [0, 0] and sign.tolist() == [1, -1]
+        assert not np.shares_memory(rows, band.matrix)
+        assert rows.tobytes() == band.matrix[index].tobytes()
+
+    def test_hessian_only_where_a_step_is_taken(self, monkeypatch):
+        # a correlation view at 0.95 rejects line-search trials on this panel
+        panel = _t5_panel(5, 1000)
+        cs = compile_view(correlation_view(0.95), panel)
+        evaluations = _calls(monkeypatch, "dual")
+        hessians = _calls(monkeypatch, "_covariance")
+        rep = solve(panel, cs)
+        rejected = len(evaluations) - 1 - rep.iterations
+        assert rejected > 0
+        assert len(hessians) == rep.iterations  # one at the origin of each step
+        monkeypatch.undo()
+
+        def eager(lam, log_prior, rows, bounds, lazy_hessian=False):
+            value, grad, hessian, log_q = temporaries_dual(lam, log_prior, rows, bounds)
+            return value, grad, (lambda: hessian) if lazy_hessian else hessian, log_q
+
+        monkeypatch.setattr(solver_mod, "dual", eager)
+        want = solve(panel, cs)
+        assert rep.posterior.weights.tobytes() == want.posterior.weights.tobytes()
+        assert rep.multipliers.tobytes() == want.multipliers.tobytes()
+        assert (repr(rep.residual), rep.iterations, repr(rep.entropy)) == (
+            repr(want.residual), want.iterations, repr(want.entropy))
+
+    def test_posterior_is_read_only(self):
+        panel = _t5_panel(3, 500)
+        rep = solve(panel, compile_view(expectation_view(0.2), panel))
+        assert not rep.posterior.weights.flags.writeable
 
 
 class TestSolve:
