@@ -117,8 +117,7 @@ def dual_rows(constraints: LinearConstraintSet):
     return constraints.matrix[index], bounds, sign, index
 
 
-def dual(lam, log_prior: np.ndarray, rows: np.ndarray, bounds: np.ndarray,
-         lazy_hessian: bool = False):
+def dual(lam, log_prior: np.ndarray, rows: np.ndarray, bounds: np.ndarray):
     """Normalised entropy-pooling dual, in minimisation form, at ``lam``.
 
     With ``ln q(lam) = ln p - G^T lam - ln Z(lam)`` on the dual ``rows`` G
@@ -126,17 +125,17 @@ def dual(lam, log_prior: np.ndarray, rows: np.ndarray, bounds: np.ndarray,
 
         value      ln Z(lam) + lam . b
         gradient   b - G q(lam)
-        Hessian    Cov_q(G), the posterior covariance of the rows
+        hessian    a function of no arguments returning Cov_q(G), the
+                   posterior covariance of the rows
         log q(lam)
 
     The value is zero at lam = 0, and minus the entropy of the posterior at
     the optimum. Exponents are shifted by their maximum, so nothing overflows.
-    With ``lazy_hessian`` the Hessian slot holds a function of no arguments
-    that computes it from this point's weights and total, with the same
-    bits, on its first call, so a rejected line-search trial never pays for
-    it; later calls return the same array. Two J-length arrays are
-    allocated: the log weights, turned into ``log q`` in place, and the
-    shifted weights, which the first call of the Hessian function frees.
+    ``hessian()`` computes the covariance from this point's weights and total
+    on its first call, so a rejected line-search trial never pays for it;
+    later calls return the same array. Two J-length arrays are allocated: the
+    log weights, turned into ``log q`` in place, and the shifted weights,
+    which the first call of ``hessian`` frees.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != bounds.shape:
@@ -160,7 +159,7 @@ def dual(lam, log_prior: np.ndarray, rows: np.ndarray, bounds: np.ndarray,
             covariance, w = _covariance(rows, w, total, mean), None
         return covariance
 
-    return log_z + float(lam @ bounds), bounds - mean, hessian if lazy_hessian else hessian(), a
+    return log_z + float(lam @ bounds), bounds - mean, hessian, a
 
 
 def _covariance(rows, w, total, mean) -> np.ndarray:
@@ -180,7 +179,7 @@ def solve(panel: ScenarioPanel, constraints: LinearConstraintSet) -> SolveReport
     rows, bounds, sign, index = dual_rows(constraints)
 
     def evaluate(lam):
-        return dual(lam, log_p, rows, bounds, lazy_hessian=True)
+        return dual(lam, log_p, rows, bounds)
 
     lam = np.zeros(bounds.size)
     point = evaluate(lam)
@@ -352,7 +351,7 @@ def _newton(lam, point, sign, evaluate, tol, length):
     """Up to ``length`` damped Newton steps on the active rows of the dual.
 
     ``point`` is ``evaluate(lam)``, with the Hessian slot a function that
-    computes it (``dual(..., lazy_hessian=True)``); it is called only at the
+    computes it (see :func:`dual`); it is called only at the
     point a step is taken from, never at a line-search trial, and a rejected
     trial is freed before the next is evaluated. The Hessian on the active
     rows is their posterior covariance; a least-squares solve keeps redundant

@@ -286,28 +286,24 @@ class _Rows:
         )
 
 
-# rows a view of each kind can compile to, besides the normalization row
-_CAPACITY = {"expectation": 1, "variance": 2, "mean_and_variance": 2, "quantile": 1,
-             "value": 1, "correlation": 5, "relative": 2, "none": 0}
-
-
 def compile_view(view: ViewSpec, panel: ScenarioPanel) -> LinearConstraintSet:
     """Lower one view onto a panel as ``lower <= G p <= upper`` rows.
 
     Raises :class:`InfeasibleViewError` when a required indicator row is empty
     (no scenario in the band/bin while the view puts positive mass there).
-    Each row is computed in place in the one matrix the set holds.
+    Each branch allocates room for the most rows it can write, and computes
+    each row in place in the one matrix the set holds.
     """
     loss = panel.losses(view.target)
     t = view.target.upper()
-    capacity = len(view.bin_probs) if view.kind == "distribution" else _CAPACITY[view.kind]
-    rows = _Rows(capacity, panel.size)
 
     if view.kind == "expectation":
+        rows = _Rows(1, panel.size)
         lo, hi = _bounds(view.relation, view.mean)
         rows.add(lo, hi, f"mean({t})", loss)
 
     elif view.kind in ("variance", "mean_and_variance"):
+        rows = _Rows(2, panel.size)
         anchor = view.mean if view.kind == "mean_and_variance" else moments(loss, panel.prior)[0]
         second = view.variance + anchor * anchor
         rows.add(anchor, anchor, f"mean({t})", loss)
@@ -316,6 +312,7 @@ def compile_view(view: ViewSpec, panel: ScenarioPanel) -> LinearConstraintSet:
         rows.add(lo, hi, f"second_moment({t})")
 
     elif view.kind == "quantile":
+        rows = _Rows(1, panel.size)
         ind = rows.slot()
         np.less_equal(loss, view.quantile, out=ind)
         if not ind.any():
@@ -333,6 +330,7 @@ def compile_view(view: ViewSpec, panel: ScenarioPanel) -> LinearConstraintSet:
         rows.add(lo, hi, f"quantile_mass({t}<={view.quantile:g})")
 
     elif view.kind == "value":
+        rows = _Rows(1, panel.size)
         ind = rows.slot()
         if view.relation == "eq":
             band = view.value_band
@@ -352,6 +350,7 @@ def compile_view(view: ViewSpec, panel: ScenarioPanel) -> LinearConstraintSet:
             rows.add(1.0, 1.0, label)
 
     elif view.kind == "correlation":
+        rows = _Rows(5, panel.size)
         mx, vx = moments(panel.x, panel.prior)
         my, vy = moments(panel.y, panel.prior)
         sx, sy = np.sqrt(vx), np.sqrt(vy)
@@ -369,6 +368,7 @@ def compile_view(view: ViewSpec, panel: ScenarioPanel) -> LinearConstraintSet:
         rows.add(lo, hi, "cross_moment(XY)")
 
     elif view.kind == "relative":
+        rows = _Rows(2, panel.size)
         diff = rows.slot()
         np.subtract(panel.x, panel.y, out=diff)
         if not diff.any():
@@ -381,6 +381,7 @@ def compile_view(view: ViewSpec, panel: ScenarioPanel) -> LinearConstraintSet:
     elif view.kind == "distribution":
         edges, probs = view.bin_edges, view.bin_probs
         n_bins = len(probs)
+        rows = _Rows(n_bins, panel.size)
         for i in range(n_bins):
             left, right = edges[i], edges[i + 1]
             ind = rows.slot()
@@ -400,7 +401,10 @@ def compile_view(view: ViewSpec, panel: ScenarioPanel) -> LinearConstraintSet:
                 continue  # bin covering every scenario adds no information
             rows.add(probs[i], probs[i], label)
 
-    elif view.kind != "none":  # pragma: no cover - guarded by ViewSpec
+    elif view.kind == "none":
+        rows = _Rows(0, panel.size)
+
+    else:  # pragma: no cover - guarded by ViewSpec
         raise ValueError(f"unknown view kind {view.kind!r}")
 
     return rows.constraint_set()

@@ -326,6 +326,32 @@ class TestCompiledSystemProperties:
             assert ones.sum() == 1
             assert cs.labels[cs.normalization_row] == "normalization"
 
+    def test_every_kind_compiles_at_its_most_rows(self):
+        # each kind writes as many rows as it can, normalization included, and
+        # the matrix it allocated holds exactly those rows
+        rng = np.random.default_rng(13)
+        panel = build_panel(rng.uniform(0, 1, 40), rng.uniform(0, 1, 40))
+        most = [
+            (no_view(), 1),
+            (expectation_view(0.6), 2),
+            (ViewSpec("variance", variance=0.1), 3),
+            (mean_variance_view(0.5, 0.1), 3),
+            (quantile_view(0.7, level=0.8), 2),
+            (value_view(0.5, band=0.3), 2),
+            (correlation_view(0.2), 6),
+            (relative_view(0.1, 0.2), 3),
+            (distribution_view([-0.1, 0.25, 0.5, 0.75, 1.1], [0.2, 0.3, 0.3, 0.2]), 5),
+        ]
+        assert {view.kind for view, _ in most} == {
+            "none", "expectation", "variance", "mean_and_variance", "quantile", "value",
+            "correlation", "relative", "distribution",
+        }
+        for view, n_rows in most:
+            cs = compile_view(view, panel)
+            assert cs.n_rows == n_rows, view.kind
+            allocated = cs.matrix if cs.matrix.base is None else cs.matrix.base
+            assert allocated.shape == (n_rows, panel.size), view.kind
+
     def test_prior_feasibility_matches_direct_checks(self):
         # feasibility of the prior under a compiled view must agree with
         # checking the view statement on prior moments/quantiles directly
