@@ -12,8 +12,9 @@ provides:
 - the risk-spillover increment (``delta_covar_view``), CoVaR - VaR by
   definition;
 - the relative entropy between two bivariate normals;
-- the posterior CDF of Y under a value view (``value_view_y_cdf``), the one
-  law that both the half-line CoVaR and the pooled analytic mixture use.
+- the posterior CDF of Y under one view (``posterior_y_cdf``), which a pooled
+  analytic row mixes; under a value view it is ``value_view_y_cdf``, the law
+  that the half-line CoVaR also uses.
 
 ``z(alpha)`` is ``scipy.special.ndtri``. Half-line value views and pooled
 mixtures have no closed form: each is a ``brentq`` root of a CDF minus alpha.
@@ -22,8 +23,17 @@ One-sided views follow the collapse rule: when the prior already satisfies the
 view, it carries no information and CoVaR equals VaR exactly; otherwise the
 optimum sits on the boundary and CoVaR equals the equality-view value.
 
+The expectation, variance, mean-and-variance, quantile and relative views
+share one update (``_keep_conditional``): the view sets the normal law of one
+variable, and the other keeps its prior conditional law given it (Meucci,
+"Fully Flexible Views: Theory and Practice", *Risk* 21(10), 2008). Each view
+states only the law it sets; the relative view sets the law of X - Y. The
+paper's per-kind expressions remain as the test oracle
+``tests/_oracles.py::paper_spillover``.
+
 Views on Y itself are handled by conditioning Y on its own marginal (a
-degenerate "pair" with unit correlation), so the same formulas apply.
+degenerate "pair" with unit correlation), so the same formulas apply; the
+same update on the swapped pair lifts the posterior back onto (X, Y).
 """
 
 from __future__ import annotations
@@ -37,9 +47,7 @@ from scipy.special import ndtri
 
 from .errors import NumericDomainError
 from .normal import bvn_cdf, norm_cdf
-from .views import ViewSpec
-
-RADICAND_TOL = 1e-12  # clamp window for floating noise in spread radicands
+from .views import ViewSpec, describe
 
 
 @dataclass(frozen=True)
@@ -166,6 +174,29 @@ def _collapse(
     return replace(equality, branch=f"{relation}-binding")
 
 
+def _keep_conditional(
+    p: BivariateNormalParams, mu1: float, sigma1: float
+) -> BivariateNormalParams:
+    """The posterior in which X ~ N(mu1, sigma1^2) and Y given X keeps its
+    prior law: the minimum-relative-entropy update for a view that sets the
+    law of X. The Y spread's radicand, 1 - rho^2 + rho^2 sigma1^2/sigma_X^2,
+    is nonnegative by construction."""
+    mu_y = p.mu_y + p.rho * (mu1 - p.mu_x) * p.sigma_y / p.sigma_x
+    if sigma1 == p.sigma_x:
+        return replace(p, mu_x=mu1, mu_y=mu_y)
+    sigma_y = p.sigma_y * math.sqrt(1.0 - p.rho**2 + p.rho**2 * sigma1**2 / p.sigma_x**2)
+    rho = _clamp_rho(p.rho * sigma1 * p.sigma_y / (p.sigma_x * sigma_y))
+    return BivariateNormalParams(mu1, mu_y, sigma1, sigma_y, rho)
+
+
+def _equality(
+    p: BivariateNormalParams, post: BivariateNormalParams, no_info: bool, alpha: float
+) -> ViewOutcome:
+    """The equality-view outcome: CoVaR read off the posterior, or VaR exactly
+    when the view carries no information."""
+    return ViewOutcome(var_normal(p if no_info else post, alpha), post, no_info, "eq")
+
+
 def covar_expectation_view(
     p: BivariateNormalParams, mu1: float, relation: str = "eq", alpha: float = 0.95
 ) -> ViewOutcome:
@@ -174,19 +205,9 @@ def covar_expectation_view(
     The equality case shifts the Y mean by ``rho (mu1 - mu_X) sigma_Y/sigma_X``
     and leaves the covariance untouched, so CoVaR is affine in ``mu1``.
     """
-    c = _check_alpha(alpha)
-    shift = p.rho * (mu1 - p.mu_x) * p.sigma_y / p.sigma_x
-    eq = ViewOutcome(
-        covar=p.mu_y + shift + p.sigma_y * c,
-        posterior=replace(p, mu_x=mu1, mu_y=p.mu_y + shift),
-        collapsed_to_var=(mu1 == p.mu_x or p.rho == 0.0),
-        branch="eq",
-    )
+    post = _keep_conditional(p, mu1, p.sigma_x)
+    eq = _equality(p, post, mu1 == p.mu_x or p.rho == 0.0, alpha)
     return _collapse(relation, p.mu_x, mu1, eq, p, alpha)
-
-
-def _variance_factor(p: BivariateNormalParams, sigma1_sq: float) -> float:
-    return math.sqrt(1.0 - p.rho**2 + p.rho**2 * sigma1_sq / p.sigma_x**2)
 
 
 def covar_variance_view(
@@ -196,20 +217,8 @@ def covar_variance_view(
     ``sigma1_sq``; nonlinear and non-decreasing in the view level for rho != 0."""
     if sigma1_sq <= 0.0:
         raise ValueError(f"view variance must be positive, got {sigma1_sq}")
-    c = _check_alpha(alpha)
-    factor = _variance_factor(p, sigma1_sq)
-    sigma1 = math.sqrt(sigma1_sq)
-    sy_post = p.sigma_y * factor
-    rho_post = _clamp_rho(
-        p.rho * sigma1 * p.sigma_y / (p.sigma_x * sy_post)
-    ) if p.rho != 0.0 else 0.0
-    no_info = sigma1_sq == p.sigma_x**2 or p.rho == 0.0
-    eq = ViewOutcome(
-        covar=var_normal(p, alpha) if no_info else p.mu_y + sy_post * c,
-        posterior=replace(p, sigma_x=sigma1, sigma_y=sy_post, rho=rho_post),
-        collapsed_to_var=no_info,
-        branch="eq",
-    )
+    post = _keep_conditional(p, p.mu_x, math.sqrt(sigma1_sq))
+    eq = _equality(p, post, sigma1_sq == p.sigma_x**2 or p.rho == 0.0, alpha)
     return _collapse(relation, p.sigma_x**2, sigma1_sq, eq, p, alpha)
 
 
@@ -223,81 +232,27 @@ def covar_mean_variance_view(
     """
     if sigma1_sq <= 0.0:
         raise ValueError(f"view variance must be positive, got {sigma1_sq}")
-    c = _check_alpha(alpha)
-    shift = p.rho * (mu1 - p.mu_x) * p.sigma_y / p.sigma_x
-    factor = _variance_factor(p, sigma1_sq)
-    sigma1 = math.sqrt(sigma1_sq)
-    sy_post = p.sigma_y * factor
-    rho_post = _clamp_rho(
-        p.rho * sigma1 * p.sigma_y / (p.sigma_x * sy_post)
-    ) if p.rho != 0.0 else 0.0
+    post = _keep_conditional(p, mu1, math.sqrt(sigma1_sq))
     no_info = (mu1 == p.mu_x and sigma1_sq == p.sigma_x**2) or p.rho == 0.0
-    return ViewOutcome(
-        covar=var_normal(p, alpha) if no_info else p.mu_y + shift + sy_post * c,
-        posterior=BivariateNormalParams(
-            mu_x=mu1, mu_y=p.mu_y + shift, sigma_x=sigma1, sigma_y=sy_post, rho=rho_post
-        ),
-        collapsed_to_var=no_info,
-        branch="eq",
-    )
-
-
-def _quantile_posterior_scales(p: BivariateNormalParams, q1: float, c: float):
-    """Posterior spreads implied by pinning the alpha-quantile of X at q1.
-
-    The X spread solves the one-dimensional marginal problem and is shared by
-    every rho; the Y spread follows from the preserved conditional of Y on X.
-    """
-    q_x = p.mu_x + p.sigma_x * c
-    kappa = (q1 - q_x) / p.sigma_x
-    t = (kappa + c) * c
-    c2 = c * c
-    disc = math.sqrt(t * t + 4.0 * (1.0 + c2))
-    bracket = 1.0 / (1.0 + c2) + t * (t + disc) / (2.0 * (1.0 + c2) ** 2)
-    sy_post = p.sigma_y * math.sqrt(
-        (1.0 + (1.0 - p.rho**2) * c2) / (1.0 + c2)
-        + p.rho**2 * t * (t + disc) / (2.0 * (1.0 + c2) ** 2)
-    )
-    sx_post = p.sigma_x * math.sqrt(bracket)
-    return q_x, sx_post, sy_post
+    return _equality(p, post, no_info, alpha)
 
 
 def covar_quantile_view(
     p: BivariateNormalParams, q1: float, relation: str = "eq", alpha: float = 0.95
 ) -> ViewOutcome:
     """CoVaR of Y when the posterior alpha-quantile of X equals / is bounded
-    by ``q1``. The prior quantile is ``q_X = mu_X + sigma_X z(alpha)``."""
+    by ``q1``. The prior quantile is ``q_X = mu_X + sigma_X z(alpha)``.
+
+    The X spread solves the one-dimensional marginal problem, whatever rho;
+    the X mean then puts the alpha-quantile at ``q1``.
+    """
     c = _check_alpha(alpha)
-    q_x, sx_post, sy_post = _quantile_posterior_scales(p, q1, c)
-    radicand = sy_post**2 - (1.0 - p.rho**2) * p.sigma_y**2
-    if radicand < -RADICAND_TOL:
-        raise NumericDomainError(
-            f"quantile-view spread radicand is negative ({radicand:.3e}) for "
-            f"q1={q1}, alpha={alpha}, params={p}"
-        )
-    root = math.sqrt(max(radicand, 0.0))
-    sign = -1.0 if p.rho >= 0.0 else 1.0
-    no_info = q1 == q_x or p.rho == 0.0
-    covar = (
-        var_normal(p, alpha)
-        if no_info
-        else p.mu_y
-        + p.rho * (q1 - q_x) * p.sigma_y / p.sigma_x
-        + (sy_post + sign * root + p.rho * p.sigma_y) * c
-    )
-    mu_x_post = q1 - sx_post * c
-    mu_y_post = p.mu_y + p.rho * (p.sigma_y / p.sigma_x) * (mu_x_post - p.mu_x)
-    rho_post = _clamp_rho(
-        p.rho * p.sigma_y * sx_post / (p.sigma_x * sy_post)
-    ) if p.rho != 0.0 else 0.0
-    eq = ViewOutcome(
-        covar=covar,
-        posterior=BivariateNormalParams(
-            mu_x=mu_x_post, mu_y=mu_y_post, sigma_x=sx_post, sigma_y=sy_post, rho=rho_post
-        ),
-        collapsed_to_var=no_info,
-        branch="eq",
-    )
+    q_x = p.mu_x + p.sigma_x * c
+    t = ((q1 - q_x) / p.sigma_x + c) * c
+    k = 1.0 + c * c
+    sigma1 = p.sigma_x * math.sqrt(1.0 / k + t * (t + math.sqrt(t * t + 4.0 * k)) / (2.0 * k * k))
+    post = _keep_conditional(p, q1 - sigma1 * c, sigma1)
+    eq = _equality(p, post, q1 == q_x or p.rho == 0.0, alpha)
     return _collapse(relation, q_x, q1, eq, p, alpha)
 
 
@@ -409,41 +364,33 @@ def covar_relative_view(
     """CoVaR of Y when the difference X - Y is believed normal with mean ``d``
     and variance ``s_sq``. Collapses to VaR when ``rho = sigma_Y / sigma_X``
     (the difference is then uninformative about Y) or when the view restates
-    the prior law of X - Y."""
+    the prior law of X - Y.
+
+    The view sets the law of D = X - Y and keeps Y given D, the same update
+    as a marginal view on the pair (D, Y); X is rebuilt as D + Y.
+    """
     if s_sq <= 0.0:
         raise ValueError(f"view variance must be positive, got {s_sq}")
-    c = _check_alpha(alpha)
     sx, sy, r = p.sigma_x, p.sigma_y, p.rho
     v = sx * sx - 2.0 * r * sx * sy + sy * sy
     if v <= 0.0:
         raise NumericDomainError(
             "difference X - Y is degenerate (rho = 1 with equal spreads)"
         )
-    mean_post = (
-        p.mu_y * sx * (sx - r * sy) + (p.mu_x - d) * sy * (sy - r * sx)
-    ) / v
-    radicand = 1.0 + (s_sq - v) * (sy - r * sx) ** 2 / (v * v)
-    if radicand < -RADICAND_TOL:
-        raise NumericDomainError(
-            f"relative-view spread radicand is negative ({radicand:.3e})"
-        )
-    sy_post = sy * math.sqrt(max(radicand, 0.0))
+    sd = math.sqrt(v)
+    pair = BivariateNormalParams(p.mu_x - p.mu_y, p.mu_y, sd, sy, _clamp_rho((r * sx - sy) / sd))
+    post = _keep_conditional(pair, d, math.sqrt(s_sq))
     no_info = (d == p.mu_x - p.mu_y and s_sq == v) or r * sx == sy
-    covar = var_normal(p, alpha) if no_info else mean_post + sy_post * c
-
-    # full posterior via the preserved conditional of Y on the difference
-    beta_d = sy * (r * sx - sy) / v
-    sx_post_sq = s_sq + sy_post**2 + 2.0 * beta_d * s_sq
-    posterior = None
-    if sy_post > 0.0 and sx_post_sq > 0.0:
-        sx_post = math.sqrt(sx_post_sq)
-        cov_post = beta_d * s_sq + sy_post**2
-        rho_post = _clamp_rho(cov_post / (sx_post * sy_post))
-        posterior = BivariateNormalParams(
-            mu_x=mean_post + d, mu_y=mean_post,
-            sigma_x=sx_post, sigma_y=sy_post, rho=rho_post,
-        )
-    return ViewOutcome(covar, posterior, collapsed_to_var=no_info, branch="eq")
+    out = _equality(p, post, no_info, alpha)
+    cov_dy = post.rho * post.sigma_x * post.sigma_y
+    cov_xy = cov_dy + post.sigma_y**2
+    var_x = s_sq + cov_dy + cov_xy
+    if var_x <= 0.0:  # rounding can leave X = D + Y a point
+        return replace(out, posterior=None)
+    sx_post = math.sqrt(var_x)
+    rho_post = _clamp_rho(cov_xy / (sx_post * post.sigma_y))
+    posterior = BivariateNormalParams(d + post.mu_y, post.mu_y, sx_post, post.sigma_y, rho_post)
+    return replace(out, posterior=posterior)
 
 
 # -- dispatch -----------------------------------------------------------------
@@ -453,29 +400,34 @@ def _self_view_params(p: BivariateNormalParams) -> BivariateNormalParams:
     return BivariateNormalParams(p.mu_y, p.mu_y, p.sigma_y, p.sigma_y, 1.0)
 
 
+def _swap(p: BivariateNormalParams) -> BivariateNormalParams:
+    return BivariateNormalParams(p.mu_y, p.mu_x, p.sigma_y, p.sigma_x, p.rho)
+
+
 def _lift_y_view(p: BivariateNormalParams, out: ViewOutcome) -> ViewOutcome:
     """Map an outcome computed on the (Y, Y) self-pair back onto (X, Y).
 
-    A view on Y's marginal leaves the conditional of X on Y untouched, so the
-    X side updates through the regression of X on Y.
+    A view on Y's marginal leaves the conditional of X on Y untouched: the
+    same update as an X view, on the swapped pair (Y, X).
     """
     if out.posterior is None:
         return out
-    if out.posterior == _self_view_params(p):  # no information: prior unchanged
-        return replace(out, posterior=p)
-    my_post, sy_post = out.posterior.mu_y, out.posterior.sigma_y
-    beta = p.rho * p.sigma_x / p.sigma_y
-    sx_post_sq = (1.0 - p.rho**2) * p.sigma_x**2 + beta * beta * sy_post**2
-    sx_post = math.sqrt(sx_post_sq)
-    rho_post = _clamp_rho(beta * sy_post / sx_post) if sx_post > 0.0 else 0.0
-    lifted = BivariateNormalParams(
-        mu_x=p.mu_x + beta * (my_post - p.mu_y),
-        mu_y=my_post,
-        sigma_x=sx_post,
-        sigma_y=sy_post,
-        rho=rho_post,
-    )
-    return replace(out, posterior=lifted)
+    post = _keep_conditional(_swap(p), out.posterior.mu_y, out.posterior.sigma_y)
+    return replace(out, posterior=_swap(post))
+
+
+def posterior_y_cdf(prior: BivariateNormalParams, view: ViewSpec, outcome: ViewOutcome):
+    """Posterior CDF of Y under one view, given its closed-form outcome; a
+    pooled analytic row mixes these."""
+    if outcome.posterior is not None:
+        mu, sd = outcome.posterior.mu_y, outcome.posterior.sigma_y
+        return lambda y: norm_cdf((y - mu) / sd)
+    if view.kind != "value":
+        raise NumericDomainError(
+            f"cannot pool {describe(view)}: its posterior has no bivariate-normal law of Y"
+        )
+    p = _self_view_params(prior) if view.target == "y" else prior
+    return value_view_y_cdf(p, view.value, view.relation)
 
 
 def covar_for_view(

@@ -43,11 +43,11 @@ from pathlib import Path
 import numpy as np
 
 from . import analytics
-from .analytics import BivariateNormalParams, ViewOutcome, _bracketed_root
-from .errors import ConfigError, DataError, EpcovarError, NumericDomainError
+from .analytics import BivariateNormalParams, _bracketed_root
+from .errors import ConfigError, DataError, EpcovarError
 from .estimation import fit_t_copula, fit_t_marginal, generate_scenarios, pseudo_observations
 # bvn_cdf is unused here, but bench/tracing.py rebinds engine.bvn_cdf by name
-from .normal import bvn_cdf, norm_cdf  # noqa: F401
+from .normal import bvn_cdf  # noqa: F401
 from .scenario import ScenarioPanel, interpolated_quantile
 from .solver import SolveReport, max_violation, pool, relative_entropy, solve
 from .views import ViewSpec, compile_view, describe, no_view, view_from_dict
@@ -482,19 +482,6 @@ def _pooled_scenario_row(config, panel, mixed, var) -> ReportRow:
 
 # -- analytic-mode evaluation -----------------------------------------------------
 
-def _analytic_y_cdf(prior: BivariateNormalParams, view: ViewSpec, out: ViewOutcome):
-    """Posterior CDF of Y under one view, for pooling mixtures."""
-    if out.posterior is not None:
-        mu, sd = out.posterior.mu_y, out.posterior.sigma_y
-        return lambda y: norm_cdf((y - mu) / sd)
-    if view.kind != "value":
-        raise NumericDomainError(
-            f"cannot pool {describe(view)}: its posterior has no bivariate-normal law of Y"
-        )
-    p = analytics._self_view_params(prior) if view.target == "y" else prior
-    return analytics.value_view_y_cdf(p, view.value, view.relation)
-
-
 def _analytic_rows(config: RunConfig, prior: BivariateNormalParams) -> list[ReportRow]:
     var = analytics.var_normal(prior, config.alpha)
     rows = []
@@ -517,7 +504,7 @@ def _analytic_rows(config: RunConfig, prior: BivariateNormalParams) -> list[Repo
         )
     c = _pooling_confidences(config)
     if c is not None:
-        cdfs = [_analytic_y_cdf(prior, v, o) for v, o in zip(config.views, outcomes)]
+        cdfs = [analytics.posterior_y_cdf(prior, v, o) for v, o in zip(config.views, outcomes)]
 
         def mixture(y: float) -> float:
             return sum(w * f(y) for w, f in zip(c, cdfs)) - config.alpha

@@ -39,7 +39,7 @@ last bin closed on the right.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 from typing import Literal
 
 import numpy as np
@@ -436,11 +436,7 @@ def describe(view: ViewSpec) -> str:
 
 # -- (de)serialization for views config files ---------------------------------
 
-_FIELDS = (
-    "kind", "relation", "target", "confidence", "mean", "variance", "quantile",
-    "quantile_level", "value", "correlation", "diff_mean", "diff_variance",
-    "bin_edges", "bin_probs", "value_band",
-)
+_FIELDS = tuple(f.name for f in fields(ViewSpec))
 
 
 def view_to_dict(view: ViewSpec) -> dict:

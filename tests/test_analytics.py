@@ -11,6 +11,7 @@ conditional quantiles back the value-view root finder.
 import math
 import zlib
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -263,6 +264,34 @@ class TestQuantileView:
             rebuilt = out.posterior.mu_y + out.posterior.sigma_y * ndtri(0.95)
             assert abs(rebuilt - out.covar) < 1e-12
             assert abs(out.posterior.mu_x + out.posterior.sigma_x * ndtri(0.95) - q1) < 1e-10
+
+    def test_matches_a_50_digit_evaluation_of_the_paper_expression(self):
+        # the paper's quantile-view CoVaR, evaluated from the same float
+        # inputs and z(alpha) in 50-digit decimal arithmetic
+        rng = np.random.default_rng(24)
+        c = Decimal(float(ndtri(0.95)))
+        worst = Decimal(0)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for _ in range(200):
+                p = random_params(rng, rho=float(rng.uniform(-0.99, 0.99)))
+                q1 = float(var_normal_x(p, 0.95) + p.sigma_x * rng.uniform(-1.0, 4.0))
+                mx, my, sx, sy, r, q = map(
+                    Decimal, (p.mu_x, p.mu_y, p.sigma_x, p.sigma_y, p.rho, q1)
+                )
+                q_x = mx + sx * c
+                t = ((q - q_x) / sx + c) * c
+                k = 1 + c * c
+                sy_post = sy * (
+                    (1 + (1 - r * r) * c * c) / k
+                    + r * r * t * (t + (t * t + 4 * k).sqrt()) / (2 * k * k)
+                ).sqrt()
+                root = (sy_post * sy_post - (1 - r * r) * sy * sy).sqrt()
+                sign = -1 if r >= 0 else 1
+                want = my + r * (q - q_x) * sy / sx + (sy_post + sign * root + r * sy) * c
+                got = covar_quantile_view(p, q1, "eq", 0.95).covar
+                worst = max(worst, abs(Decimal(got) - want) / sy)
+        assert worst <= Decimal("4e-15"), worst
 
     def test_frozen_value_and_oracle(self):
         out = covar_quantile_view(P_QUANT, 0.45, "eq", 0.95)
