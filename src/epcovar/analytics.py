@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtri
 
@@ -111,42 +110,29 @@ def var_normal_x(p: BivariateNormalParams, alpha: float) -> float:
 
 
 def kl_bivariate_normal(post: BivariateNormalParams, prior: BivariateNormalParams) -> float:
-    """Relative entropy of one bivariate normal against another, in nats."""
-    if abs(prior.rho) >= 1.0:
-        raise NumericDomainError("prior covariance is singular (|rho| = 1)")
-    out = _kl_arrays(
-        np.asarray(post.mu_x), np.asarray(post.mu_y), np.asarray(post.sigma_x),
-        np.asarray(post.sigma_y), np.asarray(post.rho), prior,
-    )
-    return float(out)
-
-
-def _kl_arrays(mu_x, mu_y, sigma_x, sigma_y, rho, prior) -> np.ndarray:
-    """Vectorized relative entropy; invalid posteriors map to +inf."""
-    dmx = mu_x - prior.mu_x
-    dmy = mu_y - prior.mu_y
+    """Relative entropy of one bivariate normal against another, in nats;
+    +inf for a posterior with a singular covariance."""
     sx, sy, r = prior.sigma_x, prior.sigma_y, prior.rho
+    if abs(r) >= 1.0:
+        raise NumericDomainError("prior covariance is singular (|rho| = 1)")
+    post_det = 1.0 - post.rho * post.rho
+    if post.sigma_x <= 0.0 or post.sigma_y <= 0.0 or post_det <= 0.0:
+        return math.inf
+    dmx = post.mu_x - prior.mu_x
+    dmy = post.mu_y - prior.mu_y
     one_minus_r2 = 1.0 - r * r
-    quad_mean = (
-        dmx * dmx / (sx * sx)
-        - 2.0 * r * dmx * dmy / (sx * sy)
-        + dmy * dmy / (sy * sy)
-    )
+    quad_mean = dmx * dmx / (sx * sx) - 2.0 * r * dmx * dmy / (sx * sy) + dmy * dmy / (sy * sy)
     quad_scale = (
-        sigma_x * sigma_x / (sx * sx)
-        - 2.0 * r * rho * sigma_x * sigma_y / (sx * sy)
-        + sigma_y * sigma_y / (sy * sy)
+        post.sigma_x * post.sigma_x / (sx * sx)
+        - 2.0 * r * post.rho * post.sigma_x * post.sigma_y / (sx * sy)
+        + post.sigma_y * post.sigma_y / (sy * sy)
     )
-    post_det = 1.0 - rho * rho
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kl = (
-            (quad_mean + quad_scale) / (2.0 * one_minus_r2)
-            - 0.5 * np.log(post_det / one_minus_r2)
-            - np.log(sigma_x * sigma_y / (sx * sy))
-            - 1.0
-        )
-    bad = (sigma_x <= 0.0) | (sigma_y <= 0.0) | (post_det <= 0.0)
-    return np.where(bad, np.inf, kl)
+    return (
+        (quad_mean + quad_scale) / (2.0 * one_minus_r2)
+        - 0.5 * math.log(post_det / one_minus_r2)
+        - math.log(post.sigma_x * post.sigma_y / (sx * sy))
+        - 1.0
+    )
 
 
 def _collapse(
@@ -244,13 +230,20 @@ def covar_quantile_view(
     by ``q1``. The prior quantile is ``q_X = mu_X + sigma_X z(alpha)``.
 
     The X spread solves the one-dimensional marginal problem, whatever rho;
-    the X mean then puts the alpha-quantile at ``q1``.
+    the X mean then puts the alpha-quantile at ``q1``. The spread is
+    ``sigma_X (t + disc) / (2k)`` with ``disc = sqrt(t^2 + 4k)``. For t < 0,
+    where ``t + disc`` cancels, it is taken as ``2 sigma_X / (disc - t)``, the
+    same value since ``(t + disc)(disc - t) = 4k``.
     """
     c = _check_alpha(alpha)
     q_x = p.mu_x + p.sigma_x * c
     t = ((q1 - q_x) / p.sigma_x + c) * c
     k = 1.0 + c * c
-    sigma1 = p.sigma_x * math.sqrt(1.0 / k + t * (t + math.sqrt(t * t + 4.0 * k)) / (2.0 * k * k))
+    disc = math.sqrt(t * t + 4.0 * k)
+    if t < 0.0:
+        sigma1 = p.sigma_x * 2.0 / (disc - t)
+    else:
+        sigma1 = p.sigma_x * math.sqrt(1.0 / k + t * (t + disc) / (2.0 * k * k))
     post = _keep_conditional(p, q1 - sigma1 * c, sigma1)
     eq = _equality(p, post, q1 == q_x or p.rho == 0.0, alpha)
     return _collapse(relation, q_x, q1, eq, p, alpha)

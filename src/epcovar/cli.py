@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
-from pathlib import Path
+from dataclasses import fields, replace
 
 from .engine import (
+    _FORMATS,
+    _MODES,
     RunConfig,
+    _write,
     emit_report,
     load_config,
     load_views_file,
@@ -52,15 +54,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", help="column of the conditioning asset X")
     p.add_argument("--y", help="column of the measured asset Y")
     p.add_argument("--alpha", type=float, help="confidence level in (0, 1), default 0.95")
-    p.add_argument(
-        "--mode", choices=["analytic", "analytic-from-fit", "scenario"], help="prior mode"
-    )
+    p.add_argument("--mode", choices=_MODES, help="prior mode")
     p.add_argument("--scenarios", type=int, help="panel size J for scenario mode")
     p.add_argument("--seed", type=int, help="scenario sampling seed")
     p.add_argument("--unit", help="loss unit label echoed into reports")
-    p.add_argument("--views", metavar="FILE", help="JSON views file")
+    p.add_argument("--views", dest="views_file", metavar="FILE", help="JSON views file")
     p.add_argument("--out", metavar="FILE", help="output path (default: stdout)")
-    p.add_argument("--format", choices=["table", "csv", "json"], help="report format")
+    p.add_argument("--format", dest="fmt", choices=_FORMATS, help="report format")
     p.add_argument(
         "--scan",
         metavar="KIND:FROM:TO:STEPS",
@@ -73,24 +73,20 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         config = load_config(args.config)
     else:
-        required = {"data": args.data, "x": args.x, "y": args.y}
-        missing = [k for k, v in required.items() if v is None]
+        missing = [k for k in ("data", "x", "y") if getattr(args, k) is None]
         if missing:
             raise ConfigError(
                 f"missing required option(s) --{', --'.join(missing)} (or pass a config file)"
             )
         config = RunConfig(data=args.data, x=args.x, y=args.y)
-    updates = {}
-    for key, attr in (
-        ("data", "data"), ("x", "x"), ("y", "y"), ("alpha", "alpha"),
-        ("mode", "mode"), ("scenarios", "scenarios"), ("seed", "seed"),
-        ("unit", "unit"), ("out", "out"), ("format", "fmt"),
-    ):
-        value = getattr(args, key)
-        if value is not None:
-            updates[attr] = value
-    if args.views:
-        updates["views"] = load_views_file(args.views)
+    # a flag sets the config field that its dest names; --views names a file
+    updates = {
+        f.name: getattr(args, f.name)
+        for f in fields(RunConfig)
+        if getattr(args, f.name, None) is not None
+    }
+    if args.views_file:
+        updates["views"] = load_views_file(args.views_file)
     return replace(config, **updates) if updates else config
 
 
@@ -110,11 +106,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.scan:
         kind, lo, hi, steps = _parse_scan(args.scan)
         rows = sensitivity_scan(config, kind, lo, hi, steps)
-        text = "".join(f"{v:.10g}\t{c:.10g}\n" for v, c in rows)
-        if config.out:
-            Path(config.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+        _write("".join(f"{v:.10g}\t{c:.10g}\n" for v, c in rows), config.out)
         return _EXIT_OK
     report = run_pipeline(config)
     emit_report(report, config.fmt, config.out)

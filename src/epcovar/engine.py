@@ -53,7 +53,6 @@ from .solver import SolveReport, max_violation, pool, relative_entropy, solve
 from .views import ViewSpec, compile_view, describe, no_view, view_from_dict
 
 _MODES = ("analytic", "analytic-from-fit", "scenario")
-_FORMATS = ("table", "csv", "json")
 _MISSING_TOKENS = {"", "nan", "na", "null", "none"}
 
 
@@ -123,22 +122,34 @@ class RiskReport:
     mode: str
 
 
+def _row(label: str, method: str, var: float, covar: float, **diagnostics) -> ReportRow:
+    """The report row of one view or mixture, with ``delta_covar = covar - var``."""
+    return ReportRow(label, method, var, covar, covar - var, **diagnostics)
+
+
+def _pooled_label(config: RunConfig) -> str:
+    return "pooled(" + "; ".join(describe(v) for v in config.views) + ")"
+
+
+def _read_json(path, what: str):
+    """The JSON document at ``path``; ``what`` names it in a ConfigError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def load_config(path) -> RunConfig:
     """Read a JSON run configuration; see README for the schema."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(obj)
+    return config_from_dict(_read_json(path, "config"))
 
 
 def config_from_dict(obj: dict) -> RunConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
-    known = {f for f in RunConfig.__dataclass_fields__}
-    unknown = set(obj) - known
+    unknown = set(obj) - set(RunConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(obj)
@@ -146,9 +157,7 @@ def config_from_dict(obj: dict) -> RunConfig:
         kwargs["views"] = parse_views(kwargs["views"])
     try:
         return RunConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -166,12 +175,7 @@ def parse_views(entries) -> tuple[ViewSpec, ...]:
 
 def load_views_file(path) -> tuple[ViewSpec, ...]:
     """Views file: either a bare list or {"views": [...]}."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read views file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"views file {path} is not valid JSON: {exc}") from exc
+    obj = _read_json(path, "views file")
     if isinstance(obj, dict):
         obj = obj.get("views")
     return parse_views(obj)
@@ -343,6 +347,20 @@ def scenario_prior(config: RunConfig, x: np.ndarray, y: np.ndarray) -> ScenarioP
     return generate_scenarios(mx, my, cop, config.scenarios, config.seed, unit=config.unit)
 
 
+def _prior(
+    config: RunConfig, x: np.ndarray, y: np.ndarray
+) -> BivariateNormalParams | ScenarioPanel:
+    """The prior that ``config.mode`` selects: the scenario panel, the
+    sample-moment normal or the fitted normal. An estimation failure is a
+    data error."""
+    try:
+        if config.mode == "scenario":
+            return scenario_prior(config, x, y)
+        return analytic_prior(x, y) if config.mode == "analytic" else fitted_prior(x, y)
+    except ValueError as exc:
+        raise _tag("estimation", DataError(str(exc)))
+
+
 def _fit_t_prior(x: np.ndarray, y: np.ndarray):
     """Student-t marginals of X and Y and the t copula of their ranks."""
     mx, my = fit_t_marginal(x), fit_t_marginal(y)
@@ -369,16 +387,8 @@ def _scenario_rows(config: RunConfig, panel: ScenarioPanel) -> list[ReportRow]:
         lambda view: ep_covar_on_panel(panel, view, config.alpha), config.views, panel
     )
     rows = [
-        ReportRow(
-            label=describe(view),
-            method="scenario-EP",
-            var=var,
-            covar=covar,
-            delta_covar=covar - var,
-            residual=rep.residual,
-            iterations=rep.iterations,
-            entropy=rep.entropy,
-        )
+        _row(describe(view), "scenario-EP", var, covar,
+             residual=rep.residual, iterations=rep.iterations, entropy=rep.entropy)
         for view, (covar, rep) in zip(config.views, evaluated)
     ]
     c = _pooling_confidences(config)
@@ -468,40 +478,24 @@ def _pooled_scenario_row(config, panel, mixed, var) -> ReportRow:
     violation = max(_for_each_view(
         lambda view: max_violation(compile_view(view, panel), mixed.weights), config.views, panel
     ))
-    return ReportRow(
-        label="pooled(" + "; ".join(describe(v) for v in config.views) + ")",
-        method="pooled",
-        var=var,
-        covar=covar,
-        delta_covar=covar - var,
-        residual=violation,
-        iterations=0,
-        entropy=relative_entropy(mixed, panel.prior),
-    )
+    return _row(_pooled_label(config), "pooled", var, covar,
+                residual=violation, iterations=0, entropy=relative_entropy(mixed, panel.prior))
 
 
 # -- analytic-mode evaluation -----------------------------------------------------
 
 def _analytic_rows(config: RunConfig, prior: BivariateNormalParams) -> list[ReportRow]:
     var = analytics.var_normal(prior, config.alpha)
-    rows = []
     outcomes = []
     for view in config.views:
         try:
-            out = analytics.covar_for_view(prior, view, config.alpha)
+            outcomes.append(analytics.covar_for_view(prior, view, config.alpha))
         except ValueError as exc:
             raise _tag("analytics", ConfigError(str(exc)))
-        outcomes.append(out)
-        rows.append(
-            ReportRow(
-                label=describe(view),
-                method="analytic",
-                var=var,
-                covar=out.covar,
-                delta_covar=out.covar - var,
-                collapsed_to_var=out.collapsed_to_var,
-            )
-        )
+    rows = [
+        _row(describe(v), "analytic", var, o.covar, collapsed_to_var=o.collapsed_to_var)
+        for v, o in zip(config.views, outcomes)
+    ]
     c = _pooling_confidences(config)
     if c is not None:
         cdfs = [analytics.posterior_y_cdf(prior, v, o) for v, o in zip(config.views, outcomes)]
@@ -514,15 +508,7 @@ def _analytic_rows(config: RunConfig, prior: BivariateNormalParams) -> list[Repo
         lo = min(o.covar for o in outcomes) - pad
         hi = max(o.covar for o in outcomes) + pad
         covar = _bracketed_root(mixture, lo, hi)
-        rows.append(
-            ReportRow(
-                label="pooled(" + "; ".join(describe(v) for v in config.views) + ")",
-                method="pooled",
-                var=var,
-                covar=covar,
-                delta_covar=covar - var,
-            )
-        )
+        rows.append(_row(_pooled_label(config), "pooled", var, covar))
     return rows
 
 
@@ -530,21 +516,13 @@ def _analytic_rows(config: RunConfig, prior: BivariateNormalParams) -> list[Repo
 
 def run_pipeline(config: RunConfig) -> RiskReport:
     """End-to-end run: ingest, estimate prior, evaluate views, assemble report."""
-    x, y = _load_series(config)
+    prior = _prior(config, *_load_series(config))
     if config.mode == "scenario":
         try:
-            panel = scenario_prior(config, x, y)
-        except ValueError as exc:
-            raise _tag("estimation", DataError(str(exc)))
-        try:
-            rows = _scenario_rows(config, panel)
+            rows = _scenario_rows(config, prior)
         except EpcovarError as exc:
             raise _tag("solver", exc)
     else:
-        try:
-            prior = analytic_prior(x, y) if config.mode == "analytic" else fitted_prior(x, y)
-        except ValueError as exc:
-            raise _tag("estimation", DataError(str(exc)))
         rows = _analytic_rows(config, prior)
     return RiskReport(
         rows=tuple(rows),
@@ -579,12 +557,7 @@ def _render_table(report: RiskReport) -> str:
     cols = f"{'view':<44}{'method':<13}{'var':>12}{'covar':>12}{'delta':>12}  notes\n"
     lines = [head, cols]
     for row in report.rows:
-        if row.collapsed_to_var:
-            note = "collapsed-to-var"
-        elif row.residual is not None:
-            note = _diag_text(row)
-        else:
-            note = ""
+        note = "collapsed-to-var" if row.collapsed_to_var else _diag_text(row)
         lines.append(
             f"{row.label:<44}{row.method:<13}{_fmt(row.var):>12}"
             f"{_fmt(row.covar):>12}{_fmt(row.delta_covar):>12}  {note}\n"
@@ -645,25 +618,29 @@ def _render_json(report: RiskReport) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+_RENDERERS = {"table": _render_table, "csv": _render_csv, "json": _render_json}
+_FORMATS = tuple(_RENDERERS)
+
+
 def render_report(report: RiskReport, fmt: str = "table") -> str:
-    if fmt == "table":
-        return _render_table(report)
-    if fmt == "csv":
-        return _render_csv(report)
-    if fmt == "json":
-        return _render_json(report)
-    raise ConfigError(f"format must be one of {_FORMATS}, got {fmt!r}")
+    if fmt not in _RENDERERS:
+        raise ConfigError(f"format must be one of {_FORMATS}, got {fmt!r}")
+    return _RENDERERS[fmt](report)
 
 
-def emit_report(report: RiskReport, fmt: str = "table", sink=None) -> None:
-    """Write the rendered report to ``sink`` (path, file-like, or stdout)."""
-    text = render_report(report, fmt)
-    if sink is None:
+def _write(text: str, sink=None) -> None:
+    """Write ``text`` to ``sink`` (a path or file-like), or stdout for None or ""."""
+    if not sink:
         sys.stdout.write(text)
     elif hasattr(sink, "write"):
         sink.write(text)
     else:
         Path(sink).write_text(text, encoding="utf-8")
+
+
+def emit_report(report: RiskReport, fmt: str = "table", sink=None) -> None:
+    """Write the rendered report to ``sink`` (path, file-like, or stdout)."""
+    _write(render_report(report, fmt), sink)
 
 
 def backtest_stats(estimates, actuals) -> tuple[float, float]:
@@ -711,8 +688,7 @@ def sensitivity_scan(
             raise ConfigError(
                 "sensitivity scans use the closed-form engine; scenario mode has no scan"
             )
-        x, y = _load_series(config)
-        prior = analytic_prior(x, y) if config.mode != "analytic-from-fit" else fitted_prior(x, y)
+        prior = _prior(config, *_load_series(config))
         alpha = config.alpha if alpha is None else alpha
     else:
         prior = prior_or_config

@@ -181,28 +181,29 @@ def build_panel(x, y, prior=None, unit: str = "fraction") -> ScenarioPanel:
     return ScenarioPanel(x=x, y=y, prior=p, unit=unit, _fresh=True)
 
 
-def _sorted_cumulative(values, probs):
-    v = np.asarray(values, dtype=float)
+def _cumulative(values, probs, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Checked quantile inputs: the distinct values and the mass up to and incl. each."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    s = values if isinstance(values, SortedLosses) else SortedLosses(values)
     p = as_weights(probs)
-    if v.size != p.size:
-        raise ValueError(f"length mismatch: values has {v.size}, probs has {p.size}")
-    order = np.argsort(v, kind="stable")
-    return v[order], np.cumsum(p[order])
+    if s.values.size != p.size:
+        raise ValueError(f"length mismatch: values has {s.values.size}, probs has {p.size}")
+    order, last, uniq = s.groups
+    cum = p[order]
+    return uniq, np.cumsum(cum, out=cum)[last]
 
 
 def weighted_quantile(values, probs, alpha: float) -> float:
     """Left-continuous alpha-quantile of a weighted atomic distribution.
 
     Returns the smallest value whose cumulative probability (in value order)
-    reaches ``alpha``.
+    reaches ``alpha``. ``values`` may be a :class:`SortedLosses`, such as
+    ``panel.sorted_y``.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    v, cum = _sorted_cumulative(values, probs)
-    idx = int(np.searchsorted(cum, alpha, side="left"))
-    if idx >= v.size:  # alpha above total mass by float noise
-        idx = v.size - 1
-    return float(v[idx])
+    uniq, cum_at = _cumulative(values, probs, alpha)
+    idx = int(np.searchsorted(cum_at, alpha, side="left"))
+    return float(uniq[min(idx, uniq.size - 1)])  # alpha may pass the total mass by float noise
 
 
 def interpolated_quantile(values, probs, alpha: float) -> float:
@@ -217,16 +218,7 @@ def interpolated_quantile(values, probs, alpha: float) -> float:
     ``values`` may be a :class:`SortedLosses`, such as ``panel.sorted_y``;
     its sort is then done on the first call only.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    s = values if isinstance(values, SortedLosses) else SortedLosses(values)
-    p = as_weights(probs)
-    if s.values.size != p.size:
-        raise ValueError(f"length mismatch: values has {s.values.size}, probs has {p.size}")
-    order, last, uniq = s.groups
-    cum = p[order]
-    cum_at = np.cumsum(cum, out=cum)[last]  # mass up to and incl. each value
-    del cum
+    uniq, cum_at = _cumulative(values, probs, alpha)
     mid = np.diff(np.concatenate(([0.0], cum_at)))  # the mass of each value
     np.divide(mid, 2.0, out=mid)
     np.subtract(cum_at, mid, out=mid)

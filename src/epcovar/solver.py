@@ -215,13 +215,11 @@ def solve(panel: ScenarioPanel, constraints: LinearConstraintSet) -> SolveReport
 
     value, _, _, lp = point
     q = np.exp(lp)  # underflow to 0.0 here only affects the residual check
-    achieved = np.einsum("kj,j->k", constraints.matrix, q)
-    viol = np.maximum(constraints.lower - achieved, achieved - constraints.upper)
-    residual = float(max(viol.max(), 0.0))
+    residual = max_violation(constraints, q)
     if residual > TOL:
         # attainable per the certificate, but not reached: the budget ran out
         # or the line search stalled
-        worst = constraints.labels[int(np.argmax(viol))]
+        worst = constraints.labels[int(np.argmax(_gaps(constraints, q)))]
         raise InfeasibleError(
             f"constraints unattained: residual {residual:.3e} on row '{worst}' "
             f"exceeds tolerance {TOL:.1e}",
@@ -242,11 +240,15 @@ def solve(panel: ScenarioPanel, constraints: LinearConstraintSet) -> SolveReport
     )
 
 
+def _gaps(constraints: LinearConstraintSet, q: np.ndarray) -> np.ndarray:
+    """Each row's violation by the weights ``q``, negative where it holds strictly."""
+    achieved = np.einsum("kj,j->k", constraints.matrix, q)
+    return np.maximum(constraints.lower - achieved, achieved - constraints.upper)
+
+
 def max_violation(constraints: LinearConstraintSet, q: np.ndarray) -> float:
     """Max constraint violation of the weights ``q``, zero when all rows hold."""
-    achieved = np.einsum("kj,j->k", constraints.matrix, q)
-    gap = np.maximum(constraints.lower - achieved, achieved - constraints.upper)
-    return float(max(gap.max(), 0.0))
+    return float(max(_gaps(constraints, q).max(), 0.0))
 
 
 def _check_floor(lp: np.ndarray) -> None:

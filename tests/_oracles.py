@@ -4,7 +4,7 @@ Nothing here touches the solver's dual path or the package's closed-form
 CoVaR functions: scalar bisection, dense feasible-set scans, primal SLSQP,
 plain-loop enumeration, the paper's spillover expressions written out per
 view kind, a derivative-free minimizer of the bivariate-normal relative
-entropy over the five posterior parameters, the bivariate normal CDF by
+entropy (vectorized here) over the five posterior parameters, the bivariate normal CDF by
 adaptive quadrature of the conditional normal CDF, a cell-by-cell CSV
 reader, and the Student-t marginal and t-copula fits with their degrees of
 freedom searched one dof at a time.
@@ -26,7 +26,7 @@ from scipy.optimize import minimize as scipy_minimize
 from scipy.special import gammaln, ndtri, stdtrit
 from scipy.stats import kendalltau
 
-from epcovar.analytics import BivariateNormalParams, _kl_arrays
+from epcovar.analytics import BivariateNormalParams
 from epcovar.engine import IngestResult, ReportRow, _pooling_confidences, ep_covar_on_panel
 from epcovar.estimation import TCopulaParams, TMarginal
 from epcovar.errors import DataError, NumericDomainError
@@ -302,6 +302,35 @@ def paper_spillover(p, view, alpha=0.95):
 
     covar = brentq(excess, p.mu_y - 12.0 * sy, p.mu_y + 12.0 * sy, xtol=1e-15)
     return covar - (p.mu_y + sy * c)
+
+
+def _kl_arrays(mu_x, mu_y, sigma_x, sigma_y, rho, prior) -> np.ndarray:
+    """Relative entropy of bivariate normals against ``prior``, vectorized over
+    the posterior parameters; invalid posteriors map to +inf."""
+    dmx = mu_x - prior.mu_x
+    dmy = mu_y - prior.mu_y
+    sx, sy, r = prior.sigma_x, prior.sigma_y, prior.rho
+    one_minus_r2 = 1.0 - r * r
+    quad_mean = (
+        dmx * dmx / (sx * sx)
+        - 2.0 * r * dmx * dmy / (sx * sy)
+        + dmy * dmy / (sy * sy)
+    )
+    quad_scale = (
+        sigma_x * sigma_x / (sx * sx)
+        - 2.0 * r * rho * sigma_x * sigma_y / (sx * sy)
+        + sigma_y * sigma_y / (sy * sy)
+    )
+    post_det = 1.0 - rho * rho
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kl = (
+            (quad_mean + quad_scale) / (2.0 * one_minus_r2)
+            - 0.5 * np.log(post_det / one_minus_r2)
+            - np.log(sigma_x * sigma_y / (sx * sy))
+            - 1.0
+        )
+    bad = (sigma_x <= 0.0) | (sigma_y <= 0.0) | (post_det <= 0.0)
+    return np.where(bad, np.inf, kl)
 
 
 def numeric_posterior_params(

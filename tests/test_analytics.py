@@ -293,6 +293,25 @@ class TestQuantileView:
                 worst = max(worst, abs(Decimal(got) - want) / sy)
         assert worst <= Decimal("4e-15"), worst
 
+    def test_spread_far_below_the_prior_quantile_matches_50_digits(self):
+        # below mu_X the paper's t + sqrt(t^2 + 4k) cancels; the posterior
+        # sigma_X against its 50-digit evaluation from the same float inputs
+        p = BivariateNormalParams(0.0, 0.0, 1.0, 1.0, 0.5)
+        worst = Decimal(0)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for alpha in (0.9, 0.95, 0.99):
+                c = Decimal(float(ndtri(alpha)))
+                for below in (2.0, 10.0, 30.0, 100.0, 1e4):
+                    q1 = var_normal_x(p, alpha) - p.sigma_x * below
+                    mx, sx, q = map(Decimal, (p.mu_x, p.sigma_x, q1))
+                    t = ((q - (mx + sx * c)) / sx + c) * c
+                    k = 1 + c * c
+                    want = sx * (1 / k + t * (t + (t * t + 4 * k).sqrt()) / (2 * k * k)).sqrt()
+                    got = covar_quantile_view(p, q1, "eq", alpha).posterior.sigma_x
+                    worst = max(worst, abs(Decimal(got) - want) / want)
+        assert worst <= Decimal("4e-15"), worst
+
     def test_frozen_value_and_oracle(self):
         out = covar_quantile_view(P_QUANT, 0.45, "eq", 0.95)
         assert abs(out.covar - 0.10759472844572057) < 1e-12

@@ -642,6 +642,102 @@ class TestEmit:
         assert "unit=percent" in text
         assert "iterations=12" in text
 
+    def test_golden_bytes_of_every_row_kind(self):
+        # analytic, collapsed analytic, scenario-EP, pooled analytic (no
+        # diagnostics) and pooled scenario (iterations 0) rows, in all formats
+        var = 0.0307823456
+        pooled = "pooled(mu~_X = 0.1; X >= 0.5)"
+        report = self._report([
+            ReportRow("mu~_X = 0.1", "analytic", var, 0.0451234567, 0.0451234567 - var, False),
+            ReportRow("mu~_X <= 0.2", "analytic", var, var, 0.0, True),
+            ReportRow("P(X in bins) = [0.4, 0.6]", "scenario-EP", var, 0.0398765432,
+                      0.0398765432 - var, residual=1.5e-12, iterations=7, entropy=0.0123456789),
+            ReportRow(pooled, "pooled", var, 0.042, 0.042 - var),
+            ReportRow(pooled, "pooled", var, 0.0412, 0.0412 - var,
+                      residual=0.00345678, iterations=0, entropy=0.2345678),
+        ])
+        table = (
+            "# general CoVaR report  alpha=0.95  x=SVB  y=NBI  unit=percent  mode=analytic\n"
+            "view                                        method                var"
+            "       covar       delta  notes\n"
+            "mu~_X = 0.1                                 analytic        0.0307823"
+            "   0.0451235   0.0143411  \n"
+            "mu~_X <= 0.2                                analytic        0.0307823"
+            "   0.0307823           0  collapsed-to-var\n"
+            "P(X in bins) = [0.4, 0.6]                   scenario-EP     0.0307823"
+            "   0.0398765   0.0090942  residual=1.5e-12;iterations=7;entropy=0.0123457\n"
+            "pooled(mu~_X = 0.1; X >= 0.5)               pooled          0.0307823"
+            "       0.042   0.0112177  \n"
+            "pooled(mu~_X = 0.1; X >= 0.5)               pooled          0.0307823"
+            "      0.0412   0.0104177  residual=0.00346;iterations=0;entropy=0.234568\n"
+        )
+        csv_text = (
+            "view,method,var,covar,delta_covar,collapsed_to_var,diagnostics\n"
+            "mu~_X = 0.1,analytic,0.0307823,0.0451235,0.0143411,false,\n"
+            "mu~_X <= 0.2,analytic,0.0307823,0.0307823,0,true,\n"
+            '"P(X in bins) = [0.4, 0.6]",scenario-EP,0.0307823,0.0398765,0.0090942,,'
+            "residual=1.5e-12;iterations=7;entropy=0.0123457\n"
+            "pooled(mu~_X = 0.1; X >= 0.5),pooled,0.0307823,0.042,0.0112177,,\n"
+            "pooled(mu~_X = 0.1; X >= 0.5),pooled,0.0307823,0.0412,0.0104177,,"
+            "residual=0.00346;iterations=0;entropy=0.234568\n"
+        )
+        json_text = """{
+  "alpha": 0.95,
+  "x": "SVB",
+  "y": "NBI",
+  "unit": "percent",
+  "mode": "analytic",
+  "rows": [
+    {
+      "view": "mu~_X = 0.1",
+      "method": "analytic",
+      "var": 0.0307823,
+      "covar": 0.0451235,
+      "delta_covar": 0.0143411,
+      "collapsed_to_var": false
+    },
+    {
+      "view": "mu~_X <= 0.2",
+      "method": "analytic",
+      "var": 0.0307823,
+      "covar": 0.0307823,
+      "delta_covar": 0.0,
+      "collapsed_to_var": true
+    },
+    {
+      "view": "P(X in bins) = [0.4, 0.6]",
+      "method": "scenario-EP",
+      "var": 0.0307823,
+      "covar": 0.0398765,
+      "delta_covar": 0.0090942,
+      "residual": 1.5e-12,
+      "iterations": 7,
+      "entropy": 0.0123457
+    },
+    {
+      "view": "pooled(mu~_X = 0.1; X >= 0.5)",
+      "method": "pooled",
+      "var": 0.0307823,
+      "covar": 0.042,
+      "delta_covar": 0.0112177
+    },
+    {
+      "view": "pooled(mu~_X = 0.1; X >= 0.5)",
+      "method": "pooled",
+      "var": 0.0307823,
+      "covar": 0.0412,
+      "delta_covar": 0.0104177,
+      "residual": 0.00345678,
+      "iterations": 0,
+      "entropy": 0.234568
+    }
+  ]
+}
+"""
+        assert render_report(report, "table") == table
+        assert render_report(report, "csv") == csv_text
+        assert render_report(report, "json") == json_text
+
 
 class TestSensitivityScan:
     PRIOR = BivariateNormalParams(0.10, 0.02, 0.10, 0.08, 0.5)
@@ -837,6 +933,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "scenario mode" in captured.err
+
+    def test_scan_estimation_failure_is_a_data_error(self, tmp_path, capsys):
+        # a constant X column fails the t fit, as it fails a report
+        path = tmp_path / "flat.csv"
+        y = np.random.default_rng(23).standard_normal(40)
+        path.write_text("X,Y\n" + "".join(f"0.01,{v!r}\n" for v in y.tolist()))
+        rc = self._run(
+            ["--data", str(path), "--x", "X", "--y", "Y", "--mode", "analytic-from-fit",
+             "--scan", "expectation:0:1:5"]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("data error: estimation:")
 
     def test_analytic_from_fit_mode(self, losses_csv, capsys):
         rc = self._run(
