@@ -80,6 +80,8 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.x == self.y:
+            raise ConfigError(f"x and y name the same column {self.x!r}; choose two assets")
         if self.mode == "analytic-normal":  # accepted spelling
             object.__setattr__(self, "mode", "analytic")
         if self.mode not in _MODES:
@@ -540,12 +542,21 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _diag_text(row: ReportRow) -> str:
-    if row.residual is None:
-        return ""
-    return (
-        f"residual={row.residual:.3g};iterations={row.iterations};"
-        f"entropy={_fmt(row.entropy)}"
+# (name, text format) of each solver diagnostic, in output order
+_DIAGNOSTICS = (("residual", "{:.3g}"), ("iterations", "{}"), ("entropy", "{:.6g}"))
+
+
+def _fields(row: ReportRow) -> dict:
+    """The row's fields in output order, with absent ones left out."""
+    return {
+        ("view" if name == "label" else name): value
+        for name, value in vars(row).items() if value is not None
+    }
+
+
+def _diag_text(fields: dict) -> str:
+    return ";".join(
+        f"{name}={text.format(fields[name])}" for name, text in _DIAGNOSTICS if name in fields
     )
 
 
@@ -557,7 +568,7 @@ def _render_table(report: RiskReport) -> str:
     cols = f"{'view':<44}{'method':<13}{'var':>12}{'covar':>12}{'delta':>12}  notes\n"
     lines = [head, cols]
     for row in report.rows:
-        note = "collapsed-to-var" if row.collapsed_to_var else _diag_text(row)
+        note = "collapsed-to-var" if row.collapsed_to_var else _diag_text(_fields(row))
         lines.append(
             f"{row.label:<44}{row.method:<13}{_fmt(row.var):>12}"
             f"{_fmt(row.covar):>12}{_fmt(row.delta_covar):>12}  {note}\n"
@@ -565,25 +576,20 @@ def _render_table(report: RiskReport) -> str:
     return "".join(lines)
 
 
+_CSV_COLUMNS = ("view", "method", "var", "covar", "delta_covar", "collapsed_to_var")
+
+
 def _render_csv(report: RiskReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["view", "method", "var", "covar", "delta_covar", "collapsed_to_var", "diagnostics"]
-    )
+    writer.writerow(_CSV_COLUMNS + ("diagnostics",))
     for row in report.rows:
-        collapsed = "" if row.collapsed_to_var is None else str(row.collapsed_to_var).lower()
-        writer.writerow(
-            [
-                row.label,
-                row.method,
-                _fmt(row.var),
-                _fmt(row.covar),
-                _fmt(row.delta_covar),
-                collapsed,
-                _diag_text(row),
-            ]
-        )
+        fields = _fields(row)
+        cells = [fields.get(name, "") for name in _CSV_COLUMNS] + [_diag_text(fields)]
+        writer.writerow([
+            str(v).lower() if isinstance(v, bool) else _fmt(v) if isinstance(v, float) else v
+            for v in cells
+        ])
     return buf.getvalue()
 
 
@@ -591,29 +597,16 @@ def _render_json(report: RiskReport) -> str:
     def num(v):
         return float(f"{v:.6g}")
 
-    rows = []
-    for row in report.rows:
-        entry = {
-            "view": row.label,
-            "method": row.method,
-            "var": num(row.var),
-            "covar": num(row.covar),
-            "delta_covar": num(row.delta_covar),
-        }
-        if row.collapsed_to_var is not None:
-            entry["collapsed_to_var"] = row.collapsed_to_var
-        if row.residual is not None:
-            entry["residual"] = num(row.residual)
-            entry["iterations"] = row.iterations
-            entry["entropy"] = num(row.entropy)
-        rows.append(entry)
     doc = {
         "alpha": num(report.alpha),
         "x": report.x_name,
         "y": report.y_name,
         "unit": report.unit,
         "mode": report.mode,
-        "rows": rows,
+        "rows": [
+            {k: num(v) if isinstance(v, float) else v for k, v in _fields(row).items()}
+            for row in report.rows
+        ],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -635,7 +628,10 @@ def _write(text: str, sink=None) -> None:
     elif hasattr(sink, "write"):
         sink.write(text)
     else:
-        Path(sink).write_text(text, encoding="utf-8")
+        try:
+            Path(sink).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {sink}: {exc}") from exc
 
 
 def emit_report(report: RiskReport, fmt: str = "table", sink=None) -> None:

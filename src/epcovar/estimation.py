@@ -8,10 +8,9 @@ copula draws through the marginal quantile functions into a
 :class:`~epcovar.scenario.ScenarioPanel` with uniform weights. It maps X and Y
 on two threads, and its panel is bitwise equal to serial sampling.
 
-Also hosts the exact two-variable quantile-regression baseline: the pinball
-objective is piecewise linear, so for data in general position an optimal line
-passes through at least two observations and enumerating observation pairs
-finds the global optimum exactly.
+Also hosts the traditional-CoVaR baseline, the quantile regression of Y on X,
+solved as a linear program whose basic solution is a line through two
+observations; the O(n^3) enumeration of every pair's line is the test oracle.
 
 Degrees of freedom are searched on [2.1, 100]; a fit at the cap is flagged
 "effectively normal". The dof floor keeps variances finite, which the
@@ -424,13 +423,18 @@ def pinball_loss(residuals, alpha: float) -> float:
 def quantile_regression_covar(
     x, y, alpha: float, q_x: float
 ) -> tuple[QRFit, float]:
-    """Exact two-variable quantile regression and the implied conditional VaR.
+    """Two-variable quantile regression and the implied conditional VaR.
 
-    Enumerates the finite candidate set of lines through observation pairs
-    (the pinball optimum interpolates at least two points in general
-    position), evaluates the check loss for each, and keeps the minimizer.
-    Returns the fit and ``intercept + slope * q_x``.
+    Solves the linear program of Koenker & Bassett (1978), minimise
+    ``alpha sum(u) + (1 - alpha) sum(v)`` subject to ``b0 + b1 x + u - v = y``
+    and ``u, v >= 0``, by the dual simplex. The line is then refitted exactly
+    through the observation with the smallest absolute residual and the next
+    one in that order whose x differs, so it is one of the pair lines that
+    the enumeration oracle scores. Returns the fit and ``intercept + slope * q_x``.
     """
+    from scipy.optimize import linprog
+    from scipy.sparse import eye, hstack
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size:
@@ -439,28 +443,24 @@ def quantile_regression_covar(
         raise ValueError(f"need at least 10 observations, got {x.size}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all() and math.isfinite(q_x)):
+        raise ValueError("x, y and q_x must be finite")
     if np.all(x == x[0]):
         raise ValueError("slope unidentifiable: all x values identical")
 
-    ii, jj = np.triu_indices(x.size, k=1)
-    dx = x[jj] - x[ii]
-    keep = dx != 0.0
-    ii, jj, dx = ii[keep], jj[keep], dx[keep]
-    slopes = (y[jj] - y[ii]) / dx
-    intercepts = y[ii] - slopes * x[ii]
-
-    best_loss = math.inf
-    best = (0.0, 0.0)
-    chunk = 4096
-    for start in range(0, slopes.size, chunk):
-        s = slopes[start:start + chunk, None]
-        b = intercepts[start:start + chunk, None]
-        resid = y[None, :] - b - s * x[None, :]
-        losses = np.where(resid >= 0.0, alpha * resid, (alpha - 1.0) * resid).mean(axis=1)
-        k = int(np.argmin(losses))
-        if losses[k] < best_loss:
-            best_loss = float(losses[k])
-            best = (float(intercepts[start + k]), float(slopes[start + k]))
-
-    fit = QRFit(intercept=best[0], slope=best[1], alpha=alpha)
+    n = x.size
+    res = linprog(
+        np.concatenate([[0.0, 0.0], np.full(n, alpha), np.full(n, 1.0 - alpha)]),
+        A_eq=hstack([np.ones((n, 1)), x[:, None], eye(n), -eye(n)]),
+        b_eq=y,
+        bounds=[(None, None)] * 2 + [(0.0, None)] * (2 * n),
+        method="highs-ds",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    if res.status != 0:  # pragma: no cover - the program is always feasible and bounded
+        raise RuntimeError(f"quantile-regression program failed: {res.message}")
+    order = np.argsort(np.abs(y - res.x[0] - res.x[1] * x), kind="stable")
+    i, j = sorted((order[0], next(k for k in order if x[k] != x[order[0]])))
+    slope = float((y[j] - y[i]) / (x[j] - x[i]))
+    fit = QRFit(intercept=float(y[i] - slope * x[i]), slope=slope, alpha=alpha)
     return fit, fit.intercept + fit.slope * q_x

@@ -946,6 +946,24 @@ class TestCli:
         assert rc == 3
         assert capsys.readouterr().err.startswith("data error: estimation:")
 
+    @pytest.mark.parametrize("extra", [[], ["--scan", "expectation:0:1:3"]], ids=["report", "scan"])
+    def test_unwritable_out_is_a_config_error(self, losses_csv, tmp_path, capsys, extra):
+        out = tmp_path / "missing" / "r.txt"
+        rc = self._run(
+            ["--data", losses_csv, "--x", "SVB", "--y", "NBI", "--out", str(out), *extra]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot write {out}:")
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("mode", ["analytic", "analytic-from-fit", "scenario"])
+    def test_same_column_for_x_and_y_is_a_config_error(self, losses_csv, capsys, mode):
+        rc = self._run(["--data", losses_csv, "--x", "SVB", "--y", "SVB", "--mode", mode])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: x and y name the same column 'SVB'" in captured.err
+
     def test_analytic_from_fit_mode(self, losses_csv, capsys):
         rc = self._run(
             ["--data", losses_csv, "--x", "SVB", "--y", "NBI", "--mode", "analytic-from-fit"]

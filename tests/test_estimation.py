@@ -317,6 +317,21 @@ class TestQuantileRegression:
             oracle, _ = pair_candidate_minimum(x, y, alpha)
             assert abs(got - oracle) <= 1e-12, trial
 
+    @pytest.mark.parametrize(
+        "seed,alpha,tied_x", [(13, 0.05, False), (14, 0.5, False), (15, 0.95, False),
+                              (16, 0.75, True)]
+    )
+    def test_matches_pair_enumeration_oracle_at_n_200(self, seed, alpha, tied_x):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=200)
+        if tied_x:
+            x = np.round(x, 1)
+        y = 0.5 * x + rng.standard_t(4, 200)
+        fit, _ = quantile_regression_covar(x, y, alpha, 0.0)
+        got = pinball_loss(y - fit.intercept - fit.slope * x, alpha)
+        oracle, _ = pair_candidate_minimum(x, y, alpha)
+        assert abs(got - oracle) <= 1e-12
+
     def test_never_beaten_by_random_lines(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=50)
@@ -354,6 +369,21 @@ class TestQuantileRegression:
             quantile_regression_covar(np.arange(5.0), np.arange(5.0), 0.5, 1.0)
         with pytest.raises(ValueError, match="alpha"):
             quantile_regression_covar(np.arange(10.0), np.arange(10.0), 1.5, 1.0)
+
+    @pytest.mark.parametrize("where", ["y", "x", "q_x"])
+    def test_non_finite_input_rejected(self, where):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=30)
+        y = 0.5 * x + rng.normal(size=30)
+        q_x = 1.0
+        if where == "y":
+            y[4] = np.nan
+        elif where == "x":
+            x[7] = np.inf
+        else:
+            q_x = -np.inf
+        with pytest.raises(ValueError, match="finite"):
+            quantile_regression_covar(x, y, 0.5, q_x)
 
     def test_fit_carries_level(self):
         fit = QRFit(0.0, 1.0, 0.9)
