@@ -53,7 +53,6 @@ from .engine import (
     ReportRow,
     RiskReport,
     RunConfig,
-    backtest_stats,
     emit_report,
     ep_covar_on_panel,
     ingest_csv,

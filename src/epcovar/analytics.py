@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from scipy.optimize import brentq
 from scipy.special import ndtri
 
 from .errors import NumericDomainError
@@ -284,6 +283,8 @@ def covar_correlation_view(
 
 def _bracketed_root(f, lo: float, hi: float) -> float:
     """Root of a continuous monotone function on [lo, hi], by Brent's method."""
+    from scipy.optimize import brentq
+
     try:
         return brentq(f, lo, hi, xtol=1e-14 * (hi - lo))
     except ValueError as exc:  # f(lo) and f(hi) share a sign

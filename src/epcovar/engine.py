@@ -16,27 +16,24 @@ queried with ``weighted_quantile`` directly.
 Every report row satisfies ``delta_covar = covar - var`` exactly, in every
 mode. Identical configuration, data and seed produce byte-identical reports.
 Views are independent solves over a shared immutable panel, so scenario mode
-evaluates them (compile, solve, posterior quantile) on the calling thread and
-one worker thread, as it does the pooled row's per-view violation checks;
-NumPy releases the interpreter lock in the J-length kernels. Panels under
-50,000 scenarios, whose kernels are too short for two threads to gain, are
-evaluated in turn. Results are bitwise equal either way, rows always follow
-configuration order, and a failing configuration raises the error of its
-first failing view, as a serial loop would. A pooled row reports the
-mixture's worst view-constraint violation as its residual diagnostic, since a
-confidence-weighted mixture does not satisfy the individual views.
+evaluates them (compile, solve, posterior quantile), and the pooled row's
+per-view violation checks, through ``scenario._on_two_threads``: on the
+calling thread and one worker thread from 50,000 scenarios, in turn below
+that. NumPy releases the interpreter lock in the J-length kernels. Results
+are bitwise equal either way, rows always follow configuration order, and a
+failing configuration raises the error of its first failing view, as a
+serial loop would. A pooled row reports the mixture's worst view-constraint
+violation as its residual diagnostic, since a confidence-weighted mixture
+does not satisfy the individual views.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,7 +45,7 @@ from .errors import ConfigError, DataError, EpcovarError
 from .estimation import fit_t_copula, fit_t_marginal, generate_scenarios, pseudo_observations
 # bvn_cdf is unused here, but bench/tracing.py rebinds engine.bvn_cdf by name
 from .normal import bvn_cdf  # noqa: F401
-from .scenario import ScenarioPanel, interpolated_quantile
+from .scenario import ScenarioPanel, _on_two_threads, interpolated_quantile
 from .solver import SolveReport, max_violation, pool, relative_entropy, solve
 from .views import ViewSpec, compile_view, describe, no_view, view_from_dict
 
@@ -385,8 +382,8 @@ def ep_covar_on_panel(
 def _scenario_rows(config: RunConfig, panel: ScenarioPanel) -> list[ReportRow]:
     var = interpolated_quantile(panel.sorted_y, panel.prior, config.alpha)
     panel.log_prior  # cached before the threads share the panel, as sorted_y is above
-    evaluated = _for_each_view(
-        lambda view: ep_covar_on_panel(panel, view, config.alpha), config.views, panel
+    evaluated = _on_two_threads(
+        lambda view: ep_covar_on_panel(panel, view, config.alpha), config.views, panel.size
     )
     rows = [
         _row(describe(view), "scenario-EP", var, covar,
@@ -401,68 +398,13 @@ def _scenario_rows(config: RunConfig, panel: ScenarioPanel) -> list[ReportRow]:
     return rows
 
 
-# Below this panel size the views' J-length kernels hold the interpreter lock
-# for too large a share of their time, and two threads evaluate a report's
-# views more slowly than one: 1.13-1.29 times the serial time at J = 10,000
-# and 20,000, 0.83-0.94 at 50,000, 0.58-0.65 at 200,000 (2 cores).
-_THREADED_MIN_SCENARIOS = 50_000
-
-
-def _for_each_view(fn, views, panel: ScenarioPanel) -> list:
-    """``[fn(view) for view in views]``, on two threads for a panel of at least
-    ``_THREADED_MIN_SCENARIOS`` scenarios."""
-    if panel.size < _THREADED_MIN_SCENARIOS:
-        return [fn(view) for view in views]
-    return _on_two_threads(fn, views)
-
-
-def _on_two_threads(fn, items) -> list:
-    """``[fn(item) for item in items]``, evaluated on the calling thread and one
-    worker thread, with the results in the order of ``items``.
-
-    Each thread takes the next item in order until none is left, and runs
-    every item it takes. When an item raises, the threads stop taking items,
-    and the exception of the first failing item in order is raised: every
-    earlier item has been taken and run, so it is the exception the serial
-    loop would raise. The worker thread has ended when this returns or
-    raises.
-    """
-    items = tuple(items)
-    if len(items) < 2:
-        return [fn(item) for item in items]
-    results = [None] * len(items)
-    failures: dict[int, Exception] = {}
-    stop = threading.Event()
-    claims = itertools.count()  # next() on it is atomic, so each index is taken once
-
-    def work() -> None:
-        while not stop.is_set():  # tested before a claim: a claimed item is always run
-            i = next(claims)
-            if i >= len(items):
-                return
-            try:
-                results[i] = fn(items[i])
-            except Exception as exc:  # re-raised below, on the calling thread
-                failures[i] = exc
-                stop.set()
-                return
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        worker = pool.submit(work)
-        try:
-            work()
-        finally:
-            stop.set()  # an interrupted calling thread stops the worker too
-        worker.result()
-    if failures:
-        raise failures[min(failures)]
-    return results
-
-
 def _pooling_confidences(config: RunConfig) -> np.ndarray | None:
     c = np.array([v.confidence for v in config.views], dtype=float)
-    if len(config.views) < 2 or np.all(c == 1.0):
+    if np.all(c == 1.0):
         return None
+    if c.size < 2:
+        raise ConfigError(f"a single view held with confidence {config.views[0].confidence!r} "
+                          "has nothing to pool with; use confidence 1")
     if np.any(c == 1.0):
         raise ConfigError(
             "mixing full-confidence and partial-confidence views is ambiguous; "
@@ -477,8 +419,9 @@ def _pooled_scenario_row(config, panel, mixed, var) -> ReportRow:
     covar = interpolated_quantile(panel.sorted_y, mixed, config.alpha)
     # the mixture need not satisfy any single view; its worst constraint
     # violation across the pooled views is reported as a diagnostic
-    violation = max(_for_each_view(
-        lambda view: max_violation(compile_view(view, panel), mixed.weights), config.views, panel
+    violation = max(_on_two_threads(
+        lambda view: max_violation(compile_view(view, panel), mixed.weights),
+        config.views, panel.size,
     ))
     return _row(_pooled_label(config), "pooled", var, covar,
                 residual=violation, iterations=0, entropy=relative_entropy(mixed, panel.prior))
@@ -637,24 +580,6 @@ def _write(text: str, sink=None) -> None:
 def emit_report(report: RiskReport, fmt: str = "table", sink=None) -> None:
     """Write the rendered report to ``sink`` (path, file-like, or stdout)."""
     _write(render_report(report, fmt), sink)
-
-
-def backtest_stats(estimates, actuals) -> tuple[float, float]:
-    """Mean and population variance of |estimate - actual| across events.
-
-    A small comparison utility for backtests: feed per-event risk estimates
-    (e.g. the CoVaR column of successive reports) and the realized losses.
-    Lower mean means tighter tracking; lower variance means steadier errors.
-    """
-    est = np.asarray(estimates, dtype=float)
-    act = np.asarray(actuals, dtype=float)
-    if est.size != act.size:
-        raise ValueError(f"length mismatch: estimates has {est.size}, actuals has {act.size}")
-    if est.size == 0:
-        raise ValueError("backtest needs at least one event")
-    diffs = np.abs(est - act)
-    mean = float(diffs.mean())
-    return mean, float(((diffs - mean) ** 2).mean())
 
 
 # -- sensitivity scans --------------------------------------------------------------

@@ -5,8 +5,9 @@ fitted by profile maximum likelihood, a t copula calibrated by Kendall-tau
 inversion (``rho = sin(pi tau / 2)``) with its degrees of freedom chosen by a
 one-dimensional pseudo-likelihood search, and a seeded sampler that maps
 copula draws through the marginal quantile functions into a
-:class:`~epcovar.scenario.ScenarioPanel` with uniform weights. It maps X and Y
-on two threads, and its panel is bitwise equal to serial sampling.
+:class:`~epcovar.scenario.ScenarioPanel` with uniform weights. From 50,000
+scenarios it maps X and Y on two threads (``scenario._on_two_threads``), and
+its panel is bitwise equal to serial sampling.
 
 Also hosts the traditional-CoVaR baseline, the quantile regression of Y on X,
 solved as a linear program whose basic solution is a line through two
@@ -26,14 +27,12 @@ every fit is bitwise equal to fitting one dof at a time.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, stdtr, stdtrit
-from scipy.stats import kendalltau
 
-from .scenario import ScenarioPanel, _uniform_prior
+from .scenario import ScenarioPanel, _on_two_threads, _uniform_prior
 
 DOF_MIN = 2.1
 DOF_MAX = 100.0
@@ -326,6 +325,8 @@ def fit_t_copula(u, v) -> TCopulaParams:
     either margin) are rejected as rank-degenerate, and |tau| = 1 is rejected
     because the implied copula correlation sits on the boundary.
     """
+    from scipy.stats import kendalltau
+
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.size != v.size:
@@ -378,12 +379,10 @@ def generate_scenarios(
     """Sample a uniform-weight panel: t-copula draws mapped through the
     marginal quantile functions. Reproducible for a fixed seed.
 
-    All draws are made on the calling thread. X is then mapped on a second
-    thread while the calling thread maps Y (scipy's special functions release
-    the interpreter lock). The panel is bitwise equal to serial sampling.
-    This is one of the package's two threaded stages; the other is the
-    engine's evaluation of a scenario report's views. They never overlap, so
-    at most one worker thread is alive at a time.
+    All draws are made on the calling thread; the two margins are then
+    mapped in place through ``_on_two_threads``, on two threads from 50,000
+    scenarios (scipy's special functions release the interpreter lock). The
+    panel is bitwise equal to serial sampling.
     """
     if n_scenarios < 100:
         raise ValueError(f"need at least 100 scenarios, got {n_scenarios}")
@@ -392,14 +391,14 @@ def generate_scenarios(
     z2 = rng.standard_normal(n_scenarios)
     w = rng.chisquare(cop.dof, n_scenarios) / cop.dof
     scale = 1.0 / np.sqrt(w)
-    # the worker thread writes only into arrays allocated here, so it leaves
-    # no memory behind in an allocator arena of its own
     x = z1 * scale
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        x_done = pool.submit(_marginal_losses_inplace, mx, cop.dof, x)
-        y = (cop.rho * z1 + math.sqrt(1.0 - cop.rho**2) * z2) * scale
-        _marginal_losses_inplace(my, cop.dof, y)
-        x_done.result()
+    y = (cop.rho * z1 + math.sqrt(1.0 - cop.rho**2) * z2) * scale
+    # a worker thread writes only into these arrays, so it leaves no memory
+    # behind in an allocator arena of its own
+    _on_two_threads(
+        lambda margin: _marginal_losses_inplace(margin[0], cop.dof, margin[1]),
+        ((mx, x), (my, y)), n_scenarios,
+    )
     return ScenarioPanel(x, y, _uniform_prior(n_scenarios), unit, _fresh=True)
 
 
@@ -412,12 +411,6 @@ def _marginal_losses_inplace(m: TMarginal, copula_dof: float, draws: np.ndarray)
     stdtrit(m.dof, draws, out=draws)
     draws *= m.scale
     draws += m.location
-
-
-def pinball_loss(residuals, alpha: float) -> float:
-    """Mean check loss: alpha-weighted positive part, (alpha-1)-weighted negative."""
-    r = np.asarray(residuals, dtype=float)
-    return float(np.where(r >= 0.0, alpha * r, (alpha - 1.0) * r).mean())
 
 
 def quantile_regression_covar(

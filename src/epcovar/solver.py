@@ -53,7 +53,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DegenerateError, InfeasibleError
 from .scenario import Probabilities, ScenarioPanel, as_weights
@@ -276,6 +275,8 @@ def _phase_one_certificate(constraints: LinearConstraintSet) -> float:
     the full J-column program is never built. Returns the max violation of
     the resulting weights, normalized, on the full constraint set.
     """
+    from scipy.optimize import linprog
+
     g = constraints.matrix
     keep = np.arange(constraints.n_rows) != constraints.normalization_row
     up = keep & np.isfinite(constraints.upper)

@@ -39,6 +39,8 @@ last bin closed on the right.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import InitVar, dataclass, field, fields
 from typing import Literal
 
@@ -64,6 +66,10 @@ BIN_PROB_TOL = 1e-10
 VALUE_BAND_FRACTION = 0.05  # default half-width of a value-equality band, in prior stds
 
 _EQ_ONLY = frozenset({"mean_and_variance", "relative", "distribution", "none"})
+_SCALARS = (
+    "confidence", "mean", "variance", "quantile", "quantile_level", "value",
+    "correlation", "diff_mean", "diff_variance", "value_band",
+)
 _REL_SYMBOL = {"eq": "=", "le": "<=", "ge": ">="}
 
 
@@ -94,6 +100,10 @@ class ViewSpec:
             raise ValueError(f"unknown relation {self.relation!r}")
         if self.target not in ("x", "y"):
             raise ValueError(f"target must be 'x' or 'y', got {self.target!r}")
+        for name in _SCALARS:
+            value = getattr(self, name)
+            if value is not None:
+                _check_real(name, value)
         if not 0.0 < self.confidence <= 1.0:
             raise ValueError(f"confidence must lie in (0, 1], got {self.confidence}")
         if self.kind in _EQ_ONLY and self.relation != "eq":
@@ -122,6 +132,9 @@ class ViewSpec:
             raise ValueError(f"correlation must lie in [-1, 1], got {self.correlation}")
         if self.value_band is not None and self.value_band <= 0.0:
             raise ValueError(f"value_band must be positive, got {self.value_band}")
+        for name, allow_inf in (("bin_edges", True), ("bin_probs", False)):
+            for v in getattr(self, name) if getattr(self, name) is not None else ():
+                _check_real(f"{name} entry", v, allow_inf)
         if self.kind == "distribution":
             edges = tuple(float(e) for e in self.bin_edges)
             probs = tuple(float(p) for p in self.bin_probs)
@@ -139,6 +152,16 @@ class ViewSpec:
                 raise ValueError(f"bin probabilities sum to {sum(probs)!r}, expected 1")
             object.__setattr__(self, "bin_edges", edges)
             object.__setattr__(self, "bin_probs", probs)
+
+
+def _check_real(name: str, value, allow_inf: bool = False) -> None:
+    """Raise ValueError unless ``value`` is a real number other than a bool,
+    and finite (or, with ``allow_inf``, not NaN)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if math.isnan(value) or (math.isinf(value) and not allow_inf):
+        need = "must not be NaN" if allow_inf else "must be finite"
+        raise ValueError(f"{name} {need}, got {value!r}")
 
 
 # -- catalog factories --------------------------------------------------------

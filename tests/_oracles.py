@@ -182,6 +182,12 @@ def brute_force_min_kl(panel, cs):
     return best
 
 
+def pinball_loss(residuals, alpha: float) -> float:
+    """Mean check loss: alpha-weighted positive part, (alpha-1)-weighted negative."""
+    r = np.asarray(residuals, dtype=float)
+    return float(np.where(r >= 0.0, alpha * r, (alpha - 1.0) * r).mean())
+
+
 def pair_candidate_minimum(x, y, alpha):
     """Plain-loop enumeration of pinball losses over observation-pair lines."""
     best = math.inf
@@ -193,8 +199,7 @@ def pair_candidate_minimum(x, y, alpha):
                 continue
             slope = (y[j] - y[i]) / (x[j] - x[i])
             intercept = y[i] - slope * x[i]
-            r = y - intercept - slope * x
-            loss = float(np.where(r >= 0, alpha * r, (alpha - 1) * r).mean())
+            loss = pinball_loss(y - intercept - slope * x, alpha)
             if loss < best:
                 best, fit = loss, (intercept, slope)
     return best, fit

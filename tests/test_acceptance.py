@@ -17,6 +17,7 @@ from _oracles import (
     brute_force_min_kl,
     numeric_posterior_params,
     pair_candidate_minimum,
+    pinball_loss,
     quantile_pinned_marginal,
     tilt_mean_by_bisection,
 )
@@ -38,7 +39,6 @@ from epcovar.engine import ep_covar_on_panel
 from epcovar.estimation import (
     fit_t_copula,
     fit_t_marginal,
-    pinball_loss,
     quantile_regression_covar,
 )
 from epcovar.scenario import build_panel

@@ -13,7 +13,7 @@ import pytest
 from scipy.special import ndtr
 
 from _oracles import serial_scenario_rows
-from epcovar import analytics, cli, engine
+from epcovar import analytics, cli, engine, estimation, scenario
 from epcovar.analytics import (
     BivariateNormalParams,
     covar_expectation_view,
@@ -377,10 +377,10 @@ def _every_scenario_kind(confidence=1.0):
 
 
 class TestThreadedViews:
-    """The view stage runs on two threads from ``_THREADED_MIN_SCENARIOS``
-    scenarios; reports and errors are the serial loop's
-    (``_oracles.serial_scenario_rows``). Most tests lower the cut-over to
-    their J = 5,000 panels, so that the threaded path runs."""
+    """The view stage runs on two threads from
+    ``scenario._THREADED_MIN_SCENARIOS`` scenarios; reports and errors are the
+    serial loop's (``_oracles.serial_scenario_rows``). Most tests lower the
+    cut-over to their J = 5,000 panels, so that the threaded path runs."""
 
     def _config(self, losses_csv, views, scenarios=5000):
         return RunConfig(data=losses_csv, x="SVB", y="NBI", mode="scenario",
@@ -415,7 +415,7 @@ class TestThreadedViews:
         return report
 
     def test_reports_match_the_serial_oracle(self, losses_csv, monkeypatch):
-        monkeypatch.setattr(engine, "_THREADED_MIN_SCENARIOS", 5000)
+        monkeypatch.setattr(scenario, "_THREADED_MIN_SCENARIOS", 5000)
         views = _every_scenario_kind()
         self._assert_matches_serial(monkeypatch, self._config(losses_csv, views))
         pooled = _every_scenario_kind(1.0 / len(views))
@@ -426,12 +426,20 @@ class TestThreadedViews:
         before = threading.active_count()
         views = _every_scenario_kind(1.0 / 13)
         seen = self._thread_counts(monkeypatch)
-        config = self._config(losses_csv, views, scenarios=engine._THREADED_MIN_SCENARIOS)
-        self._assert_matches_serial(monkeypatch, config)
+        sampled = []  # threading.active_count() at each margin the sampler maps
+        real = estimation._marginal_losses_inplace
+        monkeypatch.setattr(estimation, "_marginal_losses_inplace",
+                            lambda *args: (sampled.append(threading.active_count()), real(*args)))
+        cut_over = scenario._THREADED_MIN_SCENARIOS
+        self._assert_matches_serial(monkeypatch, self._config(losses_csv, views, cut_over))
         assert max(seen[:13]) == before + 1
+        assert sampled[:2] == [before + 1] * 2
         seen.clear()
-        run_pipeline(self._config(losses_csv, views, scenarios=engine._THREADED_MIN_SCENARIOS - 1))
+        sampled.clear()
+        run_pipeline(self._config(losses_csv, views, cut_over - 1))
         assert seen == [before] * 13
+        assert sampled == [before] * 2
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize(
         "views, error",
@@ -448,7 +456,7 @@ class TestThreadedViews:
         ],
     )
     def test_first_failing_view_in_order_raises(self, losses_csv, monkeypatch, views, error):
-        monkeypatch.setattr(engine, "_THREADED_MIN_SCENARIOS", 5000)
+        monkeypatch.setattr(scenario, "_THREADED_MIN_SCENARIOS", 5000)
         config = self._config(losses_csv, views)
         with pytest.raises(error) as err:
             run_pipeline(config)
@@ -458,7 +466,7 @@ class TestThreadedViews:
         assert getattr(err.value, "residual", None) == getattr(serial, "residual", None)
 
     def test_at_most_one_worker_and_none_left(self, losses_csv, monkeypatch):
-        monkeypatch.setattr(engine, "_THREADED_MIN_SCENARIOS", 5000)
+        monkeypatch.setattr(scenario, "_THREADED_MIN_SCENARIOS", 5000)
         before = threading.active_count()
         seen = self._thread_counts(monkeypatch)
         run_pipeline(self._config(losses_csv, _every_scenario_kind(1.0 / 13)))
@@ -480,7 +488,8 @@ class TestThreadedViews:
                     calls.append(i)
                     return i * i
 
-                assert engine._on_two_threads(square, range(200)) == [i * i for i in range(200)]
+                got = scenario._on_two_threads(square, range(200), 50_000)
+                assert got == [i * i for i in range(200)]
                 assert sorted(calls) == list(range(200))
         finally:
             sys.setswitchinterval(switch)
@@ -514,6 +523,22 @@ class TestAnalyticPooling:
         report = run_pipeline(config)
         lo, hi = sorted(r.covar for r in report.rows[:2])
         assert lo - 1e-12 <= report.rows[-1].covar <= hi + 1e-12
+
+
+class TestLonePartialConfidence:
+    """A single view held with confidence below 1 has no mixture to join;
+    reporting it as if held with confidence 1 would misstate the request."""
+
+    @pytest.mark.parametrize("mode", ["analytic", "analytic-from-fit", "scenario"])
+    def test_is_a_config_error(self, losses_csv, tmp_path, capsys, mode):
+        views = tmp_path / "views.json"
+        views.write_text('[{"kind": "expectation", "mean": 0.01, "confidence": 0.5}]')
+        rc = cli.main(["--data", losses_csv, "--x", "SVB", "--y", "NBI", "--mode", mode,
+                       "--scenarios", "500", "--views", str(views)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "a single view held with confidence 0.5 has nothing to pool with" in captured.err
 
 
 class TestQuantileViewPosteriorType:
@@ -981,6 +1006,83 @@ class TestCli:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("mode", ["analytic", "scenario"])
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ('{"kind": "expectation", "mean": "1"}', "mean must be a real number, got '1'"),
+            ('{"kind": "expectation", "mean": [1]}', "mean must be a real number, got [1]"),
+            ('{"kind": "expectation", "mean": true}', "mean must be a real number, got True"),
+            ('{"kind": "expectation", "mean": NaN}', "mean must be finite, got nan"),
+            ('{"kind": "expectation", "mean": -Infinity}', "mean must be finite, got -inf"),
+            ('{"kind": "expectation", "mean": 0.01, "confidence": "1"}',
+             "confidence must be a real number"),
+            ('{"kind": "quantile", "quantile": 0.02, "quantile_level": false}',
+             "quantile_level must be a real number, got False"),
+            ('{"kind": "value", "value": 0.01, "value_band": Infinity}',
+             "value_band must be finite"),
+            ('{"kind": "correlation", "correlation": NaN}', "correlation must be finite"),
+            ('{"kind": "relative", "diff_mean": "0", "diff_variance": 1e-4}',
+             "diff_mean must be a real number"),
+            ('{"kind": "distribution", "bin_edges": [-1, NaN, 1], "bin_probs": [0.5, 0.5]}',
+             "bin_edges entry must not be NaN"),
+            ('{"kind": "distribution", "bin_edges": [-1, "0", 1], "bin_probs": [0.5, 0.5]}',
+             "bin_edges entry must be a real number, got '0'"),
+            ('{"kind": "distribution", "bin_edges": [-1, 0, 1], "bin_probs": [0.5, NaN]}',
+             "bin_probs entry must be finite"),
+            ('{"kind": "distribution", "bin_edges": [-1, 0, 1], "bin_probs": [true, 0]}',
+             "bin_probs entry must be a real number, got True"),
+        ],
+        ids=["mean-string", "mean-list", "mean-bool", "mean-nan", "mean-inf",
+             "confidence-string", "level-bool", "band-inf", "correlation-nan",
+             "diff-mean-string", "edge-nan", "edge-string", "prob-nan", "prob-bool"],
+    )
+    def test_malformed_view_parameter_exits_config(
+        self, losses_csv, tmp_path, capsys, mode, entry, message
+    ):
+        views = tmp_path / "views.json"
+        views.write_text(f"[{entry}]")
+        rc = self._run(["--data", losses_csv, "--x", "SVB", "--y", "NBI", "--mode", mode,
+                        "--scenarios", "500", "--views", str(views)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: view #0: {message}")
+
+    def test_infinite_bin_edges_are_accepted(self, losses_csv, tmp_path, capsys):
+        views = tmp_path / "views.json"
+        views.write_text('[{"kind": "distribution", "bin_edges": [-Infinity, 0.003, Infinity],'
+                         ' "bin_probs": [0.4, 0.6]}]')
+        rc = self._run(["--data", losses_csv, "--x", "SVB", "--y", "NBI", "--mode", "scenario",
+                        "--scenarios", "500", "--views", str(views)])
+        assert rc == 0
+        assert "P(X in bins) = [0.4, 0.6]" in capsys.readouterr().out
+
+    def test_analytic_run_imports_no_optimizer_or_stats(self, losses_csv):
+        # scipy.optimize (brentq, linprog) and scipy.stats (kendalltau) are
+        # imported by the half-line and pooled roots, the phase-I certificate
+        # and the copula fit only
+        code = f"""
+import sys
+from epcovar import RunConfig, run_pipeline, value_view
+from epcovar.views import (correlation_view, expectation_view, quantile_view,
+                           relative_view, variance_view)
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.stats")))
+views = (expectation_view(0.01), variance_view(5e-4, "ge"), quantile_view(0.04),
+         value_view(0.02), correlation_view(0.7), relative_view(0.002, 3e-4))
+run_pipeline(RunConfig(data={losses_csv!r}, x="SVB", y="NBI", views=views))
+print(loaded())
+run_pipeline(RunConfig(data={losses_csv!r}, x="SVB", y="NBI", views=(value_view(0.02, "ge"),)))
+print("scipy.optimize" in loaded())
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\nTrue\n"
+
     def test_module_entry_point(self, losses_csv):
         proc = subprocess.run(
             [sys.executable, "-m", "epcovar.cli", "--data", losses_csv,
@@ -990,24 +1092,6 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "none (CoVaR = VaR)" in proc.stdout
-
-
-class TestBacktestStats:
-    def test_hand_values(self):
-        from epcovar.engine import backtest_stats
-
-        mean, var = backtest_stats([7.1, 7.0, 7.3], [6.96, 7.00, 7.33])
-        diffs = np.abs(np.array([7.1, 7.0, 7.3]) - np.array([6.96, 7.00, 7.33]))
-        assert mean == pytest.approx(diffs.mean())
-        assert var == pytest.approx(((diffs - diffs.mean()) ** 2).mean())
-
-    def test_guards(self):
-        from epcovar.engine import backtest_stats
-
-        with pytest.raises(ValueError, match="length mismatch"):
-            backtest_stats([1.0], [1.0, 2.0])
-        with pytest.raises(ValueError, match="at least one"):
-            backtest_stats([], [])
 
 
 class TestEndToEndDeterminism:

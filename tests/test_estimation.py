@@ -12,12 +12,13 @@ from _oracles import (
     pair_candidate_minimum,
     per_dof_t_copula,
     per_dof_t_marginal,
+    pinball_loss,
 )
 from scipy.special import stdtr, stdtrit
 from scipy.stats import kendalltau
 from scipy.stats import t as student_t
 
-from epcovar import estimation
+from epcovar import estimation, scenario
 from epcovar.estimation import (
     QRFit,
     TCopulaParams,
@@ -27,7 +28,6 @@ from epcovar.estimation import (
     fit_t_copula,
     fit_t_marginal,
     generate_scenarios,
-    pinball_loss,
     pseudo_observations,
     quantile_regression_covar,
 )
@@ -267,7 +267,7 @@ class TestGenerateScenarios:
         assert not np.array_equal(a.x, c.x)
 
     @pytest.mark.parametrize("n", [100, 5_000])
-    def test_threaded_sampler_equals_serial_reference(self, n):
+    def test_threaded_sampler_equals_serial_reference(self, monkeypatch, n):
         rng = np.random.default_rng(42)
         z1 = rng.standard_normal(n)
         z2 = rng.standard_normal(n)
@@ -279,9 +279,13 @@ class TestGenerateScenarios:
         v = np.clip(stdtr(self.COP.dof, zc * scale), eps, 1.0 - eps)
         x = self.MX.location + self.MX.scale * stdtrit(self.MX.dof, u)
         y = self.MY.location + self.MY.scale * stdtrit(self.MY.dof, v)
-        panel = generate_scenarios(self.MX, self.MY, self.COP, n, seed=42)
-        assert panel.x.tobytes() == x.tobytes()
-        assert panel.y.tobytes() == y.tobytes()
+        # at the default cut-over these panels are mapped serially; at n they
+        # are mapped on two threads
+        for cut_over in (scenario._THREADED_MIN_SCENARIOS, n):
+            monkeypatch.setattr(scenario, "_THREADED_MIN_SCENARIOS", cut_over)
+            panel = generate_scenarios(self.MX, self.MY, self.COP, n, seed=42)
+            assert panel.x.tobytes() == x.tobytes(), cut_over
+            assert panel.y.tobytes() == y.tobytes(), cut_over
 
     def test_panel_invariants_hold(self):
         panel = generate_scenarios(self.MX, self.MY, self.COP, 500, seed=1)
