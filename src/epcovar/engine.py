@@ -379,7 +379,9 @@ def ep_covar_on_panel(
     return covar, report
 
 
-def _scenario_rows(config: RunConfig, panel: ScenarioPanel) -> list[ReportRow]:
+def _scenario_rows(
+    config: RunConfig, panel: ScenarioPanel, confidences: np.ndarray | None
+) -> list[ReportRow]:
     var = interpolated_quantile(panel.sorted_y, panel.prior, config.alpha)
     panel.log_prior  # cached before the threads share the panel, as sorted_y is above
     evaluated = _on_two_threads(
@@ -390,15 +392,16 @@ def _scenario_rows(config: RunConfig, panel: ScenarioPanel) -> list[ReportRow]:
              residual=rep.residual, iterations=rep.iterations, entropy=rep.entropy)
         for view, (covar, rep) in zip(config.views, evaluated)
     ]
-    c = _pooling_confidences(config)
-    if c is not None:
-        mixed = pool([rep.posterior for _, rep in evaluated], c)
+    if confidences is not None:
+        mixed = pool([rep.posterior for _, rep in evaluated], confidences)
         del evaluated  # the views' posteriors are freed before the pooled row's recompiles
         rows.append(_pooled_scenario_row(config, panel, mixed, var))
     return rows
 
 
 def _pooling_confidences(config: RunConfig) -> np.ndarray | None:
+    """The views' pooling weights, or None when every view is held with
+    confidence 1; a configuration that breaks a pooling rule is a config error."""
     c = np.array([v.confidence for v in config.views], dtype=float)
     if np.all(c == 1.0):
         return None
@@ -429,7 +432,9 @@ def _pooled_scenario_row(config, panel, mixed, var) -> ReportRow:
 
 # -- analytic-mode evaluation -----------------------------------------------------
 
-def _analytic_rows(config: RunConfig, prior: BivariateNormalParams) -> list[ReportRow]:
+def _analytic_rows(
+    config: RunConfig, prior: BivariateNormalParams, confidences: np.ndarray | None
+) -> list[ReportRow]:
     var = analytics.var_normal(prior, config.alpha)
     outcomes = []
     for view in config.views:
@@ -441,12 +446,11 @@ def _analytic_rows(config: RunConfig, prior: BivariateNormalParams) -> list[Repo
         _row(describe(v), "analytic", var, o.covar, collapsed_to_var=o.collapsed_to_var)
         for v, o in zip(config.views, outcomes)
     ]
-    c = _pooling_confidences(config)
-    if c is not None:
+    if confidences is not None:
         cdfs = [analytics.posterior_y_cdf(prior, v, o) for v, o in zip(config.views, outcomes)]
 
         def mixture(y: float) -> float:
-            return sum(w * f(y) for w, f in zip(c, cdfs)) - config.alpha
+            return sum(w * f(y) for w, f in zip(confidences, cdfs)) - config.alpha
 
         # the mixture quantile is bracketed by the component quantiles
         pad = 1e-9 * prior.sigma_y
@@ -460,15 +464,17 @@ def _analytic_rows(config: RunConfig, prior: BivariateNormalParams) -> list[Repo
 # -- pipeline ---------------------------------------------------------------------
 
 def run_pipeline(config: RunConfig) -> RiskReport:
-    """End-to-end run: ingest, estimate prior, evaluate views, assemble report."""
+    """End-to-end run: check the pooling rules, ingest, estimate prior,
+    evaluate views, assemble report."""
+    confidences = _pooling_confidences(config)
     prior = _prior(config, *_load_series(config))
     if config.mode == "scenario":
         try:
-            rows = _scenario_rows(config, prior)
+            rows = _scenario_rows(config, prior, confidences)
         except EpcovarError as exc:
             raise _tag("solver", exc)
     else:
-        rows = _analytic_rows(config, prior)
+        rows = _analytic_rows(config, prior, confidences)
     return RiskReport(
         rows=tuple(rows),
         alpha=config.alpha,

@@ -5,9 +5,10 @@ fitted by profile maximum likelihood, a t copula calibrated by Kendall-tau
 inversion (``rho = sin(pi tau / 2)``) with its degrees of freedom chosen by a
 one-dimensional pseudo-likelihood search, and a seeded sampler that maps
 copula draws through the marginal quantile functions into a
-:class:`~epcovar.scenario.ScenarioPanel` with uniform weights. From 50,000
-scenarios it maps X and Y on two threads (``scenario._on_two_threads``), and
-its panel is bitwise equal to serial sampling.
+:class:`~epcovar.scenario.ScenarioPanel` with uniform weights. The sampler
+inverts numerically: per margin, one cubic Hermite interpolant of the exact
+map g from a copula draw to a unit marginal quantile, within
+1e-10 max(1, |g|) of it, on the calling thread.
 
 Also hosts the traditional-CoVaR baseline, the quantile regression of Y on X,
 solved as a linear program whose basic solution is a line through two
@@ -32,13 +33,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, stdtr, stdtrit
 
-from .scenario import ScenarioPanel, _on_two_threads, _uniform_prior
+from .scenario import ScenarioPanel, _uniform_prior
 
 DOF_MIN = 2.1
 DOF_MAX = 100.0
 _DOF_GRID_SIZE = 60
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _BLOCK_ELEMENTS = 1 << 15  # a block of lockstep rows stays in cache
+_CLIP = 1e-12  # the copula's CDF values are clipped into [_CLIP, 1 - _CLIP]
+_MAP_NODES = 4096  # nodes of the sampler's interpolated unit map
+_MAP_BLOCK = 1 << 14  # draws the unit map takes at a time
 
 
 @dataclass(frozen=True)
@@ -379,10 +383,9 @@ def generate_scenarios(
     """Sample a uniform-weight panel: t-copula draws mapped through the
     marginal quantile functions. Reproducible for a fixed seed.
 
-    All draws are made on the calling thread; the two margins are then
-    mapped in place through ``_on_two_threads``, on two threads from 50,000
-    scenarios (scipy's special functions release the interpreter lock). The
-    panel is bitwise equal to serial sampling.
+    Each margin's draws go through ``_unit_map_inplace``, an interpolant of
+    the exact map on the calling thread; the panel depends only on the
+    arguments, bit for bit.
     """
     if n_scenarios < 100:
         raise ValueError(f"need at least 100 scenarios, got {n_scenarios}")
@@ -393,24 +396,75 @@ def generate_scenarios(
     scale = 1.0 / np.sqrt(w)
     x = z1 * scale
     y = (cop.rho * z1 + math.sqrt(1.0 - cop.rho**2) * z2) * scale
-    # a worker thread writes only into these arrays, so it leaves no memory
-    # behind in an allocator arena of its own
-    _on_two_threads(
-        lambda margin: _marginal_losses_inplace(margin[0], cop.dof, margin[1]),
-        ((mx, x), (my, y)), n_scenarios,
-    )
+    _marginal_losses_inplace(mx, cop.dof, x)
+    _marginal_losses_inplace(my, cop.dof, y)
     return ScenarioPanel(x, y, _uniform_prior(n_scenarios), unit, _fresh=True)
 
 
 def _marginal_losses_inplace(m: TMarginal, copula_dof: float, draws: np.ndarray) -> None:
-    """Overwrite t-copula draws with losses: the copula's t CDF, clipped into
-    (0, 1), then the marginal's quantile function."""
-    eps = 1e-12
-    stdtr(copula_dof, draws, out=draws)
-    np.clip(draws, eps, 1.0 - eps, out=draws)
-    stdtrit(m.dof, draws, out=draws)
+    """Overwrite t-copula draws with the marginal's losses."""
+    _unit_map_inplace(copula_dof, m.dof, draws)
     draws *= m.scale
     draws += m.location
+
+
+def _exact_unit_map(copula_dof: float, dof: float, z: np.ndarray, out=None) -> np.ndarray:
+    """g(z) = stdtrit(dof, clip(stdtr(copula_dof, z))): the copula's t CDF,
+    clipped into [_CLIP, 1 - _CLIP], then the unit marginal's quantile
+    function."""
+    u = stdtr(copula_dof, z, out=out)
+    np.clip(u, _CLIP, 1.0 - _CLIP, out=u)
+    return stdtrit(dof, u, out=u)
+
+
+def _t_log_density(dof: float, x: np.ndarray) -> np.ndarray:
+    """Log density of the standard Student-t law with ``dof`` at ``x``."""
+    return (gammaln((dof + 1.0) / 2.0) - gammaln(dof / 2.0) - 0.5 * math.log(dof * math.pi)
+            - (dof + 1.0) / 2.0 * np.log1p(x * x / dof))
+
+
+def _unit_map_inplace(copula_dof: float, dof: float, draws: np.ndarray) -> None:
+    """Overwrite ``draws`` with g(draws) (``_exact_unit_map``), by numerical
+    inversion (Hormann & Leydold, ACM TOMACS 13(4), 2003).
+
+    g is a cubic Hermite interpolant in s = asinh(z) on ``_MAP_NODES`` nodes
+    evenly spaced between the draws' extremes, with exact node values and
+    exact slopes dg/ds = cosh(s) t_c(z) / t_m(g(z)), the ratio of the two t
+    densities (0 where the clip binds). A draw's interval is read off
+    asinh(z) directly. Draws in an interval with a clipped endpoint take the
+    exact map, so the clip is exact; so does a draw range with one value.
+    Draws are mapped in blocks of ``_MAP_BLOCK``, so the temporaries stay
+    small.
+    """
+    lo, hi = np.arcsinh([draws.min(), draws.max()]).tolist()
+    if not lo < hi:
+        _exact_unit_map(copula_dof, dof, draws, out=draws)
+        return
+    s = np.linspace(lo, hi, _MAP_NODES)
+    z = np.sinh(s)
+    cdf = stdtr(copula_dof, z)
+    clipped = (cdf < _CLIP) | (cdf > 1.0 - _CLIP)
+    g = stdtrit(dof, np.clip(cdf, _CLIP, 1.0 - _CLIP))
+    step = (hi - lo) / (_MAP_NODES - 1)
+    slope = np.exp(_t_log_density(copula_dof, z) - _t_log_density(dof, g)) * np.hypot(1.0, z)
+    slope[clipped] = 0.0
+    m0, m1 = step * slope[:-1], step * slope[1:]
+    d = np.diff(g)
+    # g on interval k at s = s_k + t * step, 0 <= t <= 1: c0 + t (c1 + t (c2 + t c3))
+    c0, c1, c2, c3 = g[:-1], m0, 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d
+    # draws outside the unclipped nodes' span lie in an interval with a clipped endpoint
+    unclipped = z[~clipped]
+    span = (unclipped[0], unclipped[-1]) if unclipped.size else (np.inf, -np.inf)
+    for start in range(0, draws.size, _MAP_BLOCK):
+        b = draws[start:start + _MAP_BLOCK]
+        u = (np.arcsinh(b) - lo) / step
+        k = np.minimum(u.astype(np.intp), _MAP_NODES - 2)
+        t = u - k
+        mapped = ((c3[k] * t + c2[k]) * t + c1[k]) * t + c0[k]
+        if clipped.any():
+            exact = (b < span[0]) | (b > span[1])
+            mapped[exact] = _exact_unit_map(copula_dof, dof, b[exact])
+        b[...] = mapped
 
 
 def quantile_regression_covar(

@@ -22,9 +22,10 @@ Conventions used throughout the package:
 - Scenario moments use the population convention (probabilities are exact
   weights, not sample frequencies). Their J-length products are ``np.einsum``
   kernels rather than BLAS calls, which would wait on a thread hand-off.
-- ``_on_two_threads`` is the package's only threaded code: the sampler's two
-  margins and a scenario report's views run through it, on two threads from
-  ``_THREADED_MIN_SCENARIOS`` scenarios and in turn below, with equal results.
+- ``_on_two_threads`` is the package's only threaded code: a scenario
+  report's views and the pooled row's violation checks run through it, on two
+  threads from ``_THREADED_MIN_SCENARIOS`` scenarios and in turn below, with
+  equal results.
 
 All types are frozen and hold read-only arrays, the cached sort order
 included; they are safe to share across threads. They copy the arrays they
@@ -46,9 +47,7 @@ PANEL_PROB_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
 # Below this panel size two threads evaluate a report's views more slowly
 # than one: 1.13-1.29 times the serial time at J = 10,000 and 20,000,
-# 0.83-0.94 at 50,000, 0.58-0.65 at 200,000 (2 cores). The sampler's two
-# margins share the cut-over; below it they took 0.55-1.05 times the serial
-# time, by the host's load.
+# 0.83-0.94 at 50,000, 0.58-0.65 at 200,000 (2 cores).
 _THREADED_MIN_SCENARIOS = 50_000
 
 

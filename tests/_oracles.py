@@ -9,10 +9,12 @@ adaptive quadrature of the conditional normal CDF, a cell-by-cell CSV
 reader, and the Student-t marginal and t-copula fits with their degrees of
 freedom searched one dof at a time.
 
-Two oracles are earlier forms of package code, kept to show that the
-current forms give the same bits: the entropy-pooling dual written with a
-fresh temporary per step and an eager Hessian, and the scenario-mode report
-rows with every view evaluated in turn on the calling thread.
+Three oracles are earlier forms of package code. Two show that the current
+forms give the same bits: the entropy-pooling dual written with a fresh
+temporary per step and an eager Hessian, and the scenario-mode report rows
+with every view evaluated in turn on the calling thread. The third, the
+sampler's map from copula draws to unit marginal quantiles by two t special
+functions per draw, bounds the interpolant that replaced it.
 """
 
 import csv
@@ -23,11 +25,11 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.optimize import minimize as scipy_minimize
-from scipy.special import gammaln, ndtri, stdtrit
+from scipy.special import gammaln, ndtri, stdtr, stdtrit
 from scipy.stats import kendalltau
 
 from epcovar.analytics import BivariateNormalParams
-from epcovar.engine import IngestResult, ReportRow, _pooling_confidences, ep_covar_on_panel
+from epcovar.engine import IngestResult, ReportRow, ep_covar_on_panel
 from epcovar.estimation import TCopulaParams, TMarginal
 from epcovar.errors import DataError, NumericDomainError
 from epcovar.normal import norm_cdf
@@ -703,6 +705,23 @@ def per_dof_t_copula(u, v):
 
 # -- earlier forms of the scenario engine ----------------------------------------
 
+def copula_draws(cop, n, seed):
+    """The t-copula draws (X, Y) that ``generate_scenarios`` maps, from the
+    same random stream."""
+    rng = np.random.default_rng(seed)
+    z1 = rng.standard_normal(n)
+    z2 = rng.standard_normal(n)
+    scale = 1.0 / np.sqrt(rng.chisquare(cop.dof, n) / cop.dof)
+    return z1 * scale, (cop.rho * z1 + math.sqrt(1.0 - cop.rho**2) * z2) * scale
+
+
+def exact_unit_map(copula_dof, dof, z):
+    """The sampler's exact map: the copula's t CDF, clipped into
+    [1e-12, 1 - 1e-12], then the unit t quantile of the marginal's dof."""
+    eps = 1e-12
+    return stdtrit(dof, np.clip(stdtr(copula_dof, z), eps, 1.0 - eps))
+
+
 def temporaries_dual(lam, log_prior, rows, bounds):
     """The entropy-pooling dual with a fresh array per step and the Hessian
     computed at every evaluation: (value, gradient, Hessian, log q)."""
@@ -717,7 +736,7 @@ def temporaries_dual(lam, log_prior, rows, bounds):
     return log_z + float(lam @ bounds), bounds - mean, hessian, a - log_z
 
 
-def serial_scenario_rows(config, panel):
+def serial_scenario_rows(config, panel, confidences):
     """Scenario-mode report rows with the views evaluated one after another
     on the calling thread, and the pooled row's recompiles likewise."""
     var = interpolated_quantile(panel.sorted_y, panel.prior, config.alpha)
@@ -731,9 +750,8 @@ def serial_scenario_rows(config, panel):
             delta_covar=covar - var, residual=rep.residual, iterations=rep.iterations,
             entropy=rep.entropy,
         ))
-    c = _pooling_confidences(config)
-    if c is not None:
-        mixed = pool(posteriors, c)
+    if confidences is not None:
+        mixed = pool(posteriors, confidences)
         covar = interpolated_quantile(panel.sorted_y, mixed, config.alpha)
         violation = max(max_violation(compile_view(v, panel), mixed.weights) for v in config.views)
         rows.append(ReportRow(

@@ -433,7 +433,7 @@ class TestThreadedViews:
         cut_over = scenario._THREADED_MIN_SCENARIOS
         self._assert_matches_serial(monkeypatch, self._config(losses_csv, views, cut_over))
         assert max(seen[:13]) == before + 1
-        assert sampled[:2] == [before + 1] * 2
+        assert sampled == [before] * 4  # two runs: the sampler starts no thread at any J
         seen.clear()
         sampled.clear()
         run_pipeline(self._config(losses_csv, views, cut_over - 1))
@@ -523,6 +523,47 @@ class TestAnalyticPooling:
         report = run_pipeline(config)
         lo, hi = sorted(r.covar for r in report.rows[:2])
         assert lo - 1e-12 <= report.rows[-1].covar <= hi + 1e-12
+
+
+class TestPoolingRulesComeFirst:
+    """The pooling rules are checked before a prior is built, in every mode,
+    and their errors carry no stage tag."""
+
+    RULES = [
+        ((0.5, 0.3), "view confidences sum to 0.8, expected 1"),
+        ((1.0, 0.5), "mixing full-confidence and partial-confidence views is ambiguous"),
+        ((0.5,), "a single view held with confidence 0.5 has nothing to pool with"),
+    ]
+
+    @pytest.fixture
+    def no_prior(self, monkeypatch):
+        def fails(*args, **kwargs):
+            raise AssertionError("a prior was built before the pooling rules were checked")
+
+        for name in ("fit_t_marginal", "analytic_prior"):
+            monkeypatch.setattr(engine, name, fails)
+
+    @pytest.mark.parametrize("mode", ["analytic", "analytic-from-fit", "scenario"])
+    @pytest.mark.parametrize("confidences, message", RULES)
+    def test_each_rule_raises_its_own_error(self, losses_csv, no_prior, mode, confidences,
+                                            message):
+        views = tuple(expectation_view(0.01 * (i + 1), confidence=c)
+                      for i, c in enumerate(confidences))
+        config = RunConfig(data=losses_csv, x="SVB", y="NBI", mode=mode, scenarios=200_000,
+                           views=views)
+        with pytest.raises(ConfigError) as err:
+            run_pipeline(config)
+        assert str(err.value).startswith(message)
+
+    def test_cli_exits_2_without_a_stage_tag(self, losses_csv, no_prior, tmp_path, capsys):
+        views = tmp_path / "views.json"
+        views.write_text('[{"kind": "expectation", "mean": 0.01, "confidence": 0.5},'
+                         ' {"kind": "expectation", "mean": 0.02, "confidence": 0.3}]')
+        rc = cli.main(["--data", losses_csv, "--x", "SVB", "--y", "NBI", "--mode", "scenario",
+                       "--scenarios", "200000", "--views", str(views)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: view confidences sum to 0.8, expected 1\n")
 
 
 class TestLonePartialConfidence:

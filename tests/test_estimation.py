@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    copula_draws,
+    exact_unit_map,
     loop_location_scale,
     pair_candidate_minimum,
     per_dof_t_copula,
@@ -18,7 +20,7 @@ from scipy.special import stdtr, stdtrit
 from scipy.stats import kendalltau
 from scipy.stats import t as student_t
 
-from epcovar import estimation, scenario
+from epcovar import estimation
 from epcovar.estimation import (
     QRFit,
     TCopulaParams,
@@ -33,6 +35,7 @@ from epcovar.estimation import (
 )
 
 _BENCH = Path(__file__).resolve().parent.parent / "bench"
+MAP_TOL = 1e-10  # the sampler's map against the exact map, relative to max(1, |exact|)
 
 
 def sample_t_copula(rho, dof, n, rng):
@@ -267,25 +270,20 @@ class TestGenerateScenarios:
         assert not np.array_equal(a.x, c.x)
 
     @pytest.mark.parametrize("n", [100, 5_000])
-    def test_threaded_sampler_equals_serial_reference(self, monkeypatch, n):
-        rng = np.random.default_rng(42)
-        z1 = rng.standard_normal(n)
-        z2 = rng.standard_normal(n)
-        w = rng.chisquare(self.COP.dof, n) / self.COP.dof
-        scale = 1.0 / np.sqrt(w)
-        zc = self.COP.rho * z1 + math.sqrt(1.0 - self.COP.rho**2) * z2
-        eps = 1e-12
-        u = np.clip(stdtr(self.COP.dof, z1 * scale), eps, 1.0 - eps)
-        v = np.clip(stdtr(self.COP.dof, zc * scale), eps, 1.0 - eps)
-        x = self.MX.location + self.MX.scale * stdtrit(self.MX.dof, u)
-        y = self.MY.location + self.MY.scale * stdtrit(self.MY.dof, v)
-        # at the default cut-over these panels are mapped serially; at n they
-        # are mapped on two threads
-        for cut_over in (scenario._THREADED_MIN_SCENARIOS, n):
-            monkeypatch.setattr(scenario, "_THREADED_MIN_SCENARIOS", cut_over)
-            panel = generate_scenarios(self.MX, self.MY, self.COP, n, seed=42)
-            assert panel.x.tobytes() == x.tobytes(), cut_over
-            assert panel.y.tobytes() == y.tobytes(), cut_over
+    def test_same_seed_gives_the_same_bytes(self, n):
+        a = generate_scenarios(self.MX, self.MY, self.COP, n, seed=42)
+        b = generate_scenarios(self.MX, self.MY, self.COP, n, seed=42)
+        assert a.x.tobytes() == b.x.tobytes()
+        assert a.y.tobytes() == b.y.tobytes()
+
+    @pytest.mark.parametrize("n", [100, 5_000])
+    def test_panel_within_the_map_bound_of_the_exact_map(self, n):
+        panel = generate_scenarios(self.MX, self.MY, self.COP, n, seed=42)
+        draws = copula_draws(self.COP, n, 42)
+        for m, losses, z in zip((self.MX, self.MY), (panel.x, panel.y), draws):
+            exact = exact_unit_map(self.COP.dof, m.dof, z)
+            unit = (losses - m.location) / m.scale
+            assert np.all(np.abs(unit - exact) <= MAP_TOL * np.maximum(1.0, np.abs(exact)))
 
     def test_panel_invariants_hold(self):
         panel = generate_scenarios(self.MX, self.MY, self.COP, 500, seed=1)
@@ -296,6 +294,50 @@ class TestGenerateScenarios:
     def test_size_guard(self):
         with pytest.raises(ValueError, match="at least 100"):
             generate_scenarios(self.MX, self.MY, self.COP, 50, seed=0)
+
+
+class TestUnitMap:
+    """The sampler's map from t-copula draws to unit marginal quantiles, an
+    interpolant, against the exact map (``_oracles.exact_unit_map``): within
+    ``MAP_TOL`` max(1, |exact|), and bitwise equal where the clip binds."""
+
+    DOFS = (2.1, 6.0, 100.0)
+
+    def _mapped(self, copula_dof, dof, z):
+        got = z.copy()
+        estimation._unit_map_inplace(copula_dof, dof, got)
+        return got
+
+    @pytest.mark.parametrize("n", [100, 20_000, 200_000])
+    @pytest.mark.parametrize("copula_dof", DOFS)
+    def test_within_the_bound_of_the_exact_map(self, copula_dof, n):
+        for seed in (1, 2, 3):
+            z = copula_draws(TCopulaParams(0.5, copula_dof), n, seed)[0]
+            for dof in self.DOFS:
+                exact = exact_unit_map(copula_dof, dof, z)
+                err = np.abs(self._mapped(copula_dof, dof, z) - exact)
+                assert np.all(err <= MAP_TOL * np.maximum(1.0, np.abs(exact))), (seed, dof)
+
+    def test_exact_where_the_clip_binds(self):
+        tail = np.logspace(-3.0, 8.0, 300)
+        for copula_dof in self.DOFS:
+            # dense draws on both sides of each clip edge, out to |z| = 1e8
+            edge = -float(stdtrit(copula_dof, 1e-12)) * np.linspace(0.98, 1.02, 401)
+            z = np.concatenate([-tail, -edge, [0.0], edge, tail])
+            cdf = stdtr(copula_dof, z)
+            binds = (cdf < 1e-12) | (cdf > 1.0 - 1e-12)
+            assert 300 < binds.sum() < z.size - 300
+            for dof in self.DOFS:
+                got = self._mapped(copula_dof, dof, z)[binds]
+                assert got.tobytes() == exact_unit_map(copula_dof, dof, z[binds]).tobytes()
+
+    @pytest.mark.parametrize("value", [0.0, -1.5, 1e8])
+    def test_one_distinct_draw(self, value):
+        z = np.full(100, value)
+        for copula_dof in self.DOFS:
+            for dof in self.DOFS:
+                exact = exact_unit_map(copula_dof, dof, z)
+                assert self._mapped(copula_dof, dof, z).tobytes() == exact.tobytes()
 
 
 class TestQuantileRegression:
