@@ -18,11 +18,12 @@ Degrees of freedom are searched on [2.1, 100]; a fit at the cap is flagged
 "effectively normal". The dof floor keeps variances finite, which the
 moment-based views require. Both fits run one search (``_search_dof``): the
 objective on a 60-point log grid, evaluated for all grid dofs in one call,
-then golden section on the argmax's bracket, then the cap test. The
+then Brent's bounded search on the argmax's bracket, then the cap test. The
 marginal's objective profiles (location, scale) by the EM of Liu & Rubin
-(Statistica Sinica 5, 1995); its 60 grid EMs run in lockstep as the rows of
-one array, each row with the one-dof EM's arithmetic and stopping rule, so
-every fit is bitwise equal to fitting one dof at a time.
+(Statistica Sinica 5, 1995), one row of an array per dof; the 60 grid EMs
+run in lockstep, each row with the same arithmetic and stopping rule as the
+EM at its dof alone, so every fit is bitwise equal to fitting one dof at a
+time.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ from .scenario import ScenarioPanel, _uniform_prior
 DOF_MIN = 2.1
 DOF_MAX = 100.0
 _DOF_GRID_SIZE = 60
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Near the maximum, a step of 3e-7 in log dof moves either objective by about
+# 1e-12, the size of its rounding noise, so a finer search only chases noise
+_LOG_DOF_XATOL = 3e-7
 _BLOCK_ELEMENTS = 1 << 15  # a block of lockstep rows stays in cache
 _CLIP = 1e-12  # the copula's CDF values are clipped into [_CLIP, 1 - _CLIP]
 _MAP_NODES = 4096  # nodes of the sampler's interpolated unit map
@@ -114,48 +117,17 @@ def _t_logliks(x: np.ndarray, locs: np.ndarray, scales: np.ndarray, dofs: np.nda
     return out
 
 
-def _fit_location_scale(x: np.ndarray, dof: float, loc0: float, scale0: float):
-    """EM fixed point for (location, scale) at fixed dof (Liu & Rubin, 1995).
-
-    Stops at the first iterate whose location and scale both move by less
-    than 1e-10 relative, or after 500 steps. The residual ``x - loc`` of one
-    step is the ``x - loc_new`` of the step before.
-    """
-    n = x.size
-    num = dof + 1.0
-    r = x - loc0
-    z = np.empty_like(x)
-    w = np.empty_like(x)
-    loc, scale = loc0, scale0
-    for _ in range(500):
-        np.divide(r, scale, z)
-        np.multiply(z, z, z)
-        np.add(z, dof, z)
-        np.divide(num, z, w)
-        np.multiply(w, x, z)
-        loc_new = float(np.add.reduce(z)) / float(np.add.reduce(w))
-        np.subtract(x, loc_new, r)
-        np.multiply(r, r, z)
-        np.multiply(w, z, z)
-        scale_new = math.sqrt(float(np.add.reduce(z)) / n)
-        if abs(loc_new - loc) < 1e-10 * max(1.0, abs(loc)) and (
-            abs(scale_new - scale) < 1e-10 * scale
-        ):
-            return loc_new, scale_new
-        loc, scale = loc_new, scale_new
-    return loc, scale
-
-
 def _fit_location_scale_rows(x: np.ndarray, dofs: np.ndarray, loc0: float, scale0: float):
-    """``_fit_location_scale`` at every dof of ``dofs``, run in lockstep.
+    """EM fixed point for (location, scale) at each fixed dof of ``dofs``
+    (Liu & Rubin, 1995), run in lockstep.
 
-    Row i of a block holds the EM at ``dofs[i]`` and does the same
-    elementwise arithmetic as the one-dof loop; each row's sums reduce one
-    C-contiguous row, and a row leaves the block at the iterate where it
-    first passes the convergence test. A block holds at most
-    ``_BLOCK_ELEMENTS`` elements (or one row), so at n = 500 the 60 grid
-    dofs form one block, while a large sample runs a row at a time. Returns
-    the locations and scales, bitwise equal to the one-dof loop's.
+    Row i of a block holds the EM at ``dofs[i]``, and each row's sums reduce
+    one C-contiguous row. A row leaves the block at the first iterate whose
+    location and scale both move by less than 1e-10 relative, or after 500
+    steps. A block holds at most ``_BLOCK_ELEMENTS`` elements (or one row),
+    so at n = 500 the 60 grid dofs form one block, while a large sample runs
+    a row at a time. Returns the locations and scales; each row's are
+    bitwise equal to those of the EM at its dof alone.
     """
     n = x.size
     locs = np.empty(dofs.size)
@@ -201,51 +173,39 @@ def _fit_location_scale_rows(x: np.ndarray, dofs: np.ndarray, loc0: float, scale
     return locs, scales
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int = 40) -> tuple[float, float]:
-    a, b = lo, hi
-    c1 = b - _GOLDEN * (b - a)
-    c2 = a + _GOLDEN * (b - a)
-    f1, f2 = fn(c1), fn(c2)
-    for _ in range(iters):
-        if f1 >= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - _GOLDEN * (b - a)
-            f1 = fn(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + _GOLDEN * (b - a)
-            f2 = fn(c2)
-    best = 0.5 * (a + b)
-    return best, fn(best)
-
-
-def _search_dof(grid_values, value_at) -> float:
+def _search_dof(values_at) -> float:
     """Maximize a profile objective over dof in [DOF_MIN, DOF_MAX].
 
-    ``grid_values`` maps a 60-point log grid to the objective at every point
-    in one call; ``value_at`` evaluates one dof. The argmax's bracket is
-    refined by golden section in log dof, and the cap wins when the
-    objective there is at least that at the refined dof.
+    ``values_at`` maps an array of dofs to the objective at each. It is
+    called once on a 60-point log grid, then on one dof at a time by Brent's
+    bounded search (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 5) in log dof on the argmax's bracket. The cap
+    wins when the objective there is at least that at Brent's dof.
     """
+    from scipy.optimize import minimize_scalar
+
     grid = np.geomspace(DOF_MIN, DOF_MAX, _DOF_GRID_SIZE)
-    values = grid_values(grid)
+    values = values_at(grid)
     k = int(np.argmax(values))
-    lo = math.log(grid[max(k - 1, 0)])
-    hi = math.log(grid[min(k + 1, grid.size - 1)])
-    best, _ = _golden_max(lambda u: value_at(math.exp(u)), lo, hi)
-    dof = min(math.exp(best), DOF_MAX)
-    if values[-1] >= value_at(dof):
-        dof = DOF_MAX  # == grid[-1], so grid_values has evaluated it
-    return dof
+    res = minimize_scalar(
+        lambda u: -values_at(np.array([math.exp(u)]))[0],
+        bounds=(math.log(grid[max(k - 1, 0)]), math.log(grid[min(k + 1, grid.size - 1)])),
+        method="bounded",
+        options={"xatol": _LOG_DOF_XATOL},
+    )
+    if values[-1] >= -res.fun:
+        return DOF_MAX
+    return min(math.exp(res.x), DOF_MAX)
 
 
 def fit_t_marginal(samples) -> TMarginal:
     """Maximum-likelihood Student-t fit by profiling the likelihood over dof.
 
     dof is searched on a log grid over [2.1, 100], whose 60 EM fits run in
-    lockstep, and refined by golden section; (location, scale) are
-    re-optimized at every dof. A degenerate (zero-spread) sample is rejected.
-    Estimates hitting the dof cap are reported as effectively normal.
+    lockstep, and refined by Brent's bounded search; (location, scale) are
+    re-optimized at every dof and refitted once at the chosen one. A
+    degenerate (zero-spread) sample is rejected. Estimates hitting the dof
+    cap are reported as effectively normal.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
@@ -260,24 +220,14 @@ def fit_t_marginal(samples) -> TMarginal:
     loc0 = float(np.median(x))
     mad = float(np.median(np.abs(x - loc0)))
     scale0 = mad * 1.4826 if mad > 0.0 else float(x.std())
-    cache: dict[float, tuple[float, float, float]] = {}
 
-    def profile_rows(dofs: np.ndarray) -> np.ndarray:
+    def profile(dofs: np.ndarray) -> np.ndarray:
         locs, scales = _fit_location_scale_rows(x, dofs, loc0, scale0)
-        values = _t_logliks(x, locs, scales, dofs)
-        cache.update(zip(dofs.tolist(), zip(locs.tolist(), scales.tolist(), values.tolist())))
-        return values
+        return _t_logliks(x, locs, scales, dofs)
 
-    def profile(dof: float) -> float:
-        if dof not in cache:
-            loc, scale = _fit_location_scale(x, dof, loc0, scale0)
-            value = _t_logliks(x, np.array([loc]), np.array([scale]), np.array([dof]))
-            cache[dof] = (loc, scale, float(value[0]))
-        return cache[dof][2]
-
-    dof = _search_dof(profile_rows, profile)
-    loc, scale, _ = cache[dof]
-    return TMarginal(location=loc, scale=scale, dof=float(dof))
+    dof = _search_dof(profile)
+    locs, scales = _fit_location_scale_rows(x, np.array([dof]), loc0, scale0)
+    return TMarginal(location=float(locs[0]), scale=float(scales[0]), dof=dof)
 
 
 def _tie_fraction(a: np.ndarray) -> float:
@@ -325,9 +275,10 @@ def fit_t_copula(u, v) -> TCopulaParams:
 
     The correlation comes from Kendall-tau inversion; the degrees of freedom
     maximize the pseudo-likelihood on a log grid over [2.1, 100] refined by
-    golden section. Heavily tied inputs (over half the entries duplicated in
-    either margin) are rejected as rank-degenerate, and |tau| = 1 is rejected
-    because the implied copula correlation sits on the boundary.
+    Brent's bounded search. Heavily tied inputs (over half the entries
+    duplicated in either margin) are rejected as rank-degenerate, and
+    |tau| = 1 is rejected because the implied copula correlation sits on the
+    boundary.
     """
     from scipy.stats import kendalltau
 
@@ -350,19 +301,8 @@ def fit_t_copula(u, v) -> TCopulaParams:
     # needs the t quantile of the distinct values only
     levels, inverse = np.unique(np.concatenate([u, v]), return_inverse=True)
     iu, iv = inverse[:u.size], inverse[u.size:]
-    cache: dict[float, float] = {}
-
-    def loglik_rows(dofs: np.ndarray) -> np.ndarray:
-        values = _t_copula_logliks(levels, iu, iv, rho, dofs)
-        cache.update(zip(dofs.tolist(), values.tolist()))
-        return values
-
-    def loglik(dof: float) -> float:
-        if dof not in cache:
-            cache[dof] = float(_t_copula_logliks(levels, iu, iv, rho, np.array([dof]))[0])
-        return cache[dof]
-
-    return TCopulaParams(rho=rho, dof=float(_search_dof(loglik_rows, loglik)))
+    dof = _search_dof(lambda dofs: _t_copula_logliks(levels, iu, iv, rho, dofs))
+    return TCopulaParams(rho=rho, dof=dof)
 
 
 def pseudo_observations(x) -> np.ndarray:
@@ -408,13 +348,23 @@ def _marginal_losses_inplace(m: TMarginal, copula_dof: float, draws: np.ndarray)
     draws += m.location
 
 
-def _exact_unit_map(copula_dof: float, dof: float, z: np.ndarray, out=None) -> np.ndarray:
+def _exact_unit_map(
+    copula_dof: float, dof: float, z: np.ndarray, out=None
+) -> tuple[np.ndarray, np.ndarray]:
     """g(z) = stdtrit(dof, clip(stdtr(copula_dof, z))): the copula's t CDF,
     clipped into [_CLIP, 1 - _CLIP], then the unit marginal's quantile
-    function."""
-    u = stdtr(copula_dof, z, out=out)
-    np.clip(u, _CLIP, 1.0 - _CLIP, out=u)
-    return stdtrit(dof, u, out=u)
+    function. Returns g and the mask of the draws where the clip binds.
+
+    Both t laws are symmetric, so g is evaluated on the lower tail and
+    g(z) = -g(-z) for z > 0: near 1, ``stdtr`` resolves only steps of about
+    1.1e-16, which would turn the upper tail into a staircase.
+    """
+    upper = z > 0.0
+    tail = stdtr(copula_dof, -np.abs(z), out=out)
+    clipped = tail < _CLIP
+    g = stdtrit(dof, np.maximum(tail, _CLIP, out=tail), out=tail)
+    np.negative(g, out=g, where=upper)
+    return g, clipped
 
 
 def _t_log_density(dof: float, x: np.ndarray) -> np.ndarray:
@@ -442,9 +392,7 @@ def _unit_map_inplace(copula_dof: float, dof: float, draws: np.ndarray) -> None:
         return
     s = np.linspace(lo, hi, _MAP_NODES)
     z = np.sinh(s)
-    cdf = stdtr(copula_dof, z)
-    clipped = (cdf < _CLIP) | (cdf > 1.0 - _CLIP)
-    g = stdtrit(dof, np.clip(cdf, _CLIP, 1.0 - _CLIP))
+    g, clipped = _exact_unit_map(copula_dof, dof, z)
     step = (hi - lo) / (_MAP_NODES - 1)
     slope = np.exp(_t_log_density(copula_dof, z) - _t_log_density(dof, g)) * np.hypot(1.0, z)
     slope[clipped] = 0.0
@@ -463,7 +411,7 @@ def _unit_map_inplace(copula_dof: float, dof: float, draws: np.ndarray) -> None:
         mapped = ((c3[k] * t + c2[k]) * t + c1[k]) * t + c0[k]
         if clipped.any():
             exact = (b < span[0]) | (b > span[1])
-            mapped[exact] = _exact_unit_map(copula_dof, dof, b[exact])
+            mapped[exact] = _exact_unit_map(copula_dof, dof, b[exact])[0]
         b[...] = mapped
 
 

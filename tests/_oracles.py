@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 from scipy.optimize import minimize as scipy_minimize
 from scipy.special import gammaln, ndtri, stdtr, stdtrit
 from scipy.stats import kendalltau
@@ -583,7 +583,7 @@ def cell_by_cell_ingest(source, columns=None, min_rows=None) -> IngestResult:
 
 # -- t fits, one dof at a time ----------------------------------------------------
 
-_DOF_MIN, _DOF_MAX, _DOF_GRID_SIZE = 2.1, 100.0, 60
+_DOF_MIN, _DOF_MAX, _DOF_GRID_SIZE, _LOG_DOF_XATOL = 2.1, 100.0, 60, 3e-7
 
 
 def _t_loglik(z, dof, scale):
@@ -614,50 +614,38 @@ def loop_location_scale(x, dof, loc0, scale0):
     return loc, scale
 
 
-def _golden_max(fn, lo, hi, iters=40):
-    a, b = lo, hi
-    c1 = b - _GOLDEN * (b - a)
-    c2 = a + _GOLDEN * (b - a)
-    f1, f2 = fn(c1), fn(c2)
-    for _ in range(iters):
-        if f1 >= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - _GOLDEN * (b - a)
-            f1 = fn(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + _GOLDEN * (b - a)
-            f2 = fn(c2)
-    best = 0.5 * (a + b)
-    return best, fn(best)
+def _per_dof_search(value):
+    """The argmax of ``value`` (one dof a call) over the dof grid, refined by
+    Brent's bounded search in log dof on its bracket; the cap test last."""
+    grid = np.geomspace(_DOF_MIN, _DOF_MAX, _DOF_GRID_SIZE)
+    values = [value(float(g)) for g in grid]
+    k = int(np.argmax(values))
+    res = minimize_scalar(
+        lambda u: -value(math.exp(u)),
+        bounds=(math.log(grid[max(k - 1, 0)]), math.log(grid[min(k + 1, grid.size - 1)])),
+        method="bounded",
+        options={"xatol": _LOG_DOF_XATOL},
+    )
+    if values[-1] >= -res.fun:
+        return _DOF_MAX
+    return min(math.exp(res.x), _DOF_MAX)
 
 
 def per_dof_t_marginal(samples):
-    """Profile-likelihood Student-t fit: every grid dof fitted by its own EM
-    loop, the argmax bracket refined by golden section, the cap test last."""
+    """Profile-likelihood Student-t fit: every dof fitted by its own EM
+    loop, searched by ``_per_dof_search``."""
     x = np.asarray(samples, dtype=float)
     loc0 = float(np.median(x))
     mad = float(np.median(np.abs(x - loc0)))
     scale0 = mad * 1.4826 if mad > 0.0 else float(x.std())
-    cache = {}
 
     def profile(dof):
-        if dof not in cache:
-            loc, scale = loop_location_scale(x, dof, loc0, scale0)
-            cache[dof] = (loc, scale, _t_loglik((x - loc) / scale, dof, scale))
-        return cache[dof][2]
+        loc, scale = loop_location_scale(x, dof, loc0, scale0)
+        return _t_loglik((x - loc) / scale, dof, scale)
 
-    grid = np.geomspace(_DOF_MIN, _DOF_MAX, _DOF_GRID_SIZE)
-    values = [profile(float(g)) for g in grid]
-    k = int(np.argmax(values))
-    lo = math.log(grid[max(k - 1, 0)])
-    hi = math.log(grid[min(k + 1, grid.size - 1)])
-    dof, _ = _golden_max(lambda u: profile(math.exp(u)), lo, hi)
-    dof = min(math.exp(dof), _DOF_MAX)
-    if profile(float(grid[-1])) >= profile(dof):
-        dof = _DOF_MAX
-    loc, scale, _ = cache[dof]
-    return TMarginal(location=loc, scale=scale, dof=float(dof))
+    dof = _per_dof_search(profile)
+    loc, scale = loop_location_scale(x, dof, loc0, scale0)
+    return TMarginal(location=loc, scale=scale, dof=dof)
 
 
 def _t_copula_loglik(tx, ty, rho, dof):
@@ -683,24 +671,12 @@ def per_dof_t_copula(u, v):
     rho = math.sin(math.pi * tau / 2.0)
     levels, inverse = np.unique(np.concatenate([u, v]), return_inverse=True)
     iu, iv = inverse[:u.size], inverse[u.size:]
-    cache = {}
 
     def loglik(dof):
-        if dof not in cache:
-            t = stdtrit(dof, levels)
-            cache[dof] = _t_copula_loglik(t[iu], t[iv], rho, dof)
-        return cache[dof]
+        t = stdtrit(dof, levels)
+        return _t_copula_loglik(t[iu], t[iv], rho, dof)
 
-    grid = np.geomspace(_DOF_MIN, _DOF_MAX, _DOF_GRID_SIZE)
-    values = [loglik(float(g)) for g in grid]
-    k = int(np.argmax(values))
-    lo = math.log(grid[max(k - 1, 0)])
-    hi = math.log(grid[min(k + 1, grid.size - 1)])
-    dof, _ = _golden_max(lambda w: loglik(math.exp(w)), lo, hi)
-    dof = min(math.exp(dof), _DOF_MAX)
-    if loglik(float(grid[-1])) >= loglik(dof):
-        dof = _DOF_MAX
-    return TCopulaParams(rho=rho, dof=float(dof))
+    return TCopulaParams(rho=rho, dof=_per_dof_search(loglik))
 
 
 # -- earlier forms of the scenario engine ----------------------------------------
@@ -717,9 +693,10 @@ def copula_draws(cop, n, seed):
 
 def exact_unit_map(copula_dof, dof, z):
     """The sampler's exact map: the copula's t CDF, clipped into
-    [1e-12, 1 - 1e-12], then the unit t quantile of the marginal's dof."""
-    eps = 1e-12
-    return stdtrit(dof, np.clip(stdtr(copula_dof, z), eps, 1.0 - eps))
+    [1e-12, 1 - 1e-12], then the unit t quantile of the marginal's dof,
+    evaluated on the lower tail and mirrored for z > 0."""
+    g = stdtrit(dof, np.maximum(stdtr(copula_dof, -np.abs(z)), 1e-12))
+    return np.where(z > 0.0, -g, g)
 
 
 def temporaries_dual(lam, log_prior, rows, bounds):

@@ -25,7 +25,6 @@ from epcovar.estimation import (
     QRFit,
     TCopulaParams,
     TMarginal,
-    _fit_location_scale,
     _fit_location_scale_rows,
     fit_t_copula,
     fit_t_marginal,
@@ -111,7 +110,7 @@ class TestFitTMarginal:
             fit_t_marginal(np.arange(10.0))
 
     def test_reuses_the_searched_location_scale_fit(self, tmp_path, monkeypatch):
-        # the fit equals one more EM run at the chosen dof, on the benchmark's
+        # the fit equals one EM loop at the chosen dof, on the benchmark's
         # datasets and on a sample whose fit hits the dof cap
         monkeypatch.syspath_prepend(str(_BENCH))
         workloads = importlib.import_module("workloads")
@@ -125,7 +124,7 @@ class TestFitTMarginal:
             fit = fit_t_marginal(x)
             loc0 = float(np.median(x))
             scale0 = float(np.median(np.abs(x - loc0))) * 1.4826
-            loc, scale = _fit_location_scale(x, fit.dof, loc0, scale0)
+            loc, scale = loop_location_scale(x, fit.dof, loc0, scale0)
             assert repr(fit) == repr(TMarginal(loc, scale, fit.dof))
             capped += fit.effectively_normal
         assert capped >= 1
@@ -171,7 +170,7 @@ class TestFitTCopula:
 
 
 class TestDofSearchMatchesPerDofOracle:
-    """The lockstep grid, the lean EM and the shared search give fits
+    """The lockstep EM, at 60 rows or one, and the shared search give fits
     ``repr``-identical to the search that fits one dof at a time."""
 
     GRID = np.geomspace(estimation.DOF_MIN, estimation.DOF_MAX, estimation._DOF_GRID_SIZE)
@@ -230,8 +229,11 @@ class TestDofSearchMatchesPerDofOracle:
             locs, scales = _fit_location_scale_rows(x, self.GRID, loc0, scale0)
             for i, g in enumerate(self.GRID.tolist()):
                 want = loop_location_scale(x, g, loc0, scale0)
-                assert _fit_location_scale(x, g, loc0, scale0) == want, (trial, g)
                 assert (locs[i], scales[i]) == want, (trial, g)
+            # the one-row array that Brent's search and the final refit pass
+            for g in (dof, float(rng.uniform(2.1, 100.0))):
+                (loc,), (scale,) = _fit_location_scale_rows(x, np.array([g]), loc0, scale0)
+                assert (loc, scale) == loop_location_scale(x, g, loc0, scale0), (trial, g)
 
     def test_rows_stopped_by_the_iteration_cap(self):
         # from a start scale of 1e-140 the scale grows by about sqrt(dof + 1)
@@ -241,9 +243,44 @@ class TestDofSearchMatchesPerDofOracle:
         locs, scales = _fit_location_scale_rows(x, self.GRID, loc0, 1e-140)
         assert scales[0] < 1e-10 < 0.5 < scales[-1]
         for i, g in enumerate(self.GRID.tolist()):
-            want = loop_location_scale(x, g, loc0, 1e-140)
-            assert _fit_location_scale(x, g, loc0, 1e-140) == want, g
-            assert (locs[i], scales[i]) == want, g
+            assert (locs[i], scales[i]) == loop_location_scale(x, g, loc0, 1e-140), g
+        # off the grid, one row at a time; the two lowest dofs run out of steps
+        for g in (2.15, 2.3, 7.7, 97.0):
+            (loc,), (scale,) = _fit_location_scale_rows(x, np.array([g]), loc0, 1e-140)
+            assert (loc, scale) == loop_location_scale(x, g, loc0, 1e-140), g
+            assert (scale < 1e-10) == (g < 3.0), g
+
+
+class TestDofSearchBudget:
+    """Brent's search makes at most 30 single-dof evaluations per fit,
+    counting the marginal's refit at the chosen dof."""
+
+    def test_at_most_30_single_dof_evaluations_per_fit(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(_BENCH))
+        workloads = importlib.import_module("workloads")
+        real_rows, real_logliks = _fit_location_scale_rows, estimation._t_copula_logliks
+        sizes = []
+
+        def rows(x, dofs, loc0, scale0):
+            sizes.append(dofs.size)
+            return real_rows(x, dofs, loc0, scale0)
+
+        def logliks(levels, iu, iv, rho, dofs):
+            sizes.append(dofs.size)
+            return real_logliks(levels, iu, iv, rho, dofs)
+
+        monkeypatch.setattr(estimation, "_fit_location_scale_rows", rows)
+        monkeypatch.setattr(estimation, "_t_copula_logliks", logliks)
+        for seed in (1, 2, 3):
+            for workload_id in (1, 2):
+                ds = workloads.make_dataset(tmp_path, seed, workload_id, 0)
+                u, v = pseudo_observations(ds.x), pseudo_observations(ds.y)
+                for fit in (lambda: fit_t_marginal(ds.x), lambda: fit_t_marginal(ds.y),
+                            lambda: fit_t_copula(u, v)):
+                    sizes.clear()
+                    fit()
+                    assert sizes.count(estimation._DOF_GRID_SIZE) == 1
+                    assert sizes.count(1) == len(sizes) - 1 <= 30, (seed, workload_id, sizes)
 
 
 class TestGenerateScenarios:
@@ -330,6 +367,17 @@ class TestUnitMap:
             for dof in self.DOFS:
                 got = self._mapped(copula_dof, dof, z)[binds]
                 assert got.tobytes() == exact_unit_map(copula_dof, dof, z[binds]).tobytes()
+
+    def test_upper_tail_mirrors_the_lower_tail(self):
+        # both t laws are symmetric, so g(z) = -g(-z), bitwise where the
+        # copula's tail probability runs from 1e-6 to 1e-12
+        p = np.logspace(-6.0, -12.0, 61)
+        for copula_dof in self.DOFS:
+            z = -stdtrit(copula_dof, p)
+            for dof in self.DOFS:
+                upper, _ = estimation._exact_unit_map(copula_dof, dof, z)
+                lower, _ = estimation._exact_unit_map(copula_dof, dof, -z)
+                assert upper.tobytes() == (-lower).tobytes(), (copula_dof, dof)
 
     @pytest.mark.parametrize("value", [0.0, -1.5, 1e8])
     def test_one_distinct_draw(self, value):
