@@ -439,7 +439,7 @@ def covar_for_view(
         return ViewOutcome(var_normal(p, alpha), p, True, "no-view")
     if view.kind == "distribution":
         raise ValueError("distribution views have no closed form; use scenario mode")
-    on_y = view.target == "y" and view.kind not in ("correlation", "relative")
+    on_y = view.target == "y"
     q = _self_view_params(p) if on_y else p
     if view.kind == "expectation":
         out = covar_expectation_view(q, view.mean, view.relation, alpha)

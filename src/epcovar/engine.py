@@ -47,7 +47,7 @@ from .estimation import fit_t_copula, fit_t_marginal, generate_scenarios, pseudo
 from .normal import bvn_cdf  # noqa: F401
 from .scenario import ScenarioPanel, _on_two_threads, interpolated_quantile
 from .solver import SolveReport, max_violation, pool, relative_entropy, solve
-from .views import ViewSpec, compile_view, describe, no_view, view_from_dict
+from .views import KINDS, ViewSpec, compile_view, describe, no_view, view_from_dict
 
 _MODES = ("analytic", "analytic-from-fit", "scenario")
 _MISSING_TOKENS = {"", "nan", "na", "null", "none"}
@@ -590,10 +590,6 @@ def emit_report(report: RiskReport, fmt: str = "table", sink=None) -> None:
 
 # -- sensitivity scans --------------------------------------------------------------
 
-_SCAN_FIELDS = {"expectation": "mean", "variance": "variance", "quantile": "quantile",
-                "correlation": "correlation", "value": "value"}
-
-
 def sensitivity_scan(
     prior_or_config,
     kind: str,
@@ -620,13 +616,14 @@ def sensitivity_scan(
     else:
         prior = prior_or_config
         alpha = 0.95 if alpha is None else alpha
-    if kind not in _SCAN_FIELDS:
-        raise ConfigError(f"scan kind must be one of {tuple(_SCAN_FIELDS)}, got {kind!r}")
+    scanned = {name: spec.one_sided for name, spec in KINDS.items() if spec.one_sided}
+    if kind not in scanned:
+        raise ConfigError(f"scan kind must be one of {tuple(scanned)}, got {kind!r}")
     if steps < 2 or not math.isfinite(start) or not math.isfinite(stop) or start == stop:
         raise ConfigError(f"degenerate scan range [{start}, {stop}] with {steps} steps")
     level = alpha if kind == "quantile" else None  # closed-form quantile views pin at alpha
     out = []
     for value in np.linspace(start, stop, steps).tolist():
-        view = ViewSpec(kind, quantile_level=level, **{_SCAN_FIELDS[kind]: value})
+        view = ViewSpec(kind, quantile_level=level, **{scanned[kind]: value})
         out.append((value, analytics.covar_for_view(prior, view, alpha).covar))
     return out

@@ -281,8 +281,6 @@ def _phase_one_certificate(constraints: LinearConstraintSet) -> float:
     keep = np.arange(constraints.n_rows) != constraints.normalization_row
     up = keep & np.isfinite(constraints.upper)
     dn = keep & np.isfinite(constraints.lower)
-    if not (up.any() or dn.any()):
-        return 0.0
     b_ub = np.concatenate([constraints.upper[up], -constraints.lower[dn]])
     support = np.unique(np.concatenate([g.argmax(axis=1)[keep], g.argmin(axis=1)[keep]]))
     batch = b_ub.size + 1

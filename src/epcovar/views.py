@@ -13,6 +13,14 @@ A view is a statement about the posterior distribution of one asset's losses
     distribution       posterior bin probabilities over the target's support
     none               sentinel: no information, CoVaR collapses to VaR
 
+``KINDS`` declares, once for each kind, the parameters it requires, the one
+level that its "le" and "ge" relations bound (equality-only kinds have none),
+whether it may target Y, and its report label; ``ViewSpec``, ``describe``,
+the sensitivity scan and the closed-form dispatch read it. ``ViewSpec``
+rejects a parameter that the view's kind does not read (``value_band`` is
+read by value views under the equality relation only), and target Y on a
+correlation, relative or none view, which take no target.
+
 ``compile_view`` lowers a view onto a scenario panel as the constraint system
 ``lower <= G @ p <= upper`` consumed by the entropy-pooling solver. Every
 compiled set ends with the normalization row (all ones, bounds [1, 1]).
@@ -42,42 +50,60 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import InitVar, dataclass, field, fields
-from typing import Literal
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
 from .errors import InfeasibleViewError
 from .scenario import ScenarioPanel, _freeze, moments
 
-Kind = Literal[
-    "expectation",
-    "variance",
-    "mean_and_variance",
-    "quantile",
-    "value",
-    "correlation",
-    "relative",
-    "distribution",
-    "none",
-]
 Relation = Literal["eq", "le", "ge"]
 
 BIN_PROB_TOL = 1e-10
 VALUE_BAND_FRACTION = 0.05  # default half-width of a value-equality band, in prior stds
 
-_EQ_ONLY = frozenset({"mean_and_variance", "relative", "distribution", "none"})
-_SCALARS = (
-    "confidence", "mean", "variance", "quantile", "quantile_level", "value",
-    "correlation", "diff_mean", "diff_variance", "value_band",
-)
 _REL_SYMBOL = {"eq": "=", "le": "<=", "ge": ">="}
+
+
+class ViewKind(NamedTuple):
+    """What the package knows of one view kind, apart from how it compiles."""
+
+    params: tuple[str, ...]   # the parameters a view of the kind requires
+    one_sided: str | None     # the level that "le" and "ge" bound; None: equality only
+    targeted: bool            # whether the view may target Y
+    label: Callable[[ViewSpec, str, str], str]  # of (view, target letter, relation symbol)
+    eq_params: tuple[str, ...] = ()  # optional parameters the equality relation reads
+
+
+KINDS = {
+    "expectation": ViewKind(("mean",), "mean", True, lambda v, t, r: f"mu~_{t} {r} {v.mean:g}"),
+    "variance": ViewKind(
+        ("variance",), "variance", True, lambda v, t, r: f"sigma~_{t}^2 {r} {v.variance:g}"),
+    "mean_and_variance": ViewKind(
+        ("mean", "variance"), None, True,
+        lambda v, t, r: f"mu~_{t} = {v.mean:g}, sigma~_{t}^2 = {v.variance:g}"),
+    "quantile": ViewKind(
+        ("quantile", "quantile_level"), "quantile", True,
+        lambda v, t, r: f"q~_{t}({v.quantile_level:g}) {r} {v.quantile:g}"),
+    "value": ViewKind(
+        ("value",), "value", True, lambda v, t, r: f"{t} {r} {v.value:g}", ("value_band",)),
+    "correlation": ViewKind(
+        ("correlation",), "correlation", False, lambda v, t, r: f"rho~ {r} {v.correlation:g}"),
+    "relative": ViewKind(
+        ("diff_mean", "diff_variance"), None, False,
+        lambda v, t, r: f"X - Y ~ N({v.diff_mean:g}, {v.diff_variance:g})"),
+    "distribution": ViewKind(
+        ("bin_edges", "bin_probs"), None, True,
+        lambda v, t, r: f"P({t} in bins) = [{', '.join(f'{p:g}' for p in v.bin_probs)}]"),
+    "none": ViewKind((), None, False, lambda v, t, r: "none (CoVaR = VaR)"),
+}
 
 
 @dataclass(frozen=True)
 class ViewSpec:
-    """One expert view. Unused parameter fields stay ``None``."""
+    """One expert view. Parameter fields its kind does not read stay ``None``."""
 
-    kind: Kind
+    kind: str
     relation: Relation = "eq"
     target: Literal["x", "y"] = "x"
     confidence: float = 1.0
@@ -94,54 +120,45 @@ class ViewSpec:
     value_band: float | None = None
 
     def __post_init__(self):
-        if self.kind not in Kind.__args__:
+        kind = KINDS.get(self.kind) if isinstance(self.kind, str) else None
+        if kind is None:
             raise ValueError(f"unknown view kind {self.kind!r}")
         if self.relation not in _REL_SYMBOL:
             raise ValueError(f"unknown relation {self.relation!r}")
         if self.target not in ("x", "y"):
             raise ValueError(f"target must be 'x' or 'y', got {self.target!r}")
-        for name in _SCALARS:
+        for name in ("confidence", *_PARAMETERS):
             value = getattr(self, name)
-            if value is not None:
+            if name in ("bin_edges", "bin_probs") and value is not None:
+                for v in value:
+                    _check_real(f"{name} entry", v, allow_inf=name == "bin_edges")
+            elif value is not None:
                 _check_real(name, value)
         if not 0.0 < self.confidence <= 1.0:
             raise ValueError(f"confidence must lie in (0, 1], got {self.confidence}")
-        if self.kind in _EQ_ONLY and self.relation != "eq":
+        if kind.one_sided is None and self.relation != "eq":
             raise ValueError(f"{self.kind} views admit only the equality relation")
-        need = {
-            "expectation": ("mean",),
-            "variance": ("variance",),
-            "mean_and_variance": ("mean", "variance"),
-            "quantile": ("quantile", "quantile_level"),
-            "value": ("value",),
-            "correlation": ("correlation",),
-            "relative": ("diff_mean", "diff_variance"),
-            "distribution": ("bin_edges", "bin_probs"),
-            "none": (),
-        }[self.kind]
-        for name in need:
-            if getattr(self, name) is None:
+        if self.target == "y" and not kind.targeted:
+            raise ValueError(f"{self.kind} views take no target, got target 'y'")
+        used = kind.params + (kind.eq_params if self.relation == "eq" else ())
+        for name in _PARAMETERS:
+            if name in kind.params and getattr(self, name) is None:
                 raise ValueError(f"{self.kind} view requires parameter {name!r}")
-        if self.variance is not None and self.variance <= 0.0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
-        if self.diff_variance is not None and self.diff_variance <= 0.0:
-            raise ValueError(f"diff_variance must be positive, got {self.diff_variance}")
+            if name not in used and getattr(self, name) is not None:
+                under = f" under relation {self.relation!r}" if name in kind.eq_params else ""
+                raise ValueError(f"{self.kind} view does not use parameter {name!r}{under}")
+        for name in ("variance", "diff_variance", "value_band"):
+            if (value := getattr(self, name)) is not None and value <= 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.kind == "quantile" and not 0.0 < self.quantile_level < 1.0:
             raise ValueError(f"quantile_level must lie in (0, 1), got {self.quantile_level}")
         if self.correlation is not None and abs(self.correlation) > 1.0:
             raise ValueError(f"correlation must lie in [-1, 1], got {self.correlation}")
-        if self.value_band is not None and self.value_band <= 0.0:
-            raise ValueError(f"value_band must be positive, got {self.value_band}")
-        for name, allow_inf in (("bin_edges", True), ("bin_probs", False)):
-            for v in getattr(self, name) if getattr(self, name) is not None else ():
-                _check_real(f"{name} entry", v, allow_inf)
         if self.kind == "distribution":
             edges = tuple(float(e) for e in self.bin_edges)
             probs = tuple(float(p) for p in self.bin_probs)
             if len(edges) != len(probs) + 1:
-                raise ValueError(
-                    f"{len(probs)} bins need {len(probs) + 1} edges, got {len(edges)}"
-                )
+                raise ValueError(f"{len(probs)} bins need {len(probs) + 1} edges, got {len(edges)}")
             if len(probs) < 1:
                 raise ValueError("distribution view needs at least one bin")
             if any(e1 >= e2 for e1, e2 in zip(edges, edges[1:])):
@@ -152,6 +169,10 @@ class ViewSpec:
                 raise ValueError(f"bin probabilities sum to {sum(probs)!r}, expected 1")
             object.__setattr__(self, "bin_edges", edges)
             object.__setattr__(self, "bin_probs", probs)
+
+
+_FIELDS = tuple(f.name for f in fields(ViewSpec))
+_PARAMETERS = _FIELDS[4:]  # every field after kind, relation, target and confidence
 
 
 def _check_real(name: str, value, allow_inf: bool = False) -> None:
@@ -242,6 +263,8 @@ class LinearConstraintSet:
             raise ValueError("constraint matrix must be finite")
         if np.any(lo > hi):
             raise ValueError("lower bound exceeds upper bound")
+        if not (lo.max() < np.inf and hi.min() > -np.inf):  # False for a NaN bound too
+            raise ValueError("bounds must not be NaN, a lower bound +inf or an upper bound -inf")
         if np.any(np.all(g == 0.0, axis=1)):
             raise ValueError("constraint rows must have at least one nonzero entry")
         norm_rows = np.flatnonzero(
@@ -435,31 +458,10 @@ def compile_view(view: ViewSpec, panel: ScenarioPanel) -> LinearConstraintSet:
 
 def describe(view: ViewSpec) -> str:
     """Deterministic human-readable label for report rows."""
-    t = view.target.upper()
-    rel = _REL_SYMBOL[view.relation]
-    if view.kind == "expectation":
-        return f"mu~_{t} {rel} {view.mean:g}"
-    if view.kind == "variance":
-        return f"sigma~_{t}^2 {rel} {view.variance:g}"
-    if view.kind == "mean_and_variance":
-        return f"mu~_{t} = {view.mean:g}, sigma~_{t}^2 = {view.variance:g}"
-    if view.kind == "quantile":
-        return f"q~_{t}({view.quantile_level:g}) {rel} {view.quantile:g}"
-    if view.kind == "value":
-        return f"{t} {rel} {view.value:g}"
-    if view.kind == "correlation":
-        return f"rho~ {rel} {view.correlation:g}"
-    if view.kind == "relative":
-        return f"X - Y ~ N({view.diff_mean:g}, {view.diff_variance:g})"
-    if view.kind == "distribution":
-        bins = ", ".join(f"{p:g}" for p in view.bin_probs)
-        return f"P({t} in bins) = [{bins}]"
-    return "none (CoVaR = VaR)"
+    return KINDS[view.kind].label(view, view.target.upper(), _REL_SYMBOL[view.relation])
 
 
 # -- (de)serialization for views config files ---------------------------------
-
-_FIELDS = tuple(f.name for f in fields(ViewSpec))
 
 
 def view_to_dict(view: ViewSpec) -> dict:

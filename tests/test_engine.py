@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from _oracles import serial_scenario_rows
 from epcovar import analytics, cli, engine, estimation, scenario
@@ -28,7 +28,9 @@ from epcovar.engine import (
     analytic_prior,
     config_from_dict,
     ep_covar_on_panel,
+    emit_report,
     ingest_csv,
+    load_config,
     load_views_file,
     render_report,
     run_pipeline,
@@ -235,6 +237,22 @@ class TestAnalyticPipeline:
         config = RunConfig(data=colinear_csv, x="X", y="Y", views=views)
         with pytest.raises(NumericDomainError, match=r"cannot pool rho~ = 0\.5"):
             run_pipeline(config)
+
+    def test_pooled_value_view_at_unit_correlation_is_a_point_law(self, colinear_csv):
+        # Y = 2X: the value view X = v puts all of Y's mass at 2v, far below the
+        # mean view's law, so the mixture's 0.95-quantile is that law's
+        # 0.9-quantile
+        series = ingest_csv(colinear_csv, ["X", "Y"]).series
+        prior = analytic_prior(series["X"], series["Y"])
+        level = prior.mu_x - 3.0 * prior.sigma_x
+        views = (value_view(level, confidence=0.5), expectation_view(0.01, confidence=0.5))
+        report = run_pipeline(RunConfig(data=colinear_csv, x="X", y="Y", views=views))
+        point, mean_view, pooled = report.rows
+        assert point.covar == pytest.approx(prior.mu_y + 2.0 * (level - prior.mu_x), abs=1e-15)
+        z90, z95 = ndtri(0.9), ndtri(0.95)
+        want = mean_view.covar - prior.sigma_y * (z95 - z90)
+        assert pooled.method == "pooled"
+        assert pooled.covar == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_distribution_view_needs_scenario_mode(self, losses_csv):
         view = view_from_dict(
@@ -708,6 +726,18 @@ class TestEmit:
         assert "unit=percent" in text
         assert "iterations=12" in text
 
+    def test_emit_writes_to_a_file_like_sink(self):
+        report = self._report([ReportRow("none (CoVaR = VaR)", "analytic", 0.1, 0.1, 0.0, True)])
+        sink = io.StringIO()
+        emit_report(report, "csv", sink)
+        assert sink.getvalue() == render_report(report, "csv")
+
+    def test_unknown_format_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"format must be one of \('table', 'csv', 'json'\)"):
+            render_report(self._report([]), "xml")
+        with pytest.raises(ConfigError, match="got 'xml'"):
+            RunConfig(data="x.csv", x="A", y="B", fmt="xml")
+
     def test_golden_bytes_of_every_row_kind(self):
         # analytic, collapsed analytic, scenario-EP, pooled analytic (no
         # diagnostics) and pooled scenario (iterations 0) rows, in all formats
@@ -891,6 +921,50 @@ class TestConfig:
         views = load_views_file(path)
         assert views[0].kind == "none"
 
+    def test_views_file_accepts_a_views_object(self, tmp_path):
+        path = tmp_path / "views.json"
+        path.write_text('{"views": [{"kind": "expectation", "mean": 0.01}, {"kind": "none"}]}')
+        assert load_views_file(path) == (expectation_view(0.01), no_view())
+
+    @pytest.mark.parametrize("load", [load_config, load_views_file], ids=["config", "views"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read"),
+            ("{", "is not valid JSON"),
+            ("[1, 2", "is not valid JSON"),
+        ],
+        ids=["unreadable", "brace", "bracket"],
+    )
+    def test_unreadable_or_invalid_json_is_a_config_error(self, tmp_path, load, text, message):
+        path = tmp_path / "in.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "load, text, message",
+        [
+            (load_config, "[]", "config root must be a JSON object"),
+            (load_config, '"run"', "config root must be a JSON object"),
+            (load_config, '{"data": "d.csv", "x": "A", "y": "B", "views": {"kind": "none"}}',
+             "'views' must be a list"),
+            (load_views_file, "3", "'views' must be a list"),
+            (load_views_file, '{"views": 3}', "'views' must be a list"),
+            (load_views_file, '{"view": []}', "'views' must be a list"),
+            (load_views_file, '[{"kind": "expectation"}]',
+             "view #0: expectation view requires parameter 'mean'"),
+        ],
+        ids=["config-list", "config-string", "config-views-object", "views-number",
+             "views-value-number", "views-key-missing", "views-bad-entry"],
+    )
+    def test_wrong_document_shape_is_a_config_error(self, tmp_path, load, text, message):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load(path)
+
 
 class TestCli:
     def _run(self, args):
@@ -1073,10 +1147,23 @@ class TestCli:
              "bin_probs entry must be finite"),
             ('{"kind": "distribution", "bin_edges": [-1, 0, 1], "bin_probs": [true, 0]}',
              "bin_probs entry must be a real number, got True"),
+            ('{"kind": "expectation", "mean": 0.01, "variance": 0.02}',
+             "expectation view does not use parameter 'variance'"),
+            ('{"kind": "value", "value": 0.01, "quantile_level": 0.95}',
+             "value view does not use parameter 'quantile_level'"),
+            ('{"kind": "value", "value": 0.01, "relation": "ge", "value_band": 0.001}',
+             "value view does not use parameter 'value_band' under relation 'ge'"),
+            ('{"kind": "correlation", "correlation": 0.5, "target": "y"}',
+             "correlation views take no target, got target 'y'"),
+            ('{"kind": "relative", "diff_mean": 0, "diff_variance": 1e-4, "target": "y"}',
+             "relative views take no target, got target 'y'"),
+            ('{"kind": "none", "target": "y"}', "none views take no target, got target 'y'"),
         ],
         ids=["mean-string", "mean-list", "mean-bool", "mean-nan", "mean-inf",
              "confidence-string", "level-bool", "band-inf", "correlation-nan",
-             "diff-mean-string", "edge-nan", "edge-string", "prob-nan", "prob-bool"],
+             "diff-mean-string", "edge-nan", "edge-string", "prob-nan", "prob-bool",
+             "unused-variance", "unused-level", "band-on-half-line", "correlation-on-y",
+             "relative-on-y", "none-on-y"],
     )
     def test_malformed_view_parameter_exits_config(
         self, losses_csv, tmp_path, capsys, mode, entry, message

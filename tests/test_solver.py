@@ -550,6 +550,21 @@ class TestPool:
         with pytest.raises(ValueError, match="exactly 1"):
             pool([a, a], [1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "n_posteriors, confidences, message",
+        [
+            (0, [], "at least one posterior"),
+            (2, [1.0], "2 posteriors but 1 confidences"),
+            (2, [0.0, 1.0], r"must lie in \(0, 1\]"),
+            (2, [1.5, -0.5], r"must lie in \(0, 1\]"),
+        ],
+        ids=["none", "count", "zero", "outside"],
+    )
+    def test_argument_guards(self, n_posteriors, confidences, message):
+        a = Probabilities(np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match=message):
+            pool([a] * n_posteriors, confidences)
+
     def test_scenario_count_guard(self):
         a = Probabilities(np.array([0.5, 0.5]))
         b = Probabilities(np.array([0.2, 0.3, 0.5]))

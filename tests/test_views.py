@@ -1,5 +1,7 @@
 """View validation, constraint compilation, and report labels."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from epcovar.views import (
     quantile_view,
     relative_view,
     value_view,
+    variance_view,
     view_from_dict,
     view_to_dict,
 )
@@ -81,6 +84,40 @@ class TestViewSpecValidation:
         with pytest.raises(ValueError, match="quantile_level"):
             quantile_view(0.5, level=1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(kind="expectation", mean=0.1, variance=0.02),
+             "expectation view does not use parameter 'variance'"),
+            (dict(kind="variance", variance=0.02, quantile_level=0.95),
+             "variance view does not use parameter 'quantile_level'"),
+            (dict(kind="value", value=0.1, quantile_level=0.95),
+             "value view does not use parameter 'quantile_level'"),
+            (dict(kind="relative", diff_mean=0.0, diff_variance=1.0, mean=0.0),
+             "relative view does not use parameter 'mean'"),
+            (dict(kind="none", bin_probs=(1.0,)), "none view does not use parameter 'bin_probs'"),
+            (dict(kind="expectation", mean=0.1, value_band=0.01),
+             "expectation view does not use parameter 'value_band'"),
+            (dict(kind="value", relation="le", value=0.1, value_band=0.01),
+             "value view does not use parameter 'value_band' under relation 'le'"),
+            (dict(kind="value", relation="ge", value=0.1, value_band=0.01),
+             "value view does not use parameter 'value_band' under relation 'ge'"),
+            (dict(kind="correlation", target="y", correlation=0.5),
+             "correlation views take no target, got target 'y'"),
+            (dict(kind="relative", target="y", diff_mean=0.0, diff_variance=1.0),
+             "relative views take no target, got target 'y'"),
+            (dict(kind="none", target="y"), "none views take no target, got target 'y'"),
+        ],
+    )
+    def test_rejects_what_the_kind_does_not_read(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ViewSpec(**kwargs)
+
+    def test_parameters_the_kind_reads_are_accepted(self):
+        assert value_view(0.1, band=0.01).value_band == 0.01
+        assert quantile_view(0.1, 0.9, target="y").quantile_level == 0.9
+        assert distribution_view([0, 1], [1.0], target="y").target == "y"
+
     def test_dict_round_trip(self):
         view = quantile_view(0.6041, 0.95, relation="ge", target="x", confidence=0.5)
         assert view_from_dict(view_to_dict(view)) == view
@@ -119,6 +156,21 @@ class TestConstraintSetInvariants:
         g = np.array([[np.inf, 1.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="finite"):
             LinearConstraintSet(g, np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [(np.inf, np.inf), (-np.inf, -np.inf), (np.nan, 1.0), (0.0, np.nan)],
+        ids=["lower-plus-inf", "upper-minus-inf", "lower-nan", "upper-nan"],
+    )
+    def test_rejects_unsatisfiable_or_nan_bounds(self, lower, upper):
+        g = np.vstack([[0.0, 1.0, 2.0], np.ones(3)])
+        with pytest.raises(ValueError, match="bounds must not be NaN"):
+            LinearConstraintSet(g, np.array([lower, 1.0]), np.array([upper, 1.0]))
+
+    def test_one_sided_infinite_bounds_are_accepted(self):
+        g = np.vstack([[0.0, 1.0, 2.0], np.ones(3)])
+        cs = LinearConstraintSet(g, np.array([-np.inf, 1.0]), np.array([np.inf, 1.0]))
+        assert cs.n_rows == 2
 
     def test_caller_arrays_are_copied(self):
         g, lo, hi = np.array([[0.0, 1.0], [1.0, 1.0]]), np.array([0.2, 1.0]), np.array([0.4, 1.0])
@@ -248,6 +300,12 @@ class TestCompileCorrelation:
         assert np.isfinite(cs.lower[4])
 
 
+    def test_constant_margin_is_infeasible(self):
+        panel = build_panel([0.0, 1.0, 2.0], [0.5, 0.5, 0.5])
+        with pytest.raises(InfeasibleViewError, match="non-degenerate prior marginals"):
+            compile_view(correlation_view(0.4), panel)
+
+
 class TestCompileRelative:
     def test_difference_moment_rows(self):
         panel = build_panel([0.0, 1.0, 2.0], [0.5, 0.25, 1.0])
@@ -291,6 +349,11 @@ class TestCompileDistribution:
         view = distribution_view([200.0, 300.0], [1.0])
         with pytest.raises(InfeasibleViewError, match=r"bin\[200,300\]"):
             compile_view(view, panel_atoms)
+
+    def test_certain_bin_covering_every_scenario_adds_no_row(self, panel_atoms):
+        cs = compile_view(distribution_view([0.0, 200.0], [1.0]), panel_atoms)
+        assert cs.n_rows == 1  # just the normalization row
+        assert cs.labels == ("normalization",)
 
     def test_empty_bin_with_zero_mass_is_skipped(self, panel_atoms):
         view = distribution_view(
@@ -379,6 +442,66 @@ class TestCompiledSystemProperties:
             feasible = bool(np.all((achieved >= cs.lower - 1e-12) & (achieved <= cs.upper + 1e-12)))
             direct = float(panel.prior[panel.x <= q1].sum()) >= level - 1e-12
             assert feasible == direct
+
+
+_LABELS = [
+    (expectation_view(0.6041), "mu~_X = 0.6041"),
+    (expectation_view(1e-05, "le"), "mu~_X <= 1e-05"),
+    (expectation_view(2, "ge"), "mu~_X >= 2"),
+    (expectation_view(-0.25, target="y"), "mu~_Y = -0.25"),
+    (expectation_view(0.123456789, "le", target="y"), "mu~_Y <= 0.123457"),
+    (expectation_view(1e-05, "ge", target="y"), "mu~_Y >= 1e-05"),
+    (variance_view(0.036), "sigma~_X^2 = 0.036"),
+    (variance_view(1e-05, "le"), "sigma~_X^2 <= 1e-05"),
+    (variance_view(2, "ge"), "sigma~_X^2 >= 2"),
+    (variance_view(0.6041, target="y"), "sigma~_Y^2 = 0.6041"),
+    (variance_view(1234567.0, "le", target="y"), "sigma~_Y^2 <= 1.23457e+06"),
+    (variance_view(2, "ge", target="y"), "sigma~_Y^2 >= 2"),
+    (mean_variance_view(0.6041, 1e-05), "mu~_X = 0.6041, sigma~_X^2 = 1e-05"),
+    (mean_variance_view(-2, 2, target="y"), "mu~_Y = -2, sigma~_Y^2 = 2"),
+    (quantile_view(0.6041, 0.95), "q~_X(0.95) = 0.6041"),
+    (quantile_view(1e-05, 0.99, "le"), "q~_X(0.99) <= 1e-05"),
+    (quantile_view(2, 0.5, "ge"), "q~_X(0.5) >= 2"),
+    (quantile_view(0.6041, 0.95, target="y"), "q~_Y(0.95) = 0.6041"),
+    (quantile_view(-1e-05, 0.975, "le", target="y"), "q~_Y(0.975) <= -1e-05"),
+    (quantile_view(2, 0.05, "ge", target="y"), "q~_Y(0.05) >= 2"),
+    (value_view(0.0424), "X = 0.0424"),
+    (value_view(0.0424, band=0.01), "X = 0.0424"),
+    (value_view(1e-05, "le"), "X <= 1e-05"),
+    (value_view(2, "ge"), "X >= 2"),
+    (value_view(0.6041, target="y"), "Y = 0.6041"),
+    (value_view(-2, "le", target="y"), "Y <= -2"),
+    (value_view(1e-05, "ge", target="y"), "Y >= 1e-05"),
+    (correlation_view(0.72), "rho~ = 0.72"),
+    (correlation_view(-1, "le"), "rho~ <= -1"),
+    (correlation_view(1e-05, "ge"), "rho~ >= 1e-05"),
+    (relative_view(0.01, 0.002), "X - Y ~ N(0.01, 0.002)"),
+    (relative_view(-2, 1e-05), "X - Y ~ N(-2, 1e-05)"),
+    (distribution_view([0, 1, 2], [0.3, 0.7]), "P(X in bins) = [0.3, 0.7]"),
+    (distribution_view([-np.inf, 0, 1, 2, np.inf], [0.6041, 0.3959, 0.0, 0.0], target="y"),
+     "P(Y in bins) = [0.6041, 0.3959, 0, 0]"),
+    (distribution_view([0, 1], [1]), "P(X in bins) = [1]"),
+    (no_view(), "none (CoVaR = VaR)"),
+]
+
+
+@pytest.mark.parametrize("view, label", _LABELS, ids=[label for _, label in _LABELS])
+def test_describe_pins_every_label(view, label):
+    assert describe(view) == label
+
+
+def test_pinned_labels_cover_every_kind_relation_and_target():
+    covered = {(v.kind, v.relation, v.target) for v, _ in _LABELS}
+    assert covered == {
+        (kind, relation, target)
+        for kind, relations, targets in (
+            ("expectation", "eq le ge", "xy"), ("variance", "eq le ge", "xy"),
+            ("mean_and_variance", "eq", "xy"), ("quantile", "eq le ge", "xy"),
+            ("value", "eq le ge", "xy"), ("correlation", "eq le ge", "x"),
+            ("relative", "eq", "x"), ("distribution", "eq", "xy"), ("none", "eq", "x"),
+        )
+        for relation in relations.split() for target in targets
+    }
 
 
 class TestDescribe:
