@@ -17,17 +17,9 @@ quantile-regression baseline) and a CLI report layer round out the toolkit.
 from .analytics import (
     BivariateNormalParams,
     ViewOutcome,
-    covar_correlation_view,
-    covar_expectation_view,
     covar_for_view,
-    covar_mean_variance_view,
-    covar_quantile_view,
-    covar_relative_view,
-    covar_value_view,
-    covar_variance_view,
     delta_covar_view,
     kl_bivariate_normal,
-    traditional_covar,
     var_normal,
 )
 from .errors import (

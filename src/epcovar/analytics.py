@@ -6,9 +6,11 @@ view-conditional VaR (CoVaR) is ``mu~_Y + sigma~_Y * z(alpha)`` with posterior
 parameters determined by minimum relative entropy under the view. This module
 provides:
 
-- the closed-form CoVaR for every supported view kind, each returning a
-  :class:`ViewOutcome` with the posterior parameter bundle, a collapse flag,
-  and the branch taken;
+- the closed-form CoVaR of a :class:`~epcovar.views.ViewSpec`
+  (``covar_for_view``, the one entry point), returning a :class:`ViewOutcome`
+  with the posterior parameter bundle, a collapse flag, and the branch taken.
+  It dispatches through ``_CLOSED_FORMS``, where each kind's closed form is
+  declared; these repeat none of the checks ``ViewSpec`` has made;
 - the risk-spillover increment (``delta_covar_view``), CoVaR - VaR by
   definition;
 - the relative entropy between two bivariate normals;
@@ -146,8 +148,6 @@ def _collapse(
     view, otherwise bind at the boundary (the equality solution)."""
     if relation == "eq":
         return equality
-    if relation not in ("le", "ge"):
-        raise ValueError(f"unknown relation {relation!r}")
     satisfied = prior_value <= view_value if relation == "le" else prior_value >= view_value
     if satisfied:
         return ViewOutcome(
@@ -182,49 +182,40 @@ def _equality(
     return ViewOutcome(var_normal(p if no_info else post, alpha), post, no_info, "eq")
 
 
-def covar_expectation_view(
-    p: BivariateNormalParams, mu1: float, relation: str = "eq", alpha: float = 0.95
-) -> ViewOutcome:
+def _expectation(p: BivariateNormalParams, view: ViewSpec, alpha: float) -> ViewOutcome:
     """CoVaR of Y when the posterior mean of X equals / is bounded by ``mu1``.
 
     The equality case shifts the Y mean by ``rho (mu1 - mu_X) sigma_Y/sigma_X``
     and leaves the covariance untouched, so CoVaR is affine in ``mu1``.
     """
+    mu1 = view.mean
     post = _keep_conditional(p, mu1, p.sigma_x)
     eq = _equality(p, post, mu1 == p.mu_x or p.rho == 0.0, alpha)
-    return _collapse(relation, p.mu_x, mu1, eq, p, alpha)
+    return _collapse(view.relation, p.mu_x, mu1, eq, p, alpha)
 
 
-def covar_variance_view(
-    p: BivariateNormalParams, sigma1_sq: float, relation: str = "eq", alpha: float = 0.95
-) -> ViewOutcome:
+def _variance(p: BivariateNormalParams, view: ViewSpec, alpha: float) -> ViewOutcome:
     """CoVaR of Y when the posterior variance of X equals / is bounded by
     ``sigma1_sq``; nonlinear and non-decreasing in the view level for rho != 0."""
-    if sigma1_sq <= 0.0:
-        raise ValueError(f"view variance must be positive, got {sigma1_sq}")
+    sigma1_sq = view.variance
     post = _keep_conditional(p, p.mu_x, math.sqrt(sigma1_sq))
     eq = _equality(p, post, sigma1_sq == p.sigma_x**2 or p.rho == 0.0, alpha)
-    return _collapse(relation, p.sigma_x**2, sigma1_sq, eq, p, alpha)
+    return _collapse(view.relation, p.sigma_x**2, sigma1_sq, eq, p, alpha)
 
 
-def covar_mean_variance_view(
-    p: BivariateNormalParams, mu1: float, sigma1_sq: float, alpha: float = 0.95
-) -> ViewOutcome:
+def _mean_and_variance(p: BivariateNormalParams, view: ViewSpec, alpha: float) -> ViewOutcome:
     """CoVaR of Y under the combined view pinning both the mean and the
     variance of X. Satisfies the exact decomposition
 
         covar(mean & variance) + VaR = covar(mean) + covar(variance).
     """
-    if sigma1_sq <= 0.0:
-        raise ValueError(f"view variance must be positive, got {sigma1_sq}")
+    mu1, sigma1_sq = view.mean, view.variance
     post = _keep_conditional(p, mu1, math.sqrt(sigma1_sq))
     no_info = (mu1 == p.mu_x and sigma1_sq == p.sigma_x**2) or p.rho == 0.0
     return _equality(p, post, no_info, alpha)
 
 
-def covar_quantile_view(
-    p: BivariateNormalParams, q1: float, relation: str = "eq", alpha: float = 0.95
-) -> ViewOutcome:
+def _quantile(p: BivariateNormalParams, view: ViewSpec, alpha: float) -> ViewOutcome:
     """CoVaR of Y when the posterior alpha-quantile of X equals / is bounded
     by ``q1``. The prior quantile is ``q_X = mu_X + sigma_X z(alpha)``.
 
@@ -232,8 +223,15 @@ def covar_quantile_view(
     the X mean then puts the alpha-quantile at ``q1``. The spread is
     ``sigma_X (t + disc) / (2k)`` with ``disc = sqrt(t^2 + 4k)``. For t < 0,
     where ``t + disc`` cancels, it is taken as ``2 sigma_X / (disc - t)``, the
-    same value since ``(t + disc)(disc - t) = 4k``.
+    same value since ``(t + disc)(disc - t) = 4k``. The view's quantile level
+    must be the report's alpha.
     """
+    if view.quantile_level != alpha:
+        raise ValueError(
+            "closed-form quantile views pin the quantile at the report level; "
+            f"got view level {view.quantile_level} vs alpha {alpha}"
+        )
+    q1 = view.quantile
     c = _check_alpha(alpha)
     q_x = p.mu_x + p.sigma_x * c
     t = ((q1 - q_x) / p.sigma_x + c) * c
@@ -245,20 +243,17 @@ def covar_quantile_view(
         sigma1 = p.sigma_x * math.sqrt(1.0 / k + t * (t + disc) / (2.0 * k * k))
     post = _keep_conditional(p, q1 - sigma1 * c, sigma1)
     eq = _equality(p, post, q1 == q_x or p.rho == 0.0, alpha)
-    return _collapse(relation, q_x, q1, eq, p, alpha)
+    return _collapse(view.relation, q_x, q1, eq, p, alpha)
 
 
-def covar_correlation_view(
-    p: BivariateNormalParams, rho1: float, relation: str = "eq", alpha: float = 0.95
-) -> ViewOutcome:
+def _correlation(p: BivariateNormalParams, view: ViewSpec, alpha: float) -> ViewOutcome:
     """CoVaR of Y when the posterior correlation equals / is bounded by rho1.
 
     At ``rho = rho1 = +-1`` the view adds nothing and CoVaR is VaR. When only
     one of the two sits at a boundary the relative entropy diverges; for
     continuity the equality expression is kept as the defined value.
     """
-    if not -1.0 <= rho1 <= 1.0:
-        raise ValueError(f"view correlation must lie in [-1, 1], got {rho1}")
+    rho1 = view.correlation
     c = _check_alpha(alpha)
     if abs(p.rho) == 1.0 and rho1 == p.rho:
         return ViewOutcome(var_normal(p, alpha), p, True, "boundary-collapse")
@@ -278,7 +273,7 @@ def covar_correlation_view(
         collapsed_to_var=no_info,
         branch="boundary" if degenerate or abs(rho1) == 1.0 else "eq",
     )
-    return _collapse(relation, p.rho, rho1, eq, p, alpha)
+    return _collapse(view.relation, p.rho, rho1, eq, p, alpha)
 
 
 def _bracketed_root(f, lo: float, hi: float) -> float:
@@ -299,8 +294,6 @@ def _given_x(p: BivariateNormalParams, level: float) -> tuple[float, float]:
 
 def _half_line(p: BivariateNormalParams, level: float, relation: str) -> tuple[float, float]:
     """(h, r): the event is {s Z_X <= h}, s = +1 (le) or -1 (ge); r = corr(s Z_X, Y)."""
-    if relation not in ("le", "ge"):
-        raise ValueError(f"unknown relation {relation!r}")
     s = 1.0 if relation == "le" else -1.0
     return s * (level - p.mu_x) / p.sigma_x, s * p.rho
 
@@ -319,9 +312,7 @@ def value_view_y_cdf(p: BivariateNormalParams, level: float, relation: str = "eq
     return lambda y: bvn_cdf(h, (y - p.mu_y) / p.sigma_y, r) / mass
 
 
-def covar_value_view(
-    p: BivariateNormalParams, level: float, relation: str = "eq", alpha: float = 0.95
-) -> ViewOutcome:
+def _value(p: BivariateNormalParams, view: ViewSpec, alpha: float) -> ViewOutcome:
     """CoVaR of Y conditional on the realized value of X.
 
     eq: X = level exactly (the conditional distribution of Y given X).
@@ -330,8 +321,9 @@ def covar_value_view(
 
     The half-line laws (:func:`value_view_y_cdf`) are continuous and monotone
     in y; ``brentq`` finds the root on [mu_Y - 12 sigma_Y, mu_Y + 12 sigma_Y].
-    ``traditional_covar`` is the eq case at level = VaR_alpha of X.
+    Traditional CoVaR is the eq case at level = VaR_alpha of X.
     """
+    level, relation = view.value, view.relation
     c = _check_alpha(alpha)
     if relation == "eq":  # X collapses to a point, outside the family
         mu, sd = _given_x(p, level)
@@ -347,14 +339,7 @@ def covar_value_view(
     return ViewOutcome(_bracketed_root(lambda y: cdf(y) - alpha, lo, hi), None, False, relation)
 
 
-def traditional_covar(p: BivariateNormalParams, alpha: float = 0.95) -> ViewOutcome:
-    """CoVaR of Y given X sits exactly at its own alpha-VaR."""
-    return covar_value_view(p, var_normal_x(p, alpha), "eq", alpha)
-
-
-def covar_relative_view(
-    p: BivariateNormalParams, d: float, s_sq: float, alpha: float = 0.95
-) -> ViewOutcome:
+def _relative(p: BivariateNormalParams, view: ViewSpec, alpha: float) -> ViewOutcome:
     """CoVaR of Y when the difference X - Y is believed normal with mean ``d``
     and variance ``s_sq``. Collapses to VaR when ``rho = sigma_Y / sigma_X``
     (the difference is then uninformative about Y) or when the view restates
@@ -363,8 +348,7 @@ def covar_relative_view(
     The view sets the law of D = X - Y and keeps Y given D, the same update
     as a marginal view on the pair (D, Y); X is rebuilt as D + Y.
     """
-    if s_sq <= 0.0:
-        raise ValueError(f"view variance must be positive, got {s_sq}")
+    d, s_sq = view.diff_mean, view.diff_variance
     sx, sy, r = p.sigma_x, p.sigma_y, p.rho
     v = sx * sx - 2.0 * r * sx * sy + sy * sy
     if v <= 0.0:
@@ -388,6 +372,18 @@ def covar_relative_view(
 
 
 # -- dispatch -----------------------------------------------------------------
+
+# the closed form of each view kind; "none" and "distribution" have none
+_CLOSED_FORMS = {
+    "expectation": _expectation,
+    "variance": _variance,
+    "mean_and_variance": _mean_and_variance,
+    "quantile": _quantile,
+    "value": _value,
+    "correlation": _correlation,
+    "relative": _relative,
+}
+
 
 def _self_view_params(p: BivariateNormalParams) -> BivariateNormalParams:
     """View Y through itself: a unit-correlation pair of Y with Y."""
@@ -439,30 +435,9 @@ def covar_for_view(
         return ViewOutcome(var_normal(p, alpha), p, True, "no-view")
     if view.kind == "distribution":
         raise ValueError("distribution views have no closed form; use scenario mode")
-    on_y = view.target == "y"
-    q = _self_view_params(p) if on_y else p
-    if view.kind == "expectation":
-        out = covar_expectation_view(q, view.mean, view.relation, alpha)
-    elif view.kind == "variance":
-        out = covar_variance_view(q, view.variance, view.relation, alpha)
-    elif view.kind == "mean_and_variance":
-        out = covar_mean_variance_view(q, view.mean, view.variance, alpha)
-    elif view.kind == "quantile":
-        if view.quantile_level != alpha:
-            raise ValueError(
-                "closed-form quantile views pin the quantile at the report level; "
-                f"got view level {view.quantile_level} vs alpha {alpha}"
-            )
-        out = covar_quantile_view(q, view.quantile, view.relation, alpha)
-    elif view.kind == "value":
-        out = covar_value_view(q, view.value, view.relation, alpha)
-    elif view.kind == "correlation":
-        out = covar_correlation_view(p, view.correlation, view.relation, alpha)
-    elif view.kind == "relative":
-        out = covar_relative_view(p, view.diff_mean, view.diff_variance, alpha)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown view kind {view.kind!r}")
-    return _lift_y_view(p, out) if on_y else out
+    if view.target == "y":
+        return _lift_y_view(p, _CLOSED_FORMS[view.kind](_self_view_params(p), view, alpha))
+    return _CLOSED_FORMS[view.kind](p, view, alpha)
 
 
 # -- risk spillover (CoVaR - VaR) ----------------------------------------------

@@ -57,10 +57,12 @@ class TMarginal:
     dof: float
 
     def __post_init__(self):
-        if self.scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        if self.dof <= 2.0:
-            raise ValueError(f"dof must exceed 2, got {self.dof}")
+        if not math.isfinite(self.location):
+            raise ValueError(f"location must be finite, got {self.location}")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        if not 2.0 < self.dof < math.inf:
+            raise ValueError(f"dof must be finite and exceed 2, got {self.dof}")
 
     @property
     def effectively_normal(self) -> bool:
@@ -83,8 +85,8 @@ class TCopulaParams:
     def __post_init__(self):
         if not -1.0 < self.rho < 1.0:
             raise ValueError(f"copula rho must lie in (-1, 1), got {self.rho}")
-        if self.dof <= 2.0:
-            raise ValueError(f"dof must exceed 2, got {self.dof}")
+        if not 2.0 < self.dof < math.inf:
+            raise ValueError(f"dof must be finite and exceed 2, got {self.dof}")
 
 
 @dataclass(frozen=True)

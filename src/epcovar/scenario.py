@@ -107,10 +107,10 @@ class ScenarioPanel:
             )
         if x.size < 2:
             raise ValueError("a panel needs at least two scenarios")
-        for name, arr in (("x", x), ("y", y)):
+        for what, arr in (("loss in x", x), ("loss in y", y), ("weight", p)):
             bad = ~np.isfinite(arr)
             if bad.any():
-                raise ValueError(f"non-finite loss in {name} at index {int(np.argmax(bad))}")
+                raise ValueError(f"non-finite {what} at index {int(np.argmax(bad))}")
         if np.any(p <= 0.0):
             raise ValueError(f"non-positive weight at index {int(np.argmax(p <= 0.0))}")
         total = float(p.sum())

@@ -335,6 +335,8 @@ def pool(posteriors, confidences) -> Probabilities:
     sizes = {p.size for p in ps}
     if len(sizes) != 1:
         raise ValueError(f"posteriors disagree on scenario count: {sorted(sizes)}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("confidences must be finite")
     if np.any(c <= 0.0) or np.any(c > 1.0):
         raise ValueError("confidences must lie in (0, 1]")
     if np.any(c == 1.0) and c.size > 1:

@@ -123,7 +123,7 @@ class ViewSpec:
         kind = KINDS.get(self.kind) if isinstance(self.kind, str) else None
         if kind is None:
             raise ValueError(f"unknown view kind {self.kind!r}")
-        if self.relation not in _REL_SYMBOL:
+        if not isinstance(self.relation, str) or self.relation not in _REL_SYMBOL:
             raise ValueError(f"unknown relation {self.relation!r}")
         if self.target not in ("x", "y"):
             raise ValueError(f"target must be 'x' or 'y', got {self.target!r}")
@@ -477,6 +477,8 @@ def view_to_dict(view: ViewSpec) -> dict:
 
 
 def view_from_dict(obj: dict) -> ViewSpec:
+    if not isinstance(obj, dict):
+        raise ValueError("view entry must be a JSON object")
     if "kind" not in obj:
         raise ValueError("view entry needs a 'kind' key")
     unknown = set(obj) - set(_FIELDS)
@@ -485,5 +487,7 @@ def view_from_dict(obj: dict) -> ViewSpec:
     kwargs = dict(obj)
     for name in ("bin_edges", "bin_probs"):
         if name in kwargs:
+            if not isinstance(kwargs[name], (list, tuple)):
+                raise ValueError(f"{name} must be a list of numbers")
             kwargs[name] = tuple(kwargs[name])
     return ViewSpec(**kwargs)

@@ -23,13 +23,7 @@ from _oracles import (
 )
 from epcovar.analytics import (
     BivariateNormalParams,
-    covar_correlation_view,
-    covar_expectation_view,
-    covar_mean_variance_view,
-    covar_quantile_view,
-    covar_relative_view,
-    covar_value_view,
-    covar_variance_view,
+    covar_for_view,
     delta_covar_view,
     kl_bivariate_normal,
     var_normal,
@@ -46,10 +40,12 @@ from epcovar.solver import dual, dual_rows, solve
 from epcovar.views import (
     LinearConstraintSet,
     compile_view,
+    correlation_view,
     distribution_view,
     expectation_view,
     mean_variance_view,
     quantile_view,
+    relative_view,
     value_view,
     variance_view,
 )
@@ -100,10 +96,12 @@ def test_c01_discrete_engine_matches_closed_forms_on_a_fine_grid():
         # those two moments so the discrete posterior stays in-family
         m_star, s_star = quantile_pinned_marginal(p.mu_x, p.sigma_x, q1, Z95)
         cases = [
-            (expectation_view(0.15), covar_expectation_view(p, 0.15, "eq", ALPHA)),
-            (variance_view(0.02), covar_variance_view(p, 0.02, "eq", ALPHA)),
-            (mean_variance_view(0.15, 0.02), covar_mean_variance_view(p, 0.15, 0.02, ALPHA)),
-            (mean_variance_view(m_star, s_star**2), covar_quantile_view(p, q1, "eq", ALPHA)),
+            (expectation_view(0.15), covar_for_view(p, expectation_view(0.15), ALPHA)),
+            (variance_view(0.02), covar_for_view(p, variance_view(0.02), ALPHA)),
+            (mean_variance_view(0.15, 0.02),
+             covar_for_view(p, mean_variance_view(0.15, 0.02), ALPHA)),
+            (mean_variance_view(m_star, s_star**2),
+             covar_for_view(p, quantile_view(q1, ALPHA), ALPHA)),
         ]
         for view, closed in cases:
             got, rep = ep_covar_on_panel(panel, view, ALPHA)
@@ -126,8 +124,9 @@ def test_c02_combined_view_decomposition_identity():
         p = random_params(rng)
         m1 = float(rng.normal(0.0, 0.3))
         s1 = float(rng.uniform(0.0004, 0.2))
-        lhs = covar_mean_variance_view(p, m1, s1, ALPHA).covar + var_normal(p, ALPHA)
-        rhs = covar_expectation_view(p, m1).covar + covar_variance_view(p, s1).covar
+        lhs = covar_for_view(p, mean_variance_view(m1, s1), ALPHA).covar + var_normal(p, ALPHA)
+        rhs = (covar_for_view(p, expectation_view(m1), ALPHA).covar
+               + covar_for_view(p, variance_view(s1), ALPHA).covar)
         worst = max(worst, abs(lhs - rhs))
     _verdict(
         "criterion 2 (decomposition identity)",
@@ -176,14 +175,14 @@ def test_c04_one_sided_collapse_rules_exact():
         var = var_normal(p, ALPHA)
         families = [
             (p.mu_x, float(rng.normal(0.0, 0.3)),
-             lambda v, r: covar_expectation_view(p, v, r, ALPHA)),
+             lambda v, r: covar_for_view(p, expectation_view(v, r), ALPHA)),
             (p.sigma_x**2, float(rng.uniform(0.0004, 0.2)),
-             lambda v, r: covar_variance_view(p, v, r, ALPHA)),
+             lambda v, r: covar_for_view(p, variance_view(v, r), ALPHA)),
             (var_normal_x(p, ALPHA),
              float(var_normal_x(p, ALPHA) + p.sigma_x * rng.normal()),
-             lambda v, r: covar_quantile_view(p, v, r, ALPHA)),
+             lambda v, r: covar_for_view(p, quantile_view(v, ALPHA, r), ALPHA)),
             (p.rho, float(rng.uniform(-0.95, 0.95)),
-             lambda v, r: covar_correlation_view(p, v, r, ALPHA)),
+             lambda v, r: covar_for_view(p, correlation_view(v, r), ALPHA)),
         ]
         for prior_value, view_value, op in families:
             eq = op(view_value, "eq").covar
@@ -217,15 +216,15 @@ def test_c05_fixed_points_and_scan_shapes():
         p = BivariateNormalParams(rho=rho, **SENS_PARAMS)
         var = var_normal(p, ALPHA)
         fixed = (
-            covar_variance_view(p, p.sigma_x**2).covar == var
-            and covar_quantile_view(p, var_normal_x(p, ALPHA)).covar == var
-            and covar_correlation_view(p, p.rho).covar == var
+            covar_for_view(p, variance_view(p.sigma_x**2), ALPHA).covar == var
+            and covar_for_view(p, quantile_view(var_normal_x(p, ALPHA), ALPHA), ALPHA).covar == var
+            and covar_for_view(p, correlation_view(p.rho), ALPHA).covar == var
         )
         scan = np.linspace(0.002, 0.05, 41)
-        variance_curve = [covar_variance_view(p, float(s)).covar for s in scan]
+        variance_curve = [covar_for_view(p, variance_view(float(s)), ALPHA).covar for s in scan]
         monotone = all(a <= b + 1e-15 for a, b in zip(variance_curve, variance_curve[1:]))
         grid = np.linspace(-0.95, 0.95, 39)
-        corr_curve = [covar_correlation_view(p, float(r)).covar for r in grid]
+        corr_curve = [covar_for_view(p, correlation_view(float(r)), ALPHA).covar for r in grid]
         diffs = np.diff(corr_curve)
         direction = bool(np.all(diffs >= -1e-14)) if rho > 0 else bool(np.all(diffs <= 1e-14))
         ok = ok and fixed and monotone and direction
@@ -261,7 +260,7 @@ def test_c06_half_line_conditioning_matches_monte_carlo():
         sigma_count = math.sqrt(m * ALPHA * (1 - ALPHA))
         lo_idx = max(int(math.floor(ALPHA * m - 3 * sigma_count)) - 1, 0)
         hi_idx = min(int(math.ceil(ALPHA * m + 3 * sigma_count)), m - 1)
-        got = covar_value_view(p, level, relation, ALPHA).covar
+        got = covar_for_view(p, value_view(level, relation), ALPHA).covar
         inside = sample[lo_idx] <= got <= sample[hi_idx]
         ok = ok and inside
         details.append(f"set{i + 1} {relation}: inside={inside}")
@@ -282,7 +281,7 @@ def test_c07_quantile_closed_form_matches_numeric_minimizer():
         p = BivariateNormalParams(rho=rho, **QUANT_PARAMS)
         q_x = var_normal_x(p, ALPHA)
         for q1 in np.linspace(q_x - 1.5 * p.sigma_x, q_x + 2.0 * p.sigma_x, 10):
-            closed = covar_quantile_view(p, float(q1), "eq", ALPHA).covar
+            closed = covar_for_view(p, quantile_view(float(q1), ALPHA), ALPHA).covar
             orc = numeric_posterior_params(p, quantile_view(float(q1), ALPHA), ALPHA)
             rebuilt = orc.mu_y + orc.sigma_y * Z95
             worst = max(worst, abs(rebuilt - closed) / p.sigma_y)
@@ -424,7 +423,7 @@ def test_c11_relative_view_volatility_ratio_collapse():
         )
         d = float(rng.normal(0.0, 0.3))
         s_sq = float(rng.uniform(0.0004, 0.2))
-        out = covar_relative_view(p, d, s_sq, ALPHA)
+        out = covar_for_view(p, relative_view(d, s_sq), ALPHA)
         ok = ok and out.covar == var_normal(p, ALPHA) and out.collapsed_to_var
     _verdict("criterion 11 (relative-view collapse)", ok, "100 draws, all exact")
 

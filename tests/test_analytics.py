@@ -19,23 +19,17 @@ from scipy.special import ndtri
 
 from _oracles import numeric_posterior_params, paper_spillover
 from epcovar.analytics import (
+    _CLOSED_FORMS,
     BivariateNormalParams,
-    covar_correlation_view,
-    covar_expectation_view,
     covar_for_view,
-    covar_mean_variance_view,
-    covar_quantile_view,
-    covar_relative_view,
-    covar_value_view,
-    covar_variance_view,
     delta_covar_view,
     kl_bivariate_normal,
-    traditional_covar,
     var_normal,
     var_normal_x,
 )
 from epcovar.errors import NumericDomainError
 from epcovar.views import (
+    KINDS,
     correlation_view,
     distribution_view,
     expectation_view,
@@ -133,25 +127,25 @@ class TestKlBivariateNormal:
 
 class TestExpectationView:
     def test_no_new_information_at_prior_mean(self):
-        out = covar_expectation_view(P_WIDE, P_WIDE.mu_x, "eq", 0.95)
+        out = covar_for_view(P_WIDE, expectation_view(P_WIDE.mu_x), 0.95)
         assert out.collapsed_to_var
         assert out.covar == var_normal(P_WIDE, 0.95)
 
     def test_uncorrelated_assets_are_unaffected(self):
         p0 = replace(P_WIDE, rho=0.0)
-        out = covar_expectation_view(p0, 0.7, "eq", 0.95)
+        out = covar_for_view(p0, expectation_view(0.7), 0.95)
         assert out.collapsed_to_var
         assert out.covar == var_normal(p0, 0.95)
 
     def test_frozen_value(self):
-        out = covar_expectation_view(P_WIDE, 0.20, "eq", 0.95)
+        out = covar_for_view(P_WIDE, expectation_view(0.20), 0.95)
         # 0.02 + 0.5 * 0.10 * (0.08 / 0.10) + 0.08 * z95
         assert abs(out.covar - 0.19158829015611778) < 1e-12
         assert out.posterior == BivariateNormalParams(0.20, 0.06, 0.10, 0.08, 0.5)
 
     def test_affine_in_view_mean(self):
         mus = np.linspace(-0.3, 0.5, 41)
-        covars = [covar_expectation_view(P_WIDE, float(m)).covar for m in mus]
+        covars = [covar_for_view(P_WIDE, expectation_view(float(m)), 0.95).covar for m in mus]
         diffs = np.diff(covars)
         assert np.all(np.abs(diffs - diffs[0]) < 1e-10)
         slope = diffs[0] / (mus[1] - mus[0])
@@ -162,9 +156,9 @@ class TestExpectationView:
         for _ in range(100):
             p = random_params(rng)
             m1 = float(rng.normal(0.0, 0.3))
-            expect_eq = covar_expectation_view(p, m1, "eq", 0.95).covar
-            le = covar_expectation_view(p, m1, "le", 0.95)
-            ge = covar_expectation_view(p, m1, "ge", 0.95)
+            expect_eq = covar_for_view(p, expectation_view(m1), 0.95).covar
+            le = covar_for_view(p, expectation_view(m1, "le"), 0.95)
+            ge = covar_for_view(p, expectation_view(m1, "ge"), 0.95)
             if p.mu_x <= m1:
                 assert le.collapsed_to_var and le.covar == var_normal(p, 0.95)
                 assert ge.covar == expect_eq
@@ -175,16 +169,16 @@ class TestExpectationView:
 
 class TestVarianceView:
     def test_no_new_information_at_prior_variance(self):
-        out = covar_variance_view(P_WIDE, P_WIDE.sigma_x**2, "eq", 0.95)
+        out = covar_for_view(P_WIDE, variance_view(P_WIDE.sigma_x**2), 0.95)
         assert out.collapsed_to_var and out.covar == var_normal(P_WIDE, 0.95)
 
     def test_uncorrelated_assets_unaffected(self):
         p0 = replace(P_WIDE, rho=0.0)
-        out = covar_variance_view(p0, 5.0, "eq", 0.95)
+        out = covar_for_view(p0, variance_view(5.0), 0.95)
         assert out.collapsed_to_var and out.covar == var_normal(p0, 0.95)
 
     def test_frozen_value(self):
-        out = covar_variance_view(P_WIDE8, 0.02, "eq", 0.95)
+        out = covar_for_view(P_WIDE8, variance_view(0.02), 0.95)
         # 0.02 + 0.08 * sqrt(0.36 + 0.64 * 2) * z95
         assert abs(out.covar - 0.18851523401219683) < 1e-12
 
@@ -192,7 +186,7 @@ class TestVarianceView:
         for rho in (-0.8, -0.3, 0.4, 0.9):
             p = replace(P_WIDE, rho=rho)
             levels = np.linspace(0.002, 0.05, 30)
-            covars = [covar_variance_view(p, float(s)).covar for s in levels]
+            covars = [covar_for_view(p, variance_view(float(s)), 0.95).covar for s in levels]
             assert all(a <= b + 1e-15 for a, b in zip(covars, covars[1:]))
 
     def test_inequality_branches(self):
@@ -200,9 +194,9 @@ class TestVarianceView:
         for _ in range(100):
             p = random_params(rng)
             s1 = float(rng.uniform(0.0004, 0.2))
-            eq = covar_variance_view(p, s1, "eq", 0.95).covar
-            le = covar_variance_view(p, s1, "le", 0.95)
-            ge = covar_variance_view(p, s1, "ge", 0.95)
+            eq = covar_for_view(p, variance_view(s1), 0.95).covar
+            le = covar_for_view(p, variance_view(s1, "le"), 0.95)
+            ge = covar_for_view(p, variance_view(s1, "ge"), 0.95)
             if p.sigma_x**2 <= s1:
                 assert le.collapsed_to_var and le.covar == var_normal(p, 0.95)
                 assert ge.covar == eq
@@ -212,16 +206,16 @@ class TestVarianceView:
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            covar_variance_view(P_WIDE, -0.1)
+            covar_for_view(P_WIDE, variance_view(-0.1), 0.95)
 
 
 class TestMeanVarianceView:
     def test_no_information(self):
-        out = covar_mean_variance_view(P_WIDE, P_WIDE.mu_x, P_WIDE.sigma_x**2, 0.95)
+        out = covar_for_view(P_WIDE, mean_variance_view(P_WIDE.mu_x, P_WIDE.sigma_x**2), 0.95)
         assert out.collapsed_to_var and out.covar == var_normal(P_WIDE, 0.95)
 
     def test_frozen_value(self):
-        out = covar_mean_variance_view(P_WIDE, 0.20, 0.02, 0.95)
+        out = covar_for_view(P_WIDE, mean_variance_view(0.20, 0.02), 0.95)
         # 0.06 + 0.08 * sqrt(0.75 + 0.25 * 2) * z95
         assert abs(out.covar - 0.2071201809160229) < 1e-12
 
@@ -233,10 +227,10 @@ class TestMeanVarianceView:
             p = random_params(rng)
             m1 = float(rng.normal(0.0, 0.3))
             s1 = float(rng.uniform(0.0004, 0.2))
-            lhs = covar_mean_variance_view(p, m1, s1, 0.95).covar + var_normal(p, 0.95)
+            lhs = covar_for_view(p, mean_variance_view(m1, s1), 0.95).covar + var_normal(p, 0.95)
             rhs = (
-                covar_expectation_view(p, m1).covar
-                + covar_variance_view(p, s1).covar
+                covar_for_view(p, expectation_view(m1), 0.95).covar
+                + covar_for_view(p, variance_view(s1), 0.95).covar
             )
             worst = max(worst, abs(lhs - rhs))
         assert worst <= 1e-12
@@ -245,13 +239,13 @@ class TestMeanVarianceView:
 class TestQuantileView:
     def test_uncorrelated_assets_unaffected(self):
         p0 = replace(P_QUANT, rho=0.0)
-        out = covar_quantile_view(p0, 0.9, "eq", 0.95)
+        out = covar_for_view(p0, quantile_view(0.9, 0.95), 0.95)
         assert out.collapsed_to_var and out.covar == var_normal(p0, 0.95)
 
     def test_perfect_correlation_is_linear(self):
         p1 = replace(P_QUANT, rho=1.0)
         for q1 in (0.35, 0.45, 0.55):
-            got = covar_quantile_view(p1, q1, "eq", 0.95).covar
+            got = covar_for_view(p1, quantile_view(q1, 0.95), 0.95).covar
             want = p1.mu_y + (q1 - p1.mu_x) * p1.sigma_y / p1.sigma_x
             assert abs(got - want) < 1e-12
 
@@ -260,7 +254,7 @@ class TestQuantileView:
         for _ in range(200):
             p = random_params(rng)
             q1 = float(p.mu_x + p.sigma_x * rng.uniform(-1.0, 4.0))
-            out = covar_quantile_view(p, q1, "eq", 0.95)
+            out = covar_for_view(p, quantile_view(q1, 0.95), 0.95)
             rebuilt = out.posterior.mu_y + out.posterior.sigma_y * ndtri(0.95)
             assert abs(rebuilt - out.covar) < 1e-12
             assert abs(out.posterior.mu_x + out.posterior.sigma_x * ndtri(0.95) - q1) < 1e-10
@@ -289,7 +283,7 @@ class TestQuantileView:
                 root = (sy_post * sy_post - (1 - r * r) * sy * sy).sqrt()
                 sign = -1 if r >= 0 else 1
                 want = my + r * (q - q_x) * sy / sx + (sy_post + sign * root + r * sy) * c
-                got = covar_quantile_view(p, q1, "eq", 0.95).covar
+                got = covar_for_view(p, quantile_view(q1, 0.95), 0.95).covar
                 worst = max(worst, abs(Decimal(got) - want) / sy)
         assert worst <= Decimal("4e-15"), worst
 
@@ -308,12 +302,12 @@ class TestQuantileView:
                     t = ((q - (mx + sx * c)) / sx + c) * c
                     k = 1 + c * c
                     want = sx * (1 / k + t * (t + (t * t + 4 * k).sqrt()) / (2 * k * k)).sqrt()
-                    got = covar_quantile_view(p, q1, "eq", alpha).posterior.sigma_x
+                    got = covar_for_view(p, quantile_view(q1, alpha), alpha).posterior.sigma_x
                     worst = max(worst, abs(Decimal(got) - want) / want)
         assert worst <= Decimal("4e-15"), worst
 
     def test_frozen_value_and_oracle(self):
-        out = covar_quantile_view(P_QUANT, 0.45, "eq", 0.95)
+        out = covar_for_view(P_QUANT, quantile_view(0.45, 0.95), 0.95)
         assert abs(out.covar - 0.10759472844572057) < 1e-12
         orc = numeric_posterior_params(P_QUANT, quantile_view(0.45, 0.95), 0.95)
         assert abs(orc.mu_y + orc.sigma_y * Z95 - out.covar) <= 1e-3 * P_QUANT.sigma_y
@@ -324,9 +318,9 @@ class TestQuantileView:
             p = random_params(rng)
             q_x = var_normal_x(p, 0.95)
             q1 = float(q_x + p.sigma_x * rng.normal())
-            eq = covar_quantile_view(p, q1, "eq", 0.95).covar
-            le = covar_quantile_view(p, q1, "le", 0.95)
-            ge = covar_quantile_view(p, q1, "ge", 0.95)
+            eq = covar_for_view(p, quantile_view(q1, 0.95), 0.95).covar
+            le = covar_for_view(p, quantile_view(q1, 0.95, "le"), 0.95)
+            ge = covar_for_view(p, quantile_view(q1, 0.95, "ge"), 0.95)
             if q_x <= q1:
                 assert le.collapsed_to_var and le.covar == var_normal(p, 0.95)
                 assert ge.covar == eq
@@ -337,42 +331,44 @@ class TestQuantileView:
 
 class TestCorrelationView:
     def test_no_new_information(self):
-        out = covar_correlation_view(P_CORR, P_CORR.rho, "eq", 0.95)
+        out = covar_for_view(P_CORR, correlation_view(P_CORR.rho), 0.95)
         assert out.collapsed_to_var and out.covar == var_normal(P_CORR, 0.95)
 
     def test_independent_prior_unaffected(self):
         p0 = replace(P_CORR, rho=0.0)
         for r1 in (-0.9, 0.2, 0.99):
-            out = covar_correlation_view(p0, r1, "eq", 0.95)
+            out = covar_for_view(p0, correlation_view(r1), 0.95)
             assert out.collapsed_to_var and out.covar == var_normal(p0, 0.95)
 
     def test_frozen_value(self):
-        out = covar_correlation_view(P_CORR, 0.9, "eq", 0.95)
+        out = covar_for_view(P_CORR, correlation_view(0.9), 0.95)
         # 0.02 + 0.01 * sqrt(0.64 / 0.46) * z95
         assert abs(out.covar - 0.0394016349076962) < 1e-12
 
     def test_boundary_conventions(self):
         both_one = BivariateNormalParams(0.0, 0.0, 1.0, 0.5, 1.0)
-        out = covar_correlation_view(both_one, 1.0, "eq", 0.95)
+        out = covar_for_view(both_one, correlation_view(1.0), 0.95)
         assert out.collapsed_to_var and out.covar == var_normal(both_one, 0.95)
         # prior at the boundary, view elsewhere: spread collapses to zero
-        out = covar_correlation_view(both_one, 0.5, "eq", 0.95)
+        out = covar_for_view(both_one, correlation_view(0.5), 0.95)
         assert out.covar == both_one.mu_y and out.posterior is None
         # view at the boundary, prior interior: the continuity value
-        out = covar_correlation_view(P_CORR, 1.0, "eq", 0.95)
+        out = covar_for_view(P_CORR, correlation_view(1.0), 0.95)
         want = P_CORR.mu_y + P_CORR.sigma_y * math.sqrt(
             (1 - P_CORR.rho**2) / (1 - P_CORR.rho)
         ) * Z95
         assert abs(out.covar - want) < 1e-14
         opposite = BivariateNormalParams(0.0, 0.0, 1.0, 0.5, -1.0)
-        out = covar_correlation_view(opposite, 1.0, "eq", 0.95)
+        out = covar_for_view(opposite, correlation_view(1.0), 0.95)
         assert out.covar == opposite.mu_y
 
     def test_monotone_direction_switches_with_prior_sign(self):
         grid = np.linspace(-0.95, 0.95, 39)
-        pos = [covar_correlation_view(replace(P_CORR, rho=0.6), float(r)).covar for r in grid]
+        pos = [covar_for_view(replace(P_CORR, rho=0.6), correlation_view(float(r)), 0.95).covar
+               for r in grid]
         assert all(a <= b + 1e-14 for a, b in zip(pos, pos[1:]))
-        neg = [covar_correlation_view(replace(P_CORR, rho=-0.6), float(r)).covar for r in grid]
+        neg = [covar_for_view(replace(P_CORR, rho=-0.6), correlation_view(float(r)), 0.95).covar
+               for r in grid]
         assert all(a >= b - 1e-14 for a, b in zip(neg, neg[1:]))
 
     def test_inequality_branches(self):
@@ -380,9 +376,9 @@ class TestCorrelationView:
         for _ in range(100):
             p = random_params(rng)
             r1 = float(rng.uniform(-0.95, 0.95))
-            eq = covar_correlation_view(p, r1, "eq", 0.95).covar
-            le = covar_correlation_view(p, r1, "le", 0.95)
-            ge = covar_correlation_view(p, r1, "ge", 0.95)
+            eq = covar_for_view(p, correlation_view(r1), 0.95).covar
+            le = covar_for_view(p, correlation_view(r1, "le"), 0.95)
+            ge = covar_for_view(p, correlation_view(r1, "ge"), 0.95)
             if p.rho <= r1:
                 assert le.collapsed_to_var and le.covar == var_normal(p, 0.95)
                 assert ge.covar == eq
@@ -394,30 +390,25 @@ class TestCorrelationView:
         # binding a "le" view against a prior at the +1 boundary collapses
         # the posterior spread entirely
         unit = BivariateNormalParams(0.0, 0.01, 1.0, 0.5, 1.0)
-        out = covar_correlation_view(unit, 0.5, "le", 0.95)
+        out = covar_for_view(unit, correlation_view(0.5, "le"), 0.95)
         assert out.covar == unit.mu_y
         assert out.posterior is None
         assert out.branch == "le-binding"
-        ge = covar_correlation_view(unit, 0.5, "ge", 0.95)
+        ge = covar_for_view(unit, correlation_view(0.5, "ge"), 0.95)
         assert ge.collapsed_to_var and ge.covar == var_normal(unit, 0.95)
 
 
 class TestValueView:
     def test_saturated_half_line_collapses(self):
-        out = covar_value_view(P_WIDE, P_WIDE.mu_x + 10 * P_WIDE.sigma_x, "le", 0.95)
+        out = covar_for_view(P_WIDE, value_view(P_WIDE.mu_x + 10 * P_WIDE.sigma_x, "le"), 0.95)
         assert out.collapsed_to_var and out.covar == var_normal(P_WIDE, 0.95)
-        out = covar_value_view(P_WIDE, P_WIDE.mu_x - 10 * P_WIDE.sigma_x, "ge", 0.95)
+        out = covar_for_view(P_WIDE, value_view(P_WIDE.mu_x - 10 * P_WIDE.sigma_x, "ge"), 0.95)
         assert out.collapsed_to_var and out.covar == var_normal(P_WIDE, 0.95)
 
     def test_traditional_conditioning_reduces_to_var_when_independent(self):
         p0 = replace(P_WIDE, rho=0.0)
-        out = covar_value_view(p0, var_normal_x(p0, 0.95), "eq", 0.95)
+        out = covar_for_view(p0, value_view(var_normal_x(p0, 0.95)), 0.95)
         assert abs(out.covar - var_normal(p0, 0.95)) < 1e-15
-
-    def test_traditional_helper_matches_eq_case(self):
-        a = traditional_covar(P_WIDE, 0.95).covar
-        b = covar_value_view(P_WIDE, var_normal_x(P_WIDE, 0.95), "eq", 0.95).covar
-        assert a == b
 
     def test_half_line_roots_match_monte_carlo(self):
         rng = np.random.default_rng(17)
@@ -428,7 +419,7 @@ class TestValueView:
         x = p.mu_x + p.sigma_x * z1
         y = p.mu_y + p.sigma_y * (p.rho * z1 + math.sqrt(1 - p.rho**2) * z2)
         for relation, mask in (("ge", x >= p.mu_x), ("le", x <= p.mu_x)):
-            got = covar_value_view(p, p.mu_x, relation, 0.95).covar
+            got = covar_for_view(p, value_view(p.mu_x, relation), 0.95).covar
             sample = np.sort(y[mask])
             m = sample.size
             band = 3.0 * math.sqrt(0.95 * 0.05 / m)
@@ -443,25 +434,25 @@ class TestValueView:
         gaps = []
         for rho in (0.0, 0.2, 0.5, 0.7, 0.9):
             p = replace(P_WIDE, rho=rho)
-            point = covar_value_view(p, m1, "eq", 0.95).covar
-            mean = covar_expectation_view(p, m1, "eq", 0.95).covar
+            point = covar_for_view(p, value_view(m1), 0.95).covar
+            mean = covar_for_view(p, expectation_view(m1), 0.95).covar
             assert point <= mean + 1e-15
             gaps.append(mean - point)
             if rho == 0.0:
                 assert abs(mean - point) < 1e-15
         assert all(a <= b + 1e-15 for a, b in zip(gaps, gaps[1:]))
         mirror = [
-            covar_expectation_view(replace(P_WIDE, rho=-r), m1).covar
-            - covar_value_view(replace(P_WIDE, rho=-r), m1, "eq").covar
+            covar_for_view(replace(P_WIDE, rho=-r), expectation_view(m1), 0.95).covar
+            - covar_for_view(replace(P_WIDE, rho=-r), value_view(m1), 0.95).covar
             for r in (0.0, 0.2, 0.5, 0.7, 0.9)
         ]
         assert all(a <= b + 1e-15 for a, b in zip(mirror, mirror[1:]))
 
     def test_domain_errors(self):
         with pytest.raises(NumericDomainError, match="at or below"):
-            covar_value_view(P_WIDE, P_WIDE.mu_x - 10 * P_WIDE.sigma_x, "le", 0.95)
+            covar_for_view(P_WIDE, value_view(P_WIDE.mu_x - 10 * P_WIDE.sigma_x, "le"), 0.95)
         with pytest.raises(NumericDomainError, match="at or above"):
-            covar_value_view(P_WIDE, P_WIDE.mu_x + 10 * P_WIDE.sigma_x, "ge", 0.95)
+            covar_for_view(P_WIDE, value_view(P_WIDE.mu_x + 10 * P_WIDE.sigma_x, "ge"), 0.95)
 
 
 class TestRelativeView:
@@ -473,33 +464,33 @@ class TestRelativeView:
             p = BivariateNormalParams(0.1, 0.05, sx, rho * sx, rho)
             d = float(rng.normal(0.0, 0.2))
             s_sq = float(rng.uniform(0.001, 0.1))
-            out = covar_relative_view(p, d, s_sq, 0.95)
+            out = covar_for_view(p, relative_view(d, s_sq), 0.95)
             assert out.collapsed_to_var
             assert out.covar == var_normal(p, 0.95)
 
     def test_prior_law_restatement_collapses(self):
         p = P_WIDE
         v = p.sigma_x**2 - 2 * p.rho * p.sigma_x * p.sigma_y + p.sigma_y**2
-        out = covar_relative_view(p, p.mu_x - p.mu_y, v, 0.95)
+        out = covar_for_view(p, relative_view(p.mu_x - p.mu_y, v), 0.95)
         assert out.collapsed_to_var and out.covar == var_normal(p, 0.95)
 
     def test_monotone_in_mean_difference(self):
         p = BivariateNormalParams(0.1, 0.05, 0.1, 0.05, 0.9)  # rho > sy/sx
         ds = np.linspace(-0.3, 0.3, 50)
-        covars = [covar_relative_view(p, float(d), 0.01).covar for d in ds]
+        covars = [covar_for_view(p, relative_view(float(d), 0.01), 0.95).covar for d in ds]
         assert all(a < b for a, b in zip(covars, covars[1:]))
         p2 = BivariateNormalParams(0.1, 0.05, 0.1, 0.08, 0.2)  # rho < sy/sx
-        covars = [covar_relative_view(p2, float(d), 0.01).covar for d in ds]
+        covars = [covar_for_view(p2, relative_view(float(d), 0.01), 0.95).covar for d in ds]
         assert all(a > b for a, b in zip(covars, covars[1:]))
 
     def test_degenerate_difference_guard(self):
         p = BivariateNormalParams(0.0, 0.0, 0.1, 0.1, 1.0)
         with pytest.raises(NumericDomainError):
-            covar_relative_view(p, 0.0, 0.01, 0.95)
+            covar_for_view(p, relative_view(0.0, 0.01), 0.95)
 
     def test_guard_on_view_variance(self):
         with pytest.raises(ValueError):
-            covar_relative_view(P_WIDE, 0.0, 0.0, 0.95)
+            covar_for_view(P_WIDE, relative_view(0.0, 0.0), 0.95)
 
 
 class TestDeltaCovar:
@@ -588,14 +579,14 @@ class TestCollapseEquivalences:
             var = var_normal(p, 0.95)
             configs = [
                 ("expectation", p.mu_x, float(rng.normal(0.0, 0.3)),
-                 lambda v, r: covar_expectation_view(p, v, r, 0.95)),
+                 lambda v, r: covar_for_view(p, expectation_view(v, r), 0.95)),
                 ("variance", p.sigma_x**2, float(rng.uniform(0.0004, 0.2)),
-                 lambda v, r: covar_variance_view(p, v, r, 0.95)),
+                 lambda v, r: covar_for_view(p, variance_view(v, r), 0.95)),
                 ("quantile", var_normal_x(p, 0.95),
                  float(var_normal_x(p, 0.95) + p.sigma_x * rng.normal()),
-                 lambda v, r: covar_quantile_view(p, v, r, 0.95)),
+                 lambda v, r: covar_for_view(p, quantile_view(v, 0.95, r), 0.95)),
                 ("correlation", p.rho, float(rng.uniform(-0.95, 0.95)),
-                 lambda v, r: covar_correlation_view(p, v, r, 0.95)),
+                 lambda v, r: covar_for_view(p, correlation_view(v, r), 0.95)),
             ]
             for _, prior_value, view_value, op in configs:
                 eq_value = op(view_value, "eq").covar
@@ -620,15 +611,15 @@ class TestFixedPointsAndShapes:
         for rho in (-0.5, 0.3, 0.8):
             p = replace(P_WIDE, rho=rho)
             var = var_normal(p, 0.95)
-            assert covar_variance_view(p, p.sigma_x**2).covar == var
-            assert covar_quantile_view(p, var_normal_x(p, 0.95)).covar == var
-            assert covar_correlation_view(p, p.rho).covar == var
+            assert covar_for_view(p, variance_view(p.sigma_x**2), 0.95).covar == var
+            assert covar_for_view(p, quantile_view(var_normal_x(p, 0.95), 0.95), 0.95).covar == var
+            assert covar_for_view(p, correlation_view(p.rho), 0.95).covar == var
 
     def test_variance_scan_monotone_for_nonzero_rho(self):
         for rho in (-0.5, 0.3, 0.8):
             p = replace(P_WIDE, rho=rho)
             scan = np.linspace(0.001, 0.05, 25)
-            values = [covar_variance_view(p, float(s)).covar for s in scan]
+            values = [covar_for_view(p, variance_view(float(s)), 0.95).covar for s in scan]
             assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
 
@@ -689,6 +680,9 @@ class TestDispatch:
         out = covar_for_view(P_WIDE, no_view(), 0.95)
         assert out.collapsed_to_var and out.covar == var_normal(P_WIDE, 0.95)
 
+    def test_closed_form_table_covers_every_other_kind(self):
+        assert set(_CLOSED_FORMS) == set(KINDS) - {"none", "distribution"}
+
 
 class TestQuantileMarginalReduction:
     def test_posterior_x_marginal_is_the_pinned_minimum(self):
@@ -700,7 +694,7 @@ class TestQuantileMarginalReduction:
         for rho in (-0.7, 0.0, 0.5, 0.9):
             p = BivariateNormalParams(0.30, 0.02, 0.08, 0.05, rho)
             for q1 in (0.35, 0.45, 0.55):
-                out = covar_quantile_view(p, q1, "eq", 0.95)
+                out = covar_for_view(p, quantile_view(q1, 0.95), 0.95)
                 m, s = quantile_pinned_marginal(p.mu_x, p.sigma_x, q1, ndtri(0.95))
                 assert abs(out.posterior.mu_x - m) < 1e-6
                 assert abs(out.posterior.sigma_x - s) < 1e-6
@@ -709,13 +703,13 @@ class TestQuantileMarginalReduction:
 class TestNumericOracle:
     def test_expectation_structure(self):
         orc = numeric_posterior_params(P_WIDE, expectation_view(0.20), 0.95)
-        want = covar_expectation_view(P_WIDE, 0.20).posterior
+        want = covar_for_view(P_WIDE, expectation_view(0.20), 0.95).posterior
         for name in ("mu_x", "mu_y", "sigma_x", "sigma_y", "rho"):
             assert abs(getattr(orc, name) - getattr(want, name)) < 1e-4, name
 
     def test_variance_structure(self):
         orc = numeric_posterior_params(P_WIDE, variance_view(0.02), 0.95)
-        want = covar_variance_view(P_WIDE, 0.02).posterior
+        want = covar_for_view(P_WIDE, variance_view(0.02), 0.95).posterior
         assert abs(orc.sigma_y - want.sigma_y) < 1e-4
         assert abs(orc.sigma_x - want.sigma_x) < 1e-4
 

@@ -16,8 +16,7 @@ from _oracles import serial_scenario_rows
 from epcovar import analytics, cli, engine, estimation, scenario
 from epcovar.analytics import (
     BivariateNormalParams,
-    covar_expectation_view,
-    covar_quantile_view,
+    covar_for_view,
     var_normal,
     var_normal_x,
 )
@@ -304,7 +303,7 @@ class TestScenarioPipeline:
         prior = BivariateNormalParams(0.10, 0.02, 0.10, 0.08, 0.5)
         panel = normal_grid_panel(prior)
         covar, rep = ep_covar_on_panel(panel, expectation_view(0.16), 0.95)
-        closed = covar_expectation_view(prior, 0.16, "eq", 0.95).covar
+        closed = covar_for_view(prior, expectation_view(0.16), 0.95).covar
         assert abs(covar - closed) <= 0.01 * prior.sigma_y
         assert rep.residual <= 1e-8
 
@@ -644,7 +643,7 @@ class TestQuantileViewPosteriorType:
         p = self.PRIOR
         q1 = var_normal_x(p, self.ALPHA) + 0.5 * p.sigma_x
         free = self._type_free_covar(p, q1, self.ALPHA)
-        typed = covar_quantile_view(p, q1, "eq", self.ALPHA).covar
+        typed = covar_for_view(p, quantile_view(q1, self.ALPHA), self.ALPHA).covar
         assert typed - free > 0.05 * p.sigma_y
 
     def test_split_posterior_mass_structure(self):
@@ -667,7 +666,7 @@ class TestDistributionExpressedViews:
         # piecewise-constant tilt converges to the smooth exponential tilt)
         p = BivariateNormalParams(0.10, 0.02, 0.10, 0.08, 0.5)
         panel = normal_grid_panel(p, n=241)
-        closed = covar_expectation_view(p, 0.15, "eq", 0.95).covar
+        closed = covar_for_view(p, expectation_view(0.15), 0.95).covar
         post_mu, post_sd = 0.15, p.sigma_x
         gaps = []
         for n_bins in (16, 32, 64):
@@ -1158,12 +1157,23 @@ class TestCli:
             ('{"kind": "relative", "diff_mean": 0, "diff_variance": 1e-4, "target": "y"}',
              "relative views take no target, got target 'y'"),
             ('{"kind": "none", "target": "y"}', "none views take no target, got target 'y'"),
+            ('{"kind": "expectation", "mean": 0.1, "relation": ["eq"]}',
+             "unknown relation ['eq']"),
+            ('{"kind": "expectation", "mean": 0.1, "relation": {"eq": 1}}',
+             "unknown relation {'eq': 1}"),
+            ('{"kind": "distribution", "bin_edges": 3, "bin_probs": [1.0]}',
+             "bin_edges must be a list of numbers"),
+            ('{"kind": "distribution", "bin_edges": [0, 1], "bin_probs": 1.0}',
+             "bin_probs must be a list of numbers"),
+            ('"expectation"', "view entry must be a JSON object"),
+            ('["kind"]', "view entry must be a JSON object"),
         ],
         ids=["mean-string", "mean-list", "mean-bool", "mean-nan", "mean-inf",
              "confidence-string", "level-bool", "band-inf", "correlation-nan",
              "diff-mean-string", "edge-nan", "edge-string", "prob-nan", "prob-bool",
              "unused-variance", "unused-level", "band-on-half-line", "correlation-on-y",
-             "relative-on-y", "none-on-y"],
+             "relative-on-y", "none-on-y", "relation-list", "relation-object",
+             "edges-number", "probs-number", "entry-string", "entry-list"],
     )
     def test_malformed_view_parameter_exits_config(
         self, losses_csv, tmp_path, capsys, mode, entry, message

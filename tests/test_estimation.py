@@ -71,6 +71,26 @@ class TestMarginalTypes:
         with pytest.raises(ValueError):
             TCopulaParams(1.0, 5.0)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: TMarginal(math.nan, 1.0, 5.0), "location must be finite"),
+            (lambda: TMarginal(math.inf, 1.0, 5.0), "location must be finite"),
+            (lambda: TMarginal(0.0, math.nan, 5.0), "scale must be positive and finite"),
+            (lambda: TMarginal(0.0, math.inf, 5.0), "scale must be positive and finite"),
+            (lambda: TMarginal(0.0, 1.0, math.nan), "dof must be finite"),
+            (lambda: TMarginal(0.0, 1.0, math.inf), "dof must be finite"),
+            (lambda: TCopulaParams(math.nan, 5.0), "copula rho must lie"),
+            (lambda: TCopulaParams(0.5, math.nan), "dof must be finite"),
+            (lambda: TCopulaParams(0.5, math.inf), "dof must be finite"),
+        ],
+        ids=["loc-nan", "loc-inf", "scale-nan", "scale-inf", "dof-nan", "dof-inf",
+             "rho-nan", "copula-dof-nan", "copula-dof-inf"],
+    )
+    def test_non_finite_parameters_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_implied_moments(self):
         m = TMarginal(0.5, 2.0, 8.0)
         assert m.mean == 0.5

@@ -48,6 +48,13 @@ class TestBuildPanel:
         with pytest.raises(ValueError, match="non-finite loss in y at index 0"):
             build_panel([0, 1], [np.nan, 1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_prior_weight_with_index(self, bad):
+        with pytest.raises(ValueError, match="non-finite weight at index 1"):
+            ScenarioPanel([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [0.5, bad, 0.5])
+        with pytest.raises(ValueError, match="non-finite weight at index 1"):
+            build_panel([0, 1, 2], [0, 1, 2], prior=[1, bad, 1])
+
     def test_needs_two_scenarios(self):
         with pytest.raises(ValueError, match="at least two"):
             build_panel([1], [1])

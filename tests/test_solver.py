@@ -557,8 +557,10 @@ class TestPool:
             (2, [1.0], "2 posteriors but 1 confidences"),
             (2, [0.0, 1.0], r"must lie in \(0, 1\]"),
             (2, [1.5, -0.5], r"must lie in \(0, 1\]"),
+            (2, [np.nan, np.nan], "confidences must be finite"),
+            (2, [np.inf, 0.5], "confidences must be finite"),
         ],
-        ids=["none", "count", "zero", "outside"],
+        ids=["none", "count", "zero", "outside", "nan", "inf"],
     )
     def test_argument_guards(self, n_posteriors, confidences, message):
         a = Probabilities(np.array([0.5, 0.5]))

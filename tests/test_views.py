@@ -546,3 +546,30 @@ def test_every_view_factory_is_exported():
         name for name in factories if getattr(epcovar, name, None) is not getattr(views, name)
     ]
     assert missing == []
+
+
+def test_public_api_is_pinned():
+    # every change to the package's exports is a deliberate edit of this list
+    import types
+
+    import epcovar
+
+    public = sorted(
+        name for name, obj in vars(epcovar).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+    )
+    assert public == [
+        "BivariateNormalParams", "ConfigError", "DataError", "DegenerateError",
+        "EpcovarError", "InfeasibleError", "InfeasibleViewError", "IngestResult",
+        "LinearConstraintSet", "NumericDomainError", "Probabilities", "QRFit",
+        "ReportRow", "RiskReport", "RunConfig", "ScenarioPanel", "SolveReport",
+        "TCopulaParams", "TMarginal", "ViewOutcome", "ViewSpec", "build_panel",
+        "compile_view", "correlation_view", "covar_for_view", "delta_covar_view",
+        "describe", "distribution_view", "emit_report", "ep_covar_on_panel",
+        "expectation_view", "fit_t_copula", "fit_t_marginal", "generate_scenarios",
+        "ingest_csv", "interpolated_quantile", "kl_bivariate_normal",
+        "mean_variance_view", "moments", "no_view", "pool", "quantile_regression_covar",
+        "quantile_view", "relative_entropy", "relative_view", "run_pipeline",
+        "sensitivity_scan", "solve", "value_view", "var_normal", "variance_view",
+        "view_from_dict", "view_to_dict", "weighted_quantile",
+    ]
