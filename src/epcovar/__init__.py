@@ -28,7 +28,6 @@ from .errors import (
     DegenerateError,
     EpcovarError,
     InfeasibleError,
-    InfeasibleViewError,
     NumericDomainError,
 )
 from .estimation import (

@@ -257,12 +257,7 @@ def _correlation(p: BivariateNormalParams, view: ViewSpec, alpha: float) -> View
     c = _check_alpha(alpha)
     if abs(p.rho) == 1.0 and rho1 == p.rho:
         return ViewOutcome(var_normal(p, alpha), p, True, "boundary-collapse")
-    denom = 1.0 - p.rho * rho1
-    if denom <= 0.0:
-        raise NumericDomainError(
-            f"correlation view undefined for rho*rho1 = {p.rho * rho1} >= 1"
-        )
-    factor = math.sqrt((1.0 - p.rho**2) / denom)
+    factor = math.sqrt((1.0 - p.rho**2) / (1.0 - p.rho * rho1))
     degenerate = factor == 0.0  # |rho| = 1 with rho1 != rho
     no_info = rho1 == p.rho or p.rho == 0.0
     eq = ViewOutcome(

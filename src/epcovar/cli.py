@@ -7,8 +7,8 @@ Usage sketch (see README for the config and views file schemas):
     epcovar run.json --scenarios 50000 --seed 7
     epcovar --data losses.csv --x SVB --y NBI --scan variance:0.001:0.04:40
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 solver
-infeasible, 5 numeric-domain error.
+Exit codes: 0 success, 2 configuration error, 3 data error, 4 infeasible
+(``InfeasibleError``, at compilation or in the solve), 5 numeric-domain error.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import (
     DataError,
     DegenerateError,
     InfeasibleError,
-    InfeasibleViewError,
     NumericDomainError,
 )
 
@@ -123,7 +122,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return _EXIT_DATA
-    except (InfeasibleError, InfeasibleViewError) as exc:
+    except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return _EXIT_INFEASIBLE
     except (NumericDomainError, DegenerateError) as exc:

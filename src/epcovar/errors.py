@@ -3,7 +3,7 @@
 Exit-code mapping used by the CLI:
     ConfigError        -> 2
     DataError          -> 3
-    InfeasibleViewError / InfeasibleError -> 4
+    InfeasibleError    -> 4
     NumericDomainError / DegenerateError  -> 5
 Plain ValueError raised by precondition guards is treated as a config error.
 """
@@ -23,17 +23,14 @@ class DataError(EpcovarError):
     """Input data unusable (missing column, too few rows, unparseable cell)."""
 
 
-class InfeasibleViewError(EpcovarError):
-    """A view cannot be expressed on the given panel (e.g. empty indicator bin)."""
-
-
 class InfeasibleError(EpcovarError):
     """The constrained entropy minimization admits no solution within tolerance.
 
     ``residual`` carries the certificate: the smallest max constraint violation
-    that any posterior on the panel can reach. In the rare case that the view
-    is attainable but the solver runs out of iterations, it carries the best
-    violation the solver attained instead.
+    that any posterior on the panel can reach, from ``compile_view`` for a row
+    that reads 0 under every posterior, or from the solver's phase-I program.
+    In the rare case that the view is attainable but the solver runs out of
+    iterations, it carries the best violation the solver attained instead.
     """
 
     def __init__(self, message: str, residual: float):

@@ -54,7 +54,7 @@ from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleViewError
+from .errors import DataError, InfeasibleError
 from .scenario import ScenarioPanel, _freeze, moments
 
 Relation = Literal["eq", "le", "ge"]
@@ -130,6 +130,8 @@ class ViewSpec:
         for name in ("confidence", *_PARAMETERS):
             value = getattr(self, name)
             if name in ("bin_edges", "bin_probs") and value is not None:
+                if not isinstance(value, (list, tuple, np.ndarray)):
+                    raise ValueError(f"{name} must be a list of numbers")
                 for v in value:
                     _check_real(f"{name} entry", v, allow_inf=name == "bin_edges")
             elif value is not None:
@@ -332,13 +334,20 @@ class _Rows:
         )
 
 
+def _unattainable(reason: str, certificate: float) -> InfeasibleError:
+    return InfeasibleError(f"view unattainable: {reason}; no posterior on the panel gets the "
+                           f"max violation below {certificate:.3e}", residual=certificate)
+
+
 def compile_view(view: ViewSpec, panel: ScenarioPanel) -> LinearConstraintSet:
     """Lower one view onto a panel as ``lower <= G p <= upper`` rows.
 
-    Raises :class:`InfeasibleViewError` when a required indicator row is empty
-    (no scenario in the band/bin while the view puts positive mass there).
-    Each branch allocates room for the most rows it can write, and computes
-    each row in place in the one matrix the set holds.
+    A row whose indicator (or X - Y) is identically zero reads 0 under every
+    posterior: it adds no row where 0 meets its bounds (a ``ge`` quantile
+    view), and otherwise refuses the view with :class:`InfeasibleError` and
+    the exact phase-I certificate, without a solve. A correlation view on a
+    constant margin raises :class:`DataError`. Each branch computes its rows
+    in place in one matrix, allocated for the most rows it can write.
     """
     loss = panel.losses(view.target)
     t = view.target.upper()
@@ -361,19 +370,16 @@ def compile_view(view: ViewSpec, panel: ScenarioPanel) -> LinearConstraintSet:
         rows = _Rows(1, panel.size)
         ind = rows.slot()
         np.less_equal(loss, view.quantile, out=ind)
-        if not ind.any():
-            raise InfeasibleViewError(
-                f"no scenario of {t} lies at or below the quantile threshold {view.quantile}"
+        level = view.quantile_level  # q~ <= q1  <=>  Pr(L <= q1) >= level
+        bounds = {"eq": (level, level), "le": (level, np.inf), "ge": (-np.inf, level)}
+        lo, hi = bounds[view.relation]
+        if ind.any():
+            # mass bounds beyond [0, 1] are vacuous but harmless
+            rows.add(lo, hi, f"quantile_mass({t}<={view.quantile:g})")
+        elif lo > 0.0:  # under "ge" the empty row, 0 <= level, adds no information
+            raise _unattainable(
+                f"no scenario of {t} lies at or below the quantile threshold {view.quantile}", lo
             )
-        level = view.quantile_level
-        if view.relation == "eq":
-            lo, hi = level, level
-        elif view.relation == "le":  # q~ <= q1  <=>  Pr(L <= q1) >= level
-            lo, hi = level, np.inf
-        else:
-            lo, hi = -np.inf, level
-        # mass bounds beyond [0, 1] are vacuous but harmless
-        rows.add(lo, hi, f"quantile_mass({t}<={view.quantile:g})")
 
     elif view.kind == "value":
         rows = _Rows(1, panel.size)
@@ -391,7 +397,7 @@ def compile_view(view: ViewSpec, panel: ScenarioPanel) -> LinearConstraintSet:
             np.greater_equal(loss, view.value, out=ind)
             label = f"value_mass({t}>={view.value:g})"
         if not ind.any():
-            raise InfeasibleViewError(f"no scenario of {t} falls in the required region: {label}")
+            raise _unattainable(f"no scenario of {t} falls in the required region: {label}", 1.0)
         if not ind.all():  # region covering every scenario adds no information
             rows.add(1.0, 1.0, label)
 
@@ -401,7 +407,7 @@ def compile_view(view: ViewSpec, panel: ScenarioPanel) -> LinearConstraintSet:
         my, vy = moments(panel.y, panel.prior)
         sx, sy = np.sqrt(vx), np.sqrt(vy)
         if sx == 0.0 or sy == 0.0:
-            raise InfeasibleViewError("correlation view needs non-degenerate prior marginals")
+            raise DataError("correlation view needs non-degenerate prior marginals")
         rows.add(mx, mx, "mean(X)", panel.x)
         rows.add(my, my, "mean(Y)", panel.y)
         np.multiply(panel.x, panel.x, out=rows.slot())
@@ -417,9 +423,10 @@ def compile_view(view: ViewSpec, panel: ScenarioPanel) -> LinearConstraintSet:
         rows = _Rows(2, panel.size)
         diff = rows.slot()
         np.subtract(panel.x, panel.y, out=diff)
-        if not diff.any():
-            raise InfeasibleViewError("difference X - Y is identically zero on this panel")
         second = view.diff_variance + view.diff_mean**2
+        if not diff.any():  # both rows read 0, and second > 0
+            raise _unattainable("difference X - Y is identically zero on this panel",
+                                max(abs(view.diff_mean), second))
         rows.add(view.diff_mean, view.diff_mean, "mean(X-Y)")
         np.multiply(diff, diff, out=rows.slot())
         rows.add(second, second, "second_moment(X-Y)")
@@ -428,6 +435,7 @@ def compile_view(view: ViewSpec, panel: ScenarioPanel) -> LinearConstraintSet:
         edges, probs = view.bin_edges, view.bin_probs
         n_bins = len(probs)
         rows = _Rows(n_bins, panel.size)
+        empty, reason = [], None  # the bins no scenario falls in; the first of positive mass
         for i in range(n_bins):
             left, right = edges[i], edges[i + 1]
             ind = rows.slot()
@@ -437,15 +445,22 @@ def compile_view(view: ViewSpec, panel: ScenarioPanel) -> LinearConstraintSet:
                 np.logical_and(loss >= left, loss < right, out=ind)
             label = f"bin[{left:g},{right:g}{']' if i == n_bins - 1 else ')'}"
             if not ind.any():
-                if probs[i] > 0.0:
-                    raise InfeasibleViewError(
-                        f"bin {label} holds stated probability {probs[i]} "
-                        f"but no scenario of {t} falls in it"
-                    )
-                continue  # empty bin with zero mass is vacuous
+                empty.append(i)
+                if probs[i] > 0.0 and reason is None:
+                    reason = (f"bin {label} holds stated probability {probs[i]} "
+                              f"but no scenario of {t} falls in it")
+                continue  # an empty bin of zero mass is vacuous
             if ind.all() and probs[i] == 1.0:
                 continue  # bin covering every scenario adds no information
             rows.add(probs[i], probs[i], label)
+        if reason is not None:  # each empty bin misses by its probability; when every
+            # scenario lies in a bin, the k non-empty ones hold mass 1 against their stated
+            # S and miss by (1 - S) / k at best (exact unless S > 1, by ViewSpec's 1e-10)
+            gap = max(probs[i] for i in empty)
+            if edges[0] <= loss.min() and loss.max() <= edges[-1]:
+                full = [p for i, p in enumerate(probs) if i not in empty]
+                gap = max(gap, (1.0 - math.fsum(full)) / len(full))
+            raise _unattainable(reason, gap)
 
     elif view.kind == "none":
         rows = _Rows(0, panel.size)
@@ -484,10 +499,4 @@ def view_from_dict(obj: dict) -> ViewSpec:
     unknown = set(obj) - set(_FIELDS)
     if unknown:
         raise ValueError(f"unknown view keys: {sorted(unknown)}")
-    kwargs = dict(obj)
-    for name in ("bin_edges", "bin_probs"):
-        if name in kwargs:
-            if not isinstance(kwargs[name], (list, tuple)):
-                raise ValueError(f"{name} must be a list of numbers")
-            kwargs[name] = tuple(kwargs[name])
-    return ViewSpec(**kwargs)
+    return ViewSpec(**obj)

@@ -2,10 +2,11 @@
 
 Nothing here touches the solver's dual path or the package's closed-form
 CoVaR functions: scalar bisection, dense feasible-set scans, primal SLSQP,
-plain-loop enumeration, the paper's spillover expressions written out per
-view kind, a derivative-free minimizer of the bivariate-normal relative
-entropy (vectorized here) over the five posterior parameters, the bivariate normal CDF by
-adaptive quadrature of the conditional normal CDF, a cell-by-cell CSV
+a dense phase-I linear program, plain-loop enumeration, the paper's
+spillover expressions written out per view kind, a derivative-free minimizer
+of the bivariate-normal relative entropy (vectorized on its grid, on floats
+at single points) over the five posterior parameters, the bivariate normal
+CDF by adaptive quadrature of the conditional normal CDF, a cell-by-cell CSV
 reader, and the Student-t marginal and t-copula fits with their degrees of
 freedom searched one dof at a time.
 
@@ -23,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq, linprog, minimize_scalar
 from scipy.optimize import minimize as scipy_minimize
 from scipy.special import gammaln, ndtri, stdtr, stdtrit
 from scipy.stats import kendalltau
@@ -184,6 +185,36 @@ def brute_force_min_kl(panel, cs):
     return best
 
 
+def phase_one_lp(matrix, lower, upper) -> float:
+    """Smallest max violation of ``lower <= matrix @ q <= upper`` over every
+    probability vector q, by one dense linear program over every row (all-zero
+    rows included) and every scenario:
+
+        minimize t  subject to  G q - t <= upper,  lower - G q <= t,
+                                sum q = 1,  q >= 0,  t >= 0
+
+    Returns the max violation of the program's optimal weights.
+    """
+    g = np.atleast_2d(np.asarray(matrix, dtype=float))
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    up, dn = np.isfinite(upper), np.isfinite(lower)
+    n = g.shape[1]
+    res = linprog(
+        np.append(np.zeros(n), 1.0),
+        A_ub=np.hstack([np.vstack([g[up], -g[dn]]), -np.ones((up.sum() + dn.sum(), 1))]),
+        b_ub=np.concatenate([upper[up], -lower[dn]]),
+        A_eq=np.append(np.ones(n), 0.0)[None, :],
+        b_eq=[1.0],
+        bounds=(0.0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    q = np.maximum(res.x[:-1], 0.0)
+    achieved = g @ (q / q.sum())
+    return float(max(np.max(np.maximum(lower - achieved, achieved - upper)), 0.0))
+
+
 def pinball_loss(residuals, alpha: float) -> float:
     """Mean check loss: alpha-weighted positive part, (alpha-1)-weighted negative."""
     r = np.asarray(residuals, dtype=float)
@@ -340,6 +371,35 @@ def _kl_arrays(mu_x, mu_y, sigma_x, sigma_y, rho, prior) -> np.ndarray:
     return np.where(bad, np.inf, kl)
 
 
+def _kl_point(mu_x, mu_y, sigma_x, sigma_y, rho, prior) -> float:
+    """:func:`_kl_arrays` at one point, on floats with ``math``; invalid
+    posteriors, a NaN correlation included, map to +inf. Through 0-d arrays a
+    point evaluation costs several times as much."""
+    post_det = 1.0 - rho * rho
+    if sigma_x <= 0.0 or sigma_y <= 0.0 or not post_det > 0.0:
+        return math.inf
+    dmx = mu_x - prior.mu_x
+    dmy = mu_y - prior.mu_y
+    sx, sy, r = prior.sigma_x, prior.sigma_y, prior.rho
+    one_minus_r2 = 1.0 - r * r
+    quad_mean = (
+        dmx * dmx / (sx * sx)
+        - 2.0 * r * dmx * dmy / (sx * sy)
+        + dmy * dmy / (sy * sy)
+    )
+    quad_scale = (
+        sigma_x * sigma_x / (sx * sx)
+        - 2.0 * r * rho * sigma_x * sigma_y / (sx * sy)
+        + sigma_y * sigma_y / (sy * sy)
+    )
+    return (
+        (quad_mean + quad_scale) / (2.0 * one_minus_r2)
+        - 0.5 * math.log(post_det / one_minus_r2)
+        - math.log(sigma_x * sigma_y / (sx * sy))
+        - 1.0
+    )
+
+
 def numeric_posterior_params(
     prior, view, alpha=0.95, grid_points=11, levels=4, descent_sweeps=3
 ):
@@ -420,7 +480,10 @@ def numeric_posterior_params(
             cols[0] = view.diff_mean + cols[1]
             denom = 2.0 * cols[2] * cols[3]
             rho = (cols[2] ** 2 + cols[3] ** 2 - view.diff_variance) / denom
-            cols[4] = np.where(np.abs(rho) < 1.0, rho, np.nan)
+            if isinstance(rho, float):  # a point evaluation
+                cols[4] = rho if abs(rho) < 1.0 else math.nan
+            else:
+                cols[4] = np.where(np.abs(rho) < 1.0, rho, np.nan)
     else:  # pragma: no cover
         raise ValueError(f"unsupported view kind {kind!r}")
 
@@ -467,8 +530,12 @@ def numeric_posterior_params(
             spacing[i] = axes[axis_i][1] - axes[axis_i][0] if grid_points > 1 else half[i]
 
     def point_kl(vec):
-        cols = [np.asarray(v) for v in vec]
-        return float(evaluate(cols))
+        point = vec.tolist()
+        for idx, val in pinned.items():
+            point[idx] = val
+        if fill is not None:
+            fill(point)
+        return _kl_point(*point, prior)
 
     # coordinate descent with per-coordinate brackets that track progress;
     # descent_sweeps scales the iteration budget
@@ -510,9 +577,9 @@ def numeric_posterior_params(
     for idx, val in pinned.items():
         full[idx] = val
     if fill is not None:
-        cols = [np.asarray(v) for v in full]
+        cols = full.tolist()
         fill(cols)
-        full = np.array([float(col) for col in cols])
+        full = np.array(cols)
     if not np.all(np.isfinite(full)):
         raise NumericDomainError("search box exhausted without a feasible point")
     return BivariateNormalParams(*full)

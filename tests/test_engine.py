@@ -39,11 +39,10 @@ from epcovar.errors import (
     ConfigError,
     DataError,
     InfeasibleError,
-    InfeasibleViewError,
     NumericDomainError,
 )
 from epcovar.normal import bvn_cdf
-from epcovar.scenario import build_panel
+from epcovar.scenario import build_panel, interpolated_quantile
 from epcovar.views import (
     correlation_view,
     distribution_view,
@@ -299,6 +298,22 @@ class TestScenarioPipeline:
         engine.scenario_prior(config, x, y)
         assert sorted(calls) == sorted(fit_calls + ["generate_scenarios"])
 
+    @pytest.mark.parametrize(
+        "view", [quantile_view(-10.0, relation="ge"), value_view(99.0, relation="le")],
+        ids=["quantile-ge", "value-le"],
+    )
+    def test_a_view_every_posterior_meets_leaves_var(self, view):
+        # no scenario lies at or below -10 (every one at or below 99): the prior
+        # meets the view, which compiles to the normalization row alone
+        rng = np.random.default_rng(0)
+        panel = build_panel(rng.standard_normal(2000), rng.standard_normal(2000))
+        covar, rep = ep_covar_on_panel(panel, view, 0.95)
+        assert covar == interpolated_quantile(panel.sorted_y, panel.prior, 0.95)
+        assert rep.iterations == 0
+        if view.kind == "quantile":  # as the closed form has it
+            prior = BivariateNormalParams(0.0, 0.0, 1.0, 1.0, 0.0)
+            assert covar_for_view(prior, view, 0.95).branch == "ge-collapse"
+
     def test_grid_discretized_mean_view_matches_closed_form(self):
         prior = BivariateNormalParams(0.10, 0.02, 0.10, 0.08, 0.5)
         panel = normal_grid_panel(prior)
@@ -459,28 +474,35 @@ class TestThreadedViews:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize(
-        "views, error",
+        "views, refusal, residual",
         [
-            # view 0 fails at compile, view 2 in the solve
+            # view 0 fails at compile (an empty region misses by 1), view 2 in the solve
             ((value_view(99.0, "ge"), expectation_view(0.01), expectation_view(1000.0)),
-             InfeasibleViewError),
+             "view unattainable: no scenario of X falls in the required region", 1.0),
             # view 0 fails in the solve, view 2 at compile
             ((expectation_view(1000.0), expectation_view(0.01), value_view(99.0, "ge")),
-             InfeasibleError),
+             "constraints unattainable", pytest.approx(1000.0, abs=1.0)),
             # only the last view fails
             ((expectation_view(0.01), variance_view(5e-4), mean_variance_view(0.005, 4.5e-4),
-              expectation_view(-1000.0)), InfeasibleError),
+              expectation_view(-1000.0)), "constraints unattainable",
+             pytest.approx(1000.0, abs=1.0)),
         ],
+        ids=[f"views{i}-InfeasibleError" for i in range(3)],
     )
-    def test_first_failing_view_in_order_raises(self, losses_csv, monkeypatch, views, error):
+    def test_first_failing_view_in_order_raises(
+        self, losses_csv, monkeypatch, views, refusal, residual
+    ):
+        # the compile-time and the solve refusal are one type, told apart by
+        # message and certificate
         monkeypatch.setattr(scenario, "_THREADED_MIN_SCENARIOS", 5000)
         config = self._config(losses_csv, views)
-        with pytest.raises(error) as err:
+        with pytest.raises(InfeasibleError) as err:
             run_pipeline(config)
         serial = self._serial(monkeypatch, config)
-        assert type(serial) is error and str(err.value) == str(serial)
-        assert str(err.value).startswith("solver: ")
-        assert getattr(err.value, "residual", None) == getattr(serial, "residual", None)
+        assert type(serial) is InfeasibleError and str(err.value) == str(serial)
+        assert str(err.value).startswith(f"solver: {refusal}")
+        assert err.value.residual == serial.residual
+        assert err.value.residual == residual
 
     def test_at_most_one_worker_and_none_left(self, losses_csv, monkeypatch):
         monkeypatch.setattr(scenario, "_THREADED_MIN_SCENARIOS", 5000)
@@ -1034,6 +1056,16 @@ class TestCli:
              "--mode", "scenario", "--scenarios", "500", "--views", str(views)]
         )
         assert rc == 4
+
+    def test_compile_time_refusal_exits_infeasible(self, losses_csv, tmp_path, capsys):
+        views = tmp_path / "views.json"
+        views.write_text('[{"kind": "value", "relation": "ge", "value": 99.0}]')
+        rc = self._run(
+            ["--data", losses_csv, "--x", "SVB", "--y", "NBI",
+             "--mode", "scenario", "--scenarios", "500", "--views", str(views)]
+        )
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("infeasible: solver: view unattainable: ")
 
     def test_numeric_domain_exit(self, losses_csv, tmp_path):
         views = tmp_path / "views.json"

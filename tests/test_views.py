@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from epcovar.errors import InfeasibleViewError
+from _oracles import phase_one_lp
+from epcovar.errors import DataError, InfeasibleError
 from epcovar.scenario import build_panel, moments
 from epcovar.views import (
     LinearConstraintSet,
@@ -59,6 +60,14 @@ class TestViewSpecValidation:
             ViewSpec("variance", variance=-1.0)
         with pytest.raises(ValueError, match="diff_variance must be positive"):
             relative_view(0.0, 0.0)
+
+    def test_bin_fields_that_are_not_sequences_are_named(self):
+        with pytest.raises(ValueError, match="^bin_edges must be a list of numbers$"):
+            ViewSpec("distribution", bin_edges=3, bin_probs=(1.0,))
+        with pytest.raises(ValueError, match="^bin_probs must be a list of numbers$"):
+            ViewSpec("distribution", bin_edges=(0.0, 1.0), bin_probs=1.0)
+        view = ViewSpec("distribution", bin_edges=[0, 1], bin_probs=np.array([1.0]))
+        assert view.bin_edges == (0.0, 1.0) and view.bin_probs == (1.0,)
 
     def test_bin_validation(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -242,8 +251,20 @@ class TestCompileQuantile:
         assert ge.lower[0] == -np.inf and ge.upper[0] == 0.9
 
     def test_empty_indicator_is_infeasible(self, panel01):
-        with pytest.raises(InfeasibleViewError, match="at or below"):
+        with pytest.raises(InfeasibleError, match="at or below") as err:
             compile_view(quantile_view(-1.0, level=0.95), panel01)
+        assert err.value.residual == 0.95
+
+    def test_empty_indicator_under_ge_adds_no_row(self, panel01):
+        # P(X <= q) <= level holds for every posterior when no scenario lies at or below q
+        cs = compile_view(quantile_view(-1.0, level=0.95, relation="ge"), panel01)
+        assert cs.labels == ("normalization",)
+
+    def test_prior_meeting_a_ge_view_on_a_normal_panel(self):
+        rng = np.random.default_rng(0)
+        panel = build_panel(rng.standard_normal(2000), rng.standard_normal(2000))
+        cs = compile_view(quantile_view(-10.0, relation="ge"), panel)
+        assert cs.labels == ("normalization",)
 
 
 class TestCompileValue:
@@ -271,8 +292,9 @@ class TestCompileValue:
 
     def test_empty_region_is_infeasible(self):
         panel = build_panel([0.0, 1.0], [0.0, 0.0])
-        with pytest.raises(InfeasibleViewError):
+        with pytest.raises(InfeasibleError, match="required region") as err:
             compile_view(value_view(9.0, relation="ge"), panel)
+        assert err.value.residual == 1.0
 
     def test_region_covering_everything_adds_no_row(self):
         panel = build_panel([0.0, 1.0], [0.0, 0.0])
@@ -300,9 +322,11 @@ class TestCompileCorrelation:
         assert np.isfinite(cs.lower[4])
 
 
-    def test_constant_margin_is_infeasible(self):
+    def test_constant_margin_is_a_data_error(self):
+        # undefined rather than unattainable: refused as the analytic prior
+        # refuses a zero-spread column
         panel = build_panel([0.0, 1.0, 2.0], [0.5, 0.5, 0.5])
-        with pytest.raises(InfeasibleViewError, match="non-degenerate prior marginals"):
+        with pytest.raises(DataError, match="non-degenerate prior marginals"):
             compile_view(correlation_view(0.4), panel)
 
 
@@ -316,8 +340,9 @@ class TestCompileRelative:
         assert cs.lower[1] == cs.upper[1] == pytest.approx(0.5 + 0.0625)
 
     def test_identical_losses_are_degenerate(self, panel01):
-        with pytest.raises(InfeasibleViewError, match="identically zero"):
+        with pytest.raises(InfeasibleError, match="identically zero") as err:
             compile_view(relative_view(0.25, 0.5), panel01)
+        assert err.value.residual == 0.5 + 0.25**2
 
 
 class TestCompileDistribution:
@@ -347,8 +372,9 @@ class TestCompileDistribution:
 
     def test_empty_bin_with_positive_mass_raises(self, panel_atoms):
         view = distribution_view([200.0, 300.0], [1.0])
-        with pytest.raises(InfeasibleViewError, match=r"bin\[200,300\]"):
+        with pytest.raises(InfeasibleError, match=r"bin\[200,300\]") as err:
             compile_view(view, panel_atoms)
+        assert err.value.residual == 1.0
 
     def test_certain_bin_covering_every_scenario_adds_no_row(self, panel_atoms):
         cs = compile_view(distribution_view([0.0, 200.0], [1.0]), panel_atoms)
@@ -361,6 +387,96 @@ class TestCompileDistribution:
         )
         cs = compile_view(view, panel_atoms)
         assert cs.n_rows == 5  # the empty fifth bin contributed no row
+
+
+def _stated_rows(view, panel):
+    """(matrix, lower, upper) of every row that ``view`` states on ``panel``,
+    all-zero rows included, written out from the view's definition."""
+    x = panel.losses(view.target)
+    if view.kind == "value":
+        v, band = view.value, view.value_band
+        if view.relation != "eq":
+            return [x <= v if view.relation == "le" else x >= v], [1.0], [1.0]
+        return [(x >= v - band) & (x <= v + band)], [1.0], [1.0]
+    if view.kind == "quantile":
+        level = view.quantile_level
+        lo, hi = {"eq": (level, level), "le": (level, np.inf), "ge": (-np.inf, level)}[
+            view.relation]
+        return [x <= view.quantile], [lo], [hi]
+    if view.kind == "relative":
+        d = panel.x - panel.y
+        second = view.diff_variance + view.diff_mean**2
+        return [d, d * d], [view.diff_mean, second], [view.diff_mean, second]
+    edges, probs = view.bin_edges, view.bin_probs
+    last = len(probs) - 1
+    rows = [(x >= edges[i]) & ((x < edges[i + 1]) | ((i == last) & (x == edges[i + 1])))
+            for i in range(len(probs))]
+    return rows, probs, probs
+
+
+_ATOMS = (25.0, 50.0, 75.0, 100.0)
+
+
+class TestCompileTimeCertificates:
+    """A compile-time refusal carries the exact phase-I certificate: the
+    smallest max violation that any posterior reaches on the view's rows."""
+
+    @pytest.mark.parametrize(
+        "x, y, view, expected",
+        [
+            ((0.0, 1.0), (0.0, 0.0), value_view(9.0, relation="ge"), 1.0),
+            ((0.0, 1.0), (0.0, 0.0), value_view(-9.0, relation="le"), 1.0),
+            ((0.0, 1.0), (0.0, 0.0), value_view(5.0, band=0.5), 1.0),
+            ((0.0, 1.0), (0.0, 0.0), value_view(5.0, target="y", band=0.5), 1.0),
+            ((0.0, 1.0), (0.0, 0.0), quantile_view(-1.0, level=0.95), 0.95),
+            ((0.0, 1.0), (0.0, 0.0), quantile_view(-1.0, level=0.9, relation="le"), 0.9),
+            ((0.0, 1.0), (0.0, 1.0), relative_view(0.25, 0.5), 0.5625),
+            ((0.0, 1.0), (0.0, 1.0), relative_view(-0.5, 0.1), 0.5),  # |d| > v + d^2
+            # every scenario in a bin: the two non-empty bins share 0.9, 0.45 each
+            (_ATOMS, _ATOMS, distribution_view([0, 30, 31, 32, 33, 200],
+                                               [0.05, 0.3, 0.3, 0.3, 0.05]), 0.45),
+            # 75 and 100 lie in no bin and take the missing mass
+            (_ATOMS, _ATOMS, distribution_view([0, 30, 31, 60], [0.5, 0.3, 0.2]), 0.3),
+            # an empty bin of zero mass beside one of positive mass
+            (_ATOMS, _ATOMS, distribution_view([0, 30, 31, 32, 200], [0.2, 0.0, 0.1, 0.7]),
+             0.1),
+            (_ATOMS, _ATOMS, distribution_view([200, 300], [1.0]), 1.0),
+        ],
+        ids=["value-ge", "value-le", "value-band", "value-band-y", "quantile-eq",
+             "quantile-le", "relative-second", "relative-mean", "bins-covering",
+             "bins-uncovered", "bins-zero-mass", "bin-alone"],
+    )
+    def test_matches_the_dense_phase_one_program(self, x, y, view, expected):
+        panel = build_panel(x, y)
+        with pytest.raises(InfeasibleError, match="^view unattainable: ") as err:
+            compile_view(view, panel)
+        exact = phase_one_lp(*_stated_rows(view, panel))
+        assert abs(err.value.residual - exact) <= 1e-12
+        assert abs(exact - expected) <= 1e-12
+
+    def test_random_distribution_views_match_the_dense_phase_one_program(self):
+        rng = np.random.default_rng(26)
+        refused = shared = 0
+        for _ in range(60):
+            panel = build_panel(rng.choice(np.arange(10.0), size=4), np.zeros(4))
+            n_bins = int(rng.integers(4, 10))
+            edges = np.sort(rng.choice(np.arange(-1.0, 11.0, 0.5), n_bins + 1, replace=False))
+            if rng.random() < 0.5:  # the bins cover every scenario
+                edges[0], edges[-1] = -1.0, 10.5
+            probs = rng.dirichlet(np.ones(n_bins)) * (rng.random(n_bins) > 0.3)
+            if probs.sum() == 0.0:
+                continue
+            view = distribution_view(edges, probs / probs.sum())
+            try:
+                compile_view(view, panel)
+            except InfeasibleError as err:
+                rows, stated, _ = _stated_rows(view, panel)
+                exact = phase_one_lp(rows, stated, stated)
+                assert abs(err.residual - exact) <= 1e-12, (edges, probs)
+                refused += 1
+                # the non-empty bins' shared excess, not an empty bin, sets the certificate
+                shared += exact > max(p for row, p in zip(rows, stated) if not row.any()) + 1e-12
+        assert refused >= 40 and shared >= 5
 
 
 class TestCompiledSystemProperties:
@@ -560,7 +676,7 @@ def test_public_api_is_pinned():
     )
     assert public == [
         "BivariateNormalParams", "ConfigError", "DataError", "DegenerateError",
-        "EpcovarError", "InfeasibleError", "InfeasibleViewError", "IngestResult",
+        "EpcovarError", "InfeasibleError", "IngestResult",
         "LinearConstraintSet", "NumericDomainError", "Probabilities", "QRFit",
         "ReportRow", "RiskReport", "RunConfig", "ScenarioPanel", "SolveReport",
         "TCopulaParams", "TMarginal", "ViewOutcome", "ViewSpec", "build_panel",
