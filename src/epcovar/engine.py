@@ -383,7 +383,6 @@ def _scenario_rows(
     config: RunConfig, panel: ScenarioPanel, confidences: np.ndarray | None
 ) -> list[ReportRow]:
     var = interpolated_quantile(panel.sorted_y, panel.prior, config.alpha)
-    panel.log_prior  # cached before the threads share the panel, as sorted_y is above
     evaluated = _on_two_threads(
         lambda view: ep_covar_on_panel(panel, view, config.alpha), config.views, panel.size
     )

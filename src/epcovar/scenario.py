@@ -14,11 +14,11 @@ Conventions used throughout the package:
   smallest scenario value whose cumulative probability reaches alpha) for
   genuinely atomic data; it keeps Pr(value <= quantile) >= alpha exact and is
   deterministic under ties.
-- A panel sorts its Y losses once: ``ScenarioPanel.sorted_y`` holds the
-  stable order, the tie groups and the distinct values, computed on the
-  first quantile read and reused by every later one (VaR, each view, the
-  pooled row). ``ScenarioPanel.log_prior`` caches ``np.log(prior)`` for
-  every solve on the panel in the same way.
+- A panel sorts its Y losses once, when it is built: ``ScenarioPanel.sorted_y``
+  holds the stable order, the tie groups and the distinct values that every
+  quantile read uses (VaR, each view, the pooled row).
+  ``ScenarioPanel.log_prior`` holds ``np.log(prior)`` for every solve on the
+  panel.
 - Scenario moments use the population convention (probabilities are exact
   weights, not sample frequencies). Their J-length products are ``np.einsum``
   kernels rather than BLAS calls, which would wait on a thread hand-off.
@@ -27,8 +27,8 @@ Conventions used throughout the package:
   threads from ``_THREADED_MIN_SCENARIOS`` scenarios and in turn below, with
   equal results.
 
-All types are frozen and hold read-only arrays, the cached sort order
-included; they are safe to share across threads. They copy the arrays they
+All types are frozen and hold read-only arrays, the sort order included;
+they are safe to share across threads. They copy the arrays they
 are given, except where the package hands over arrays that it has just made
 and nobody else holds (``_fresh=True``): those are frozen in place.
 """
@@ -38,8 +38,7 @@ from __future__ import annotations
 import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import InitVar, dataclass
-from functools import cached_property
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -59,6 +58,14 @@ def _freeze(a: np.ndarray, fresh: bool = False) -> np.ndarray:
     return out
 
 
+def _check_weights(w: np.ndarray) -> None:
+    """Raise ValueError naming the first non-finite or non-positive weight."""
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"non-finite weight at index {int(np.argmax(~np.isfinite(w)))}")
+    if np.any(w <= 0.0):
+        raise ValueError(f"non-positive weight at index {int(np.argmax(w <= 0.0))}")
+
+
 def as_weights(probs) -> np.ndarray:
     """Accept a ``Probabilities`` or any array-like and return a float array."""
     return np.asarray(getattr(probs, "weights", probs), dtype=float)
@@ -75,11 +82,7 @@ class Probabilities:
         w = _freeze(np.atleast_1d(self.weights), _fresh)
         if w.ndim != 1:
             raise ValueError("weights must be one-dimensional")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if np.any(w <= 0.0):
-            idx = int(np.argmax(w <= 0.0))
-            raise ValueError(f"non-positive weight at index {idx}")
+        _check_weights(w)
         total = float(w.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
@@ -91,13 +94,19 @@ class Probabilities:
 
 @dataclass(frozen=True)
 class ScenarioPanel:
-    """J joint loss scenarios for assets X and Y with prior probabilities."""
+    """J joint loss scenarios for assets X and Y with prior probabilities.
+
+    ``log_prior`` (``np.log(prior)``, read by every solve) and ``sorted_y``
+    (read by every quantile of Y) are computed when the panel is built.
+    """
 
     x: np.ndarray
     y: np.ndarray
     prior: np.ndarray
     unit: str = "fraction"
     _fresh: InitVar[bool] = False
+    log_prior: np.ndarray = field(init=False, repr=False, compare=False)
+    sorted_y: SortedLosses = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, _fresh):
         x, y, p = (_freeze(np.atleast_1d(a), _fresh) for a in (self.x, self.y, self.prior))
@@ -107,18 +116,19 @@ class ScenarioPanel:
             )
         if x.size < 2:
             raise ValueError("a panel needs at least two scenarios")
-        for what, arr in (("loss in x", x), ("loss in y", y), ("weight", p)):
+        for what, arr in (("x", x), ("y", y)):
             bad = ~np.isfinite(arr)
             if bad.any():
-                raise ValueError(f"non-finite {what} at index {int(np.argmax(bad))}")
-        if np.any(p <= 0.0):
-            raise ValueError(f"non-positive weight at index {int(np.argmax(p <= 0.0))}")
+                raise ValueError(f"non-finite loss in {what} at index {int(np.argmax(bad))}")
+        _check_weights(p)
         total = float(p.sum())
         if abs(total - 1.0) > PANEL_PROB_TOL:
             raise ValueError(f"prior sums to {total!r}, expected 1 within {PANEL_PROB_TOL}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "prior", p)
+        object.__setattr__(self, "log_prior", _freeze(np.log(p), fresh=True))
+        object.__setattr__(self, "sorted_y", SortedLosses(y))
 
     @property
     def size(self) -> int:
@@ -130,19 +140,9 @@ class ScenarioPanel:
             raise ValueError(f"unknown asset {asset!r}, expected 'x' or 'y'")
         return self.x if asset == "x" else self.y
 
-    @cached_property
-    def log_prior(self) -> np.ndarray:
-        """``np.log(prior)``, computed on first use and read-only."""
-        return _freeze(np.log(self.prior), fresh=True)
-
-    @cached_property
-    def sorted_y(self) -> SortedLosses:
-        """Y losses whose sort order ``interpolated_quantile`` computes once."""
-        return SortedLosses(self.y)
-
 
 class SortedLosses:
-    """A loss vector with its stable sort order, computed on first use.
+    """A loss vector with its stable sort order.
 
     ``groups`` holds the order, a mask marking the last sorted entry of each
     tie group and the distinct values, as read-only arrays. Wrap only arrays
@@ -151,17 +151,14 @@ class SortedLosses:
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
-
-    @cached_property
-    def groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         order = np.argsort(self.values, kind="stable")
         uniq, start = np.unique(self.values[order], return_index=True)
         last = np.zeros(order.size, dtype=bool)
         last[start[1:] - 1] = True
-        last[-1] = True
+        last[-1:] = True  # the last entry ends the last group; an empty vector has none
         for a in (order, last, uniq):
             a.flags.writeable = False
-        return order, last, uniq
+        self.groups = order, last, uniq
 
 
 def _uniform_prior(n: int) -> np.ndarray:
@@ -184,10 +181,7 @@ def build_panel(x, y, prior=None, unit: str = "fraction") -> ScenarioPanel:
         p = np.asarray(prior, dtype=float)
         if p.size != x.size:
             raise ValueError(f"length mismatch: prior has {p.size}, losses have {x.size}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError(f"non-finite weight at index {int(np.argmax(~np.isfinite(p)))}")
-        if np.any(p <= 0.0):
-            raise ValueError(f"non-positive weight at index {int(np.argmax(p <= 0.0))}")
+        _check_weights(p)  # before normalizing: all-negative weights would pass after it
         p = p / p.sum()
     return ScenarioPanel(x=x, y=y, prior=p, unit=unit, _fresh=True)
 
@@ -226,8 +220,8 @@ def interpolated_quantile(values, probs, alpha: float) -> float:
     snapping of the atomic estimator; on genuinely atomic data prefer
     ``weighted_quantile``.
 
-    ``values`` may be a :class:`SortedLosses`, such as ``panel.sorted_y``;
-    its sort is then done on the first call only.
+    ``values`` may be a :class:`SortedLosses`, such as ``panel.sorted_y``,
+    whose sort is then not redone.
     """
     uniq, cum_at = _cumulative(values, probs, alpha)
     mid = np.diff(np.concatenate(([0.0], cum_at)))  # the mass of each value

@@ -56,11 +56,10 @@ import numpy as np
 
 from .errors import DegenerateError, InfeasibleError
 from .scenario import Probabilities, ScenarioPanel, as_weights
-from .views import LinearConstraintSet
+from .views import TOL, LinearConstraintSet
 
 _LOG_FLOOR = math.log(1e-300)
 _ROUND = 60  # Newton steps per round; the stall test runs after each round
-TOL = 1e-8  # max absolute constraint violation
 MAX_ITER = 10_000  # Newton steps per solve
 
 

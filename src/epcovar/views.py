@@ -25,6 +25,13 @@ correlation, relative or none view, which take no target.
 ``lower <= G @ p <= upper`` consumed by the entropy-pooling solver. Every
 compiled set ends with the normalization row (all ones, bounds [1, 1]).
 
+Value, quantile and distribution views state the posterior mass of regions of
+the target's losses (Meucci, "Fully Flexible Views", 2008) and compile through
+one list of regions. A row that reads one value c on every scenario (an empty
+or a full region, or X - Y where X = Y) reads c under every posterior, which
+misses bounds [lo, hi] by max(lo - c, c - hi, 0): it adds no row, and a miss
+above the solver's tolerance ``TOL`` refuses the view with ``InfeasibleError``.
+
 Compilation notes:
 
 - Variance views pin the target mean at an anchor (default: the prior mean)
@@ -242,6 +249,9 @@ def no_view() -> ViewSpec:
 
 # -- constraint system ---------------------------------------------------------
 
+TOL = 1e-8  # the max absolute constraint violation a posterior may leave
+
+
 @dataclass(frozen=True)
 class LinearConstraintSet:
     """Rows of ``lower <= matrix @ p <= upper`` including one normalization row."""
@@ -307,6 +317,10 @@ class _Rows:
     keeps it as a constraint, or leaves it to be overwritten. The matrix has
     room for ``capacity`` rows and the normalization row, which
     ``constraint_set`` writes last.
+
+    A row that reads one value ``c`` on every scenario reads ``c`` under every
+    posterior: ``add(..., constant=c)`` records its miss instead of keeping
+    it. ``shared`` is a miss that the kept rows cannot all avoid.
     """
 
     def __init__(self, capacity: int, size: int):
@@ -314,12 +328,18 @@ class _Rows:
         self.lower: list[float] = []
         self.upper: list[float] = []
         self.labels: list[str] = []
+        self.misses: list[tuple[float, str, float]] = []  # (miss, label, c) of each constant row
+        self.shared = 0.0
 
     def slot(self) -> np.ndarray:
         return self.matrix[len(self.labels)]
 
-    def add(self, lo, hi, label: str, values=None) -> None:
-        """Keep ``slot()``, or a copy of ``values``, as ``lo <= row . p <= hi``."""
+    def add(self, lo, hi, label: str, values=None, constant=None) -> None:
+        """Keep ``slot()``, or a copy of ``values``, as ``lo <= row . p <= hi``;
+        for a row that reads ``constant`` on every scenario, record its miss."""
+        if constant is not None:
+            self.misses.append((max(lo - constant, constant - hi, 0.0), label, constant))
+            return
         if values is not None:
             self.slot()[:] = values
         self.lower.append(float(lo))
@@ -327,6 +347,19 @@ class _Rows:
         self.labels.append(label)
 
     def constraint_set(self) -> LinearConstraintSet:
+        """The kept rows and the normalization row. Raises :class:`InfeasibleError`
+        when the largest miss, or ``shared`` if larger, exceeds ``TOL``: with the
+        kept rows met otherwise, that is the exact phase-I certificate."""
+        if self.misses:
+            miss, label, c = max(self.misses, key=lambda m: m[0])
+            certificate = max(miss, self.shared)
+            if certificate > TOL:
+                raise InfeasibleError(
+                    f"view unattainable: row '{label}' reads {c:g} on every scenario; no "
+                    f"posterior on the panel gets the max violation below {certificate:.3e}, "
+                    f"above tolerance {TOL:.1e}",
+                    residual=certificate,
+                )
         self.add(1.0, 1.0, "normalization", 1.0)
         return LinearConstraintSet(
             matrix=self.matrix[: len(self.labels)], lower=np.array(self.lower),
@@ -334,18 +367,39 @@ class _Rows:
         )
 
 
-def _unattainable(reason: str, certificate: float) -> InfeasibleError:
-    return InfeasibleError(f"view unattainable: {reason}; no posterior on the panel gets the "
-                           f"max violation below {certificate:.3e}", residual=certificate)
+def _regions(view: ViewSpec, loss: np.ndarray, prior: np.ndarray) -> list[tuple]:
+    """The regions of ``loss`` whose posterior mass a value, quantile or
+    distribution view states, as (left edge, right edge, right-closed, lower,
+    upper, label): a region holds the losses from ``left`` up to ``right``,
+    ``right`` itself only if right-closed."""
+    t = view.target.upper()
+    if view.kind == "value":
+        v = view.value
+        if view.relation == "le":
+            return [(-np.inf, v, True, 1.0, 1.0, f"value_mass({t}<={v:g})")]
+        if view.relation == "ge":
+            return [(v, np.inf, True, 1.0, 1.0, f"value_mass({t}>={v:g})")]
+        band = view.value_band
+        if band is None:
+            band = VALUE_BAND_FRACTION * np.sqrt(moments(loss, prior)[1])
+        return [(v - band, v + band, True, 1.0, 1.0, f"value_band({t}={v:g}+-{band:g})")]
+    if view.kind == "quantile":
+        # q~ <= q1  <=>  Pr(L <= q1) >= level: the relation flips on the mass
+        lo, hi = _bounds({"eq": "eq", "le": "ge", "ge": "le"}[view.relation], view.quantile_level)
+        return [(-np.inf, view.quantile, True, lo, hi, f"quantile_mass({t}<={view.quantile:g})")]
+    edges, last = view.bin_edges, len(view.bin_probs) - 1
+    return [(edges[i], edges[i + 1], i == last, p, p,
+             f"bin[{edges[i]:g},{edges[i + 1]:g}{']' if i == last else ')'}")
+            for i, p in enumerate(view.bin_probs)]
 
 
 def compile_view(view: ViewSpec, panel: ScenarioPanel) -> LinearConstraintSet:
     """Lower one view onto a panel as ``lower <= G p <= upper`` rows.
 
-    A row whose indicator (or X - Y) is identically zero reads 0 under every
-    posterior: it adds no row where 0 meets its bounds (a ``ge`` quantile
-    view), and otherwise refuses the view with :class:`InfeasibleError` and
-    the exact phase-I certificate, without a solve. A correlation view on a
+    A refusal of rows that read one value on every scenario carries the exact
+    phase-I certificate: their largest miss or, when the bins of a
+    distribution view hold every scenario and the k non-empty ones state
+    mass S, the shared miss (1 - S) / k if larger. A correlation view on a
     constant margin raises :class:`DataError`. Each branch computes its rows
     in place in one matrix, allocated for the most rows it can write.
     """
@@ -366,40 +420,21 @@ def compile_view(view: ViewSpec, panel: ScenarioPanel) -> LinearConstraintSet:
         np.multiply(loss, loss, out=rows.slot())
         rows.add(lo, hi, f"second_moment({t})")
 
-    elif view.kind == "quantile":
-        rows = _Rows(1, panel.size)
-        ind = rows.slot()
-        np.less_equal(loss, view.quantile, out=ind)
-        level = view.quantile_level  # q~ <= q1  <=>  Pr(L <= q1) >= level
-        bounds = {"eq": (level, level), "le": (level, np.inf), "ge": (-np.inf, level)}
-        lo, hi = bounds[view.relation]
-        if ind.any():
-            # mass bounds beyond [0, 1] are vacuous but harmless
-            rows.add(lo, hi, f"quantile_mass({t}<={view.quantile:g})")
-        elif lo > 0.0:  # under "ge" the empty row, 0 <= level, adds no information
-            raise _unattainable(
-                f"no scenario of {t} lies at or below the quantile threshold {view.quantile}", lo
-            )
-
-    elif view.kind == "value":
-        rows = _Rows(1, panel.size)
-        ind = rows.slot()
-        if view.relation == "eq":
-            band = view.value_band
-            if band is None:
-                band = VALUE_BAND_FRACTION * np.sqrt(moments(loss, panel.prior)[1])
-            np.logical_and(loss >= view.value - band, loss <= view.value + band, out=ind)
-            label = f"value_band({t}={view.value:g}+-{band:g})"
-        elif view.relation == "le":
-            np.less_equal(loss, view.value, out=ind)
-            label = f"value_mass({t}<={view.value:g})"
-        else:
-            np.greater_equal(loss, view.value, out=ind)
-            label = f"value_mass({t}>={view.value:g})"
-        if not ind.any():
-            raise _unattainable(f"no scenario of {t} falls in the required region: {label}", 1.0)
-        if not ind.all():  # region covering every scenario adds no information
-            rows.add(1.0, 1.0, label)
+    elif view.kind in ("value", "quantile", "distribution"):
+        regions = _regions(view, loss, panel.prior)
+        rows = _Rows(len(regions), panel.size)
+        counts = []  # the number of scenarios in each region
+        for left, right, closed, lo, hi, label in regions:
+            ind = rows.slot()
+            np.logical_and(loss >= left, loss <= right if closed else loss < right, out=ind)
+            n = np.count_nonzero(ind)
+            counts.append(n)
+            rows.add(lo, hi, label, constant=None if 0 < n < loss.size else float(n > 0))
+        if view.kind == "distribution" and sum(counts) == loss.size:
+            # every scenario lies in a bin: the k non-empty bins hold mass 1 against their
+            # stated S and miss by (1 - S) / k at best (exact unless S > 1, by ViewSpec's 1e-10)
+            held = [p for p, n in zip(view.bin_probs, counts) if n]
+            rows.shared = (1.0 - math.fsum(held)) / len(held)
 
     elif view.kind == "correlation":
         rows = _Rows(5, panel.size)
@@ -424,43 +459,10 @@ def compile_view(view: ViewSpec, panel: ScenarioPanel) -> LinearConstraintSet:
         diff = rows.slot()
         np.subtract(panel.x, panel.y, out=diff)
         second = view.diff_variance + view.diff_mean**2
-        if not diff.any():  # both rows read 0, and second > 0
-            raise _unattainable("difference X - Y is identically zero on this panel",
-                                max(abs(view.diff_mean), second))
-        rows.add(view.diff_mean, view.diff_mean, "mean(X-Y)")
+        constant = None if diff.any() else 0.0  # X - Y = 0 makes both rows read 0
+        rows.add(view.diff_mean, view.diff_mean, "mean(X-Y)", constant=constant)
         np.multiply(diff, diff, out=rows.slot())
-        rows.add(second, second, "second_moment(X-Y)")
-
-    elif view.kind == "distribution":
-        edges, probs = view.bin_edges, view.bin_probs
-        n_bins = len(probs)
-        rows = _Rows(n_bins, panel.size)
-        empty, reason = [], None  # the bins no scenario falls in; the first of positive mass
-        for i in range(n_bins):
-            left, right = edges[i], edges[i + 1]
-            ind = rows.slot()
-            if i == n_bins - 1:
-                np.logical_and(loss >= left, loss <= right, out=ind)
-            else:
-                np.logical_and(loss >= left, loss < right, out=ind)
-            label = f"bin[{left:g},{right:g}{']' if i == n_bins - 1 else ')'}"
-            if not ind.any():
-                empty.append(i)
-                if probs[i] > 0.0 and reason is None:
-                    reason = (f"bin {label} holds stated probability {probs[i]} "
-                              f"but no scenario of {t} falls in it")
-                continue  # an empty bin of zero mass is vacuous
-            if ind.all() and probs[i] == 1.0:
-                continue  # bin covering every scenario adds no information
-            rows.add(probs[i], probs[i], label)
-        if reason is not None:  # each empty bin misses by its probability; when every
-            # scenario lies in a bin, the k non-empty ones hold mass 1 against their stated
-            # S and miss by (1 - S) / k at best (exact unless S > 1, by ViewSpec's 1e-10)
-            gap = max(probs[i] for i in empty)
-            if edges[0] <= loss.min() and loss.max() <= edges[-1]:
-                full = [p for i, p in enumerate(probs) if i not in empty]
-                gap = max(gap, (1.0 - math.fsum(full)) / len(full))
-            raise _unattainable(reason, gap)
+        rows.add(second, second, "second_moment(X-Y)", constant=constant)
 
     elif view.kind == "none":
         rows = _Rows(0, panel.size)

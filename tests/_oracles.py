@@ -6,7 +6,8 @@ a dense phase-I linear program, plain-loop enumeration, the paper's
 spillover expressions written out per view kind, a derivative-free minimizer
 of the bivariate-normal relative entropy (vectorized on its grid, on floats
 at single points) over the five posterior parameters, the bivariate normal
-CDF by adaptive quadrature of the conditional normal CDF, a cell-by-cell CSV
+CDF by adaptive quadrature of the conditional normal CDF, the conditional
+quantiles of the bivariate t law by quadrature, a cell-by-cell CSV
 reader, and the Student-t marginal and t-copula fits with their degrees of
 freedom searched one dof at a time.
 
@@ -82,6 +83,31 @@ def quadrature_bvn_cdf(zx: float, zy: float, rho: float) -> float:
         part, _ = quad(conditional, a, b, epsabs=1e-13, epsrel=1e-11, limit=200)
         total += part
     return min(max(total, 0.0), 1.0)
+
+
+def bivariate_t_conditional_quantile(dof, rho, alpha, lo, hi=math.inf) -> float:
+    """The alpha-quantile of Y given lo <= X <= hi under the bivariate t law
+    with ``dof`` degrees of freedom, correlation ``rho`` and unit scales.
+
+    Given X = x, Y is rho x + s(x) T with T ~ t_{dof+1} and
+    s(x)^2 = (1 - rho^2)(dof + x^2)/(dof + 1) (Kotz & Nadarajah, *Multivariate
+    t Distributions and Their Applications*, 2004; Ding, *The American
+    Statistician* 70(3), 2016). So Pr(Y <= c | lo <= X <= hi) is one
+    quadrature of f_X(x) F_{dof+1}((c - rho x)/s(x)), and the quantile is its
+    root in c.
+    """
+    log_norm = math.lgamma((dof + 1) / 2) - math.lgamma(dof / 2) - 0.5 * math.log(dof * math.pi)
+    mass = stdtr(dof, -lo) - stdtr(dof, -hi)  # Pr(lo <= X <= hi), by upper tails
+
+    def cdf(c: float) -> float:
+        def conditional(x: float) -> float:
+            s = math.sqrt((1.0 - rho * rho) * (dof + x * x) / (dof + 1))
+            density = math.exp(log_norm - 0.5 * (dof + 1) * math.log1p(x * x / dof))
+            return density * stdtr(dof + 1, (c - rho * x) / s)
+
+        return quad(conditional, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)[0] / mass
+
+    return brentq(lambda c: cdf(c) - alpha, -1e3, 1e3, xtol=1e-12)
 
 
 def _golden_min(fn, lo, hi, iters=60):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import subprocess
 import sys
 import threading
@@ -10,9 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr, ndtri, stdtrit
 
-from _oracles import serial_scenario_rows
+from _oracles import bivariate_t_conditional_quantile, serial_scenario_rows
 from epcovar import analytics, cli, engine, estimation, scenario
 from epcovar.analytics import (
     BivariateNormalParams,
@@ -35,6 +36,7 @@ from epcovar.engine import (
     run_pipeline,
     sensitivity_scan,
 )
+from epcovar.estimation import TCopulaParams, TMarginal, generate_scenarios
 from epcovar.errors import (
     ConfigError,
     DataError,
@@ -299,12 +301,13 @@ class TestScenarioPipeline:
         assert sorted(calls) == sorted(fit_calls + ["generate_scenarios"])
 
     @pytest.mark.parametrize(
-        "view", [quantile_view(-10.0, relation="ge"), value_view(99.0, relation="le")],
-        ids=["quantile-ge", "value-le"],
+        "view", [quantile_view(-10.0, relation="ge"), quantile_view(10.0, relation="le"),
+                 value_view(99.0, relation="le")],
+        ids=["quantile-ge", "quantile-le", "value-le"],
     )
     def test_a_view_every_posterior_meets_leaves_var(self, view):
-        # no scenario lies at or below -10 (every one at or below 99): the prior
-        # meets the view, which compiles to the normalization row alone
+        # no scenario lies at or below -10 (every one at or below 10 and 99): the
+        # prior meets the view, which compiles to the normalization row alone
         rng = np.random.default_rng(0)
         panel = build_panel(rng.standard_normal(2000), rng.standard_normal(2000))
         covar, rep = ep_covar_on_panel(panel, view, 0.95)
@@ -312,7 +315,7 @@ class TestScenarioPipeline:
         assert rep.iterations == 0
         if view.kind == "quantile":  # as the closed form has it
             prior = BivariateNormalParams(0.0, 0.0, 1.0, 1.0, 0.0)
-            assert covar_for_view(prior, view, 0.95).branch == "ge-collapse"
+            assert covar_for_view(prior, view, 0.95).branch == f"{view.relation}-collapse"
 
     def test_grid_discretized_mean_view_matches_closed_form(self):
         prior = BivariateNormalParams(0.10, 0.02, 0.10, 0.08, 0.5)
@@ -408,6 +411,44 @@ def _every_scenario_kind(confidence=1.0):
     return tuple(replace(v, confidence=confidence) for v in views)
 
 
+class TestBivariateTReference:
+    """With both marginal dofs equal to the copula dof, ``generate_scenarios``
+    samples a bivariate t law, whose conditional quantiles are known by
+    quadrature. Over a fixed set of seeds, the mean of the panel estimates
+    must lie within a fixed number of its Monte-Carlo standard errors of the
+    exact value. The parameters, seeds and bound below are fixed: do not tune
+    them to make the test pass."""
+
+    DOF, RHO, ALPHA = 4.0, 0.6, 0.95
+    SCENARIOS = 200_000
+    SEEDS = range(1, 11)
+    BOUND = 4.0  # standard errors of the mean over SEEDS
+
+    def test_var_and_conditioned_covars_match_the_exact_law(self):
+        dof, rho, alpha = self.DOF, self.RHO, self.ALPHA
+        var_x = float(stdtrit(dof, alpha))
+        band = 0.05 * math.sqrt(dof / (dof - 2.0))  # the default band, at the exact std of X
+        cases = {  # name: (region of X, view)
+            "VaR": ((-math.inf, math.inf), no_view()),
+            "X >= VaR_X": ((var_x, math.inf), value_view(var_x, "ge")),
+            "X = VaR_X": ((var_x - band, var_x + band), value_view(var_x, band=band)),
+        }
+        # the unconditioned law's quantile is the t quantile
+        assert abs(bivariate_t_conditional_quantile(dof, rho, alpha, -math.inf) - var_x) < 1e-10
+        marginal = TMarginal(0.0, 1.0, dof)
+        estimates = {name: [] for name in cases}
+        for seed in self.SEEDS:
+            panel = generate_scenarios(
+                marginal, marginal, TCopulaParams(rho, dof), self.SCENARIOS, seed)
+            for name, (_, view) in cases.items():
+                estimates[name].append(ep_covar_on_panel(panel, view, alpha)[0])
+        for name, ((lo, hi), _) in cases.items():
+            exact = bivariate_t_conditional_quantile(dof, rho, alpha, lo, hi)
+            e = np.array(estimates[name])
+            se = e.std(ddof=1) / math.sqrt(e.size)
+            assert abs(e.mean() - exact) <= self.BOUND * se, (name, e.mean(), exact, se)
+
+
 class TestThreadedViews:
     """The view stage runs on two threads from
     ``scenario._THREADED_MIN_SCENARIOS`` scenarios; reports and errors are the
@@ -478,7 +519,8 @@ class TestThreadedViews:
         [
             # view 0 fails at compile (an empty region misses by 1), view 2 in the solve
             ((value_view(99.0, "ge"), expectation_view(0.01), expectation_view(1000.0)),
-             "view unattainable: no scenario of X falls in the required region", 1.0),
+             "view unattainable: row 'value_mass(X>=99)' reads 0 on every scenario; no posterior "
+             "on the panel gets the max violation below 1.000e+00, above tolerance 1.0e-08", 1.0),
             # view 0 fails in the solve, view 2 at compile
             ((expectation_view(1000.0), expectation_view(0.01), value_view(99.0, "ge")),
              "constraints unattainable", pytest.approx(1000.0, abs=1.0)),

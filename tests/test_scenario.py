@@ -2,7 +2,6 @@
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -35,6 +34,9 @@ class TestBuildPanel:
     def test_rejects_non_positive_weight_with_index(self):
         with pytest.raises(ValueError, match="non-positive weight at index 2"):
             build_panel([0, 1, 2], [0, 0, 0], prior=[1, 1, -1])
+        # checked before normalizing, which would turn these into valid weights
+        with pytest.raises(ValueError, match="non-positive weight at index 0"):
+            build_panel([0, 1], [0, 0], prior=[-1, -3])
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
@@ -54,6 +56,8 @@ class TestBuildPanel:
             ScenarioPanel([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [0.5, bad, 0.5])
         with pytest.raises(ValueError, match="non-finite weight at index 1"):
             build_panel([0, 1, 2], [0, 1, 2], prior=[1, bad, 1])
+        with pytest.raises(ValueError, match="non-finite weight at index 1"):
+            Probabilities(np.array([0.5, bad, 0.5]))
 
     def test_needs_two_scenarios(self):
         with pytest.raises(ValueError, match="at least two"):
@@ -84,20 +88,18 @@ class TestBuildPanel:
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
-    def test_log_prior_is_cached_and_read_only(self, monkeypatch):
-        built = []
-        log_prior = ScenarioPanel.__dict__["log_prior"].func
-        prop = cached_property(lambda panel: built.append(1) or log_prior(panel))
-        prop.__set_name__(ScenarioPanel, "log_prior")
-        monkeypatch.setattr(ScenarioPanel, "log_prior", prop)
-        panel = build_panel([0.0, 1.0, 2.0], [1.0, 0.0, 2.0], prior=[0.2, 0.3, 0.5])
-        cs = compile_view(expectation_view(1.2), panel)
-        first = panel.log_prior
-        solve(panel, cs)
-        solve(panel, cs)
-        assert panel.log_prior is first and built == [1]
-        assert first.tobytes() == np.log(panel.prior).tobytes()
-        assert not first.flags.writeable
+    def test_log_prior_is_set_when_built_and_read_only(self):
+        for make in (build_panel, ScenarioPanel):
+            panel = make([0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [0.2, 0.3, 0.5])
+            first = vars(panel)["log_prior"]
+            assert first.tobytes() == np.log(panel.prior).tobytes()
+            assert not first.flags.writeable
+            with pytest.raises(ValueError):
+                first[0] = 0.0
+            cs = compile_view(expectation_view(1.2), panel)
+            solve(panel, cs)
+            solve(panel, cs)
+            assert panel.log_prior is first
 
     def test_unit_metadata_carried(self):
         assert build_panel([0, 1], [0, 1], unit="percent").unit == "percent"
@@ -236,14 +238,14 @@ class TestInterpolatedQuantile:
                 assert cached == interpolated_quantile(np.array(y), w, alpha)
                 assert cached == resorting_quantile(y, w, alpha)
 
-    def test_cached_order_is_read_only_and_computed_once(self):
+    def test_sort_order_is_set_when_built_and_read_only(self):
         panel = build_panel([0.0, 1.0, 2.0, 3.0], [2.0, 1.0, 1.0, 0.5])
-        assert panel.sorted_y is panel.sorted_y
-        assert "groups" not in vars(panel.sorted_y)  # the first quantile sorts
+        sorted_y = vars(panel)["sorted_y"]
+        groups = vars(sorted_y)["groups"]
+        assert sorted_y.values is panel.y
         interpolated_quantile(panel.sorted_y, panel.prior, 0.5)
-        groups = panel.sorted_y.groups
         interpolated_quantile(panel.sorted_y, panel.prior, 0.9)
-        assert panel.sorted_y.groups is groups
+        assert panel.sorted_y is sorted_y and sorted_y.groups is groups
         order, last, uniq = groups
         assert order.tolist() == [3, 1, 2, 0]
         assert last.tolist() == [True, False, True, True]
@@ -254,8 +256,7 @@ class TestInterpolatedQuantile:
                 arr[0] = 0
 
     def test_concurrent_first_reads_agree(self):
-        # threads racing on a panel's first quantile may each sort, but every
-        # answer must equal the serial one
+        # threads reading quantiles of one panel at once each get the serial answer
         rng = np.random.default_rng(3)
         y = rng.normal(size=20_000)
         alphas = np.linspace(0.05, 0.95, 8)

@@ -8,7 +8,9 @@ import pytest
 from _oracles import phase_one_lp
 from epcovar.errors import DataError, InfeasibleError
 from epcovar.scenario import build_panel, moments
+from epcovar.solver import solve
 from epcovar.views import (
+    TOL,
     LinearConstraintSet,
     ViewSpec,
     compile_view,
@@ -251,8 +253,12 @@ class TestCompileQuantile:
         assert ge.lower[0] == -np.inf and ge.upper[0] == 0.9
 
     def test_empty_indicator_is_infeasible(self, panel01):
-        with pytest.raises(InfeasibleError, match="at or below") as err:
+        with pytest.raises(InfeasibleError) as err:
             compile_view(quantile_view(-1.0, level=0.95), panel01)
+        assert str(err.value) == (
+            "view unattainable: row 'quantile_mass(X<=-1)' reads 0 on every scenario; no "
+            "posterior on the panel gets the max violation below 9.500e-01, above tolerance "
+            "1.0e-08")
         assert err.value.residual == 0.95
 
     def test_empty_indicator_under_ge_adds_no_row(self, panel01):
@@ -292,8 +298,12 @@ class TestCompileValue:
 
     def test_empty_region_is_infeasible(self):
         panel = build_panel([0.0, 1.0], [0.0, 0.0])
-        with pytest.raises(InfeasibleError, match="required region") as err:
+        with pytest.raises(InfeasibleError) as err:
             compile_view(value_view(9.0, relation="ge"), panel)
+        assert str(err.value) == (
+            "view unattainable: row 'value_mass(X>=9)' reads 0 on every scenario; no "
+            "posterior on the panel gets the max violation below 1.000e+00, above tolerance "
+            "1.0e-08")
         assert err.value.residual == 1.0
 
     def test_region_covering_everything_adds_no_row(self):
@@ -340,8 +350,12 @@ class TestCompileRelative:
         assert cs.lower[1] == cs.upper[1] == pytest.approx(0.5 + 0.0625)
 
     def test_identical_losses_are_degenerate(self, panel01):
-        with pytest.raises(InfeasibleError, match="identically zero") as err:
+        with pytest.raises(InfeasibleError) as err:
             compile_view(relative_view(0.25, 0.5), panel01)
+        assert str(err.value) == (
+            "view unattainable: row 'second_moment(X-Y)' reads 0 on every scenario; no "
+            "posterior on the panel gets the max violation below 5.625e-01, above tolerance "
+            "1.0e-08")
         assert err.value.residual == 0.5 + 0.25**2
 
 
@@ -430,6 +444,9 @@ class TestCompileTimeCertificates:
             ((0.0, 1.0), (0.0, 0.0), value_view(5.0, target="y", band=0.5), 1.0),
             ((0.0, 1.0), (0.0, 0.0), quantile_view(-1.0, level=0.95), 0.95),
             ((0.0, 1.0), (0.0, 0.0), quantile_view(-1.0, level=0.9, relation="le"), 0.9),
+            # every scenario lies at or below the threshold: the mass 1 misses by 1 - level
+            ((0.0, 1.0), (0.0, 0.0), quantile_view(5.0, level=0.95), 1.0 - 0.95),
+            ((0.0, 1.0), (0.0, 0.0), quantile_view(5.0, level=0.9, relation="ge"), 1.0 - 0.9),
             ((0.0, 1.0), (0.0, 1.0), relative_view(0.25, 0.5), 0.5625),
             ((0.0, 1.0), (0.0, 1.0), relative_view(-0.5, 0.1), 0.5),  # |d| > v + d^2
             # every scenario in a bin: the two non-empty bins share 0.9, 0.45 each
@@ -441,10 +458,14 @@ class TestCompileTimeCertificates:
             (_ATOMS, _ATOMS, distribution_view([0, 30, 31, 32, 200], [0.2, 0.0, 0.1, 0.7]),
              0.1),
             (_ATOMS, _ATOMS, distribution_view([200, 300], [1.0]), 1.0),
+            # an empty bin stated just above tolerance; the shared term is half of it
+            (_ATOMS, _ATOMS, distribution_view([0, 60, 61, 200], [0.5, 2e-8, 0.5 - 2e-8]),
+             2e-8),
         ],
         ids=["value-ge", "value-le", "value-band", "value-band-y", "quantile-eq",
-             "quantile-le", "relative-second", "relative-mean", "bins-covering",
-             "bins-uncovered", "bins-zero-mass", "bin-alone"],
+             "quantile-le", "quantile-eq-full", "quantile-ge-full", "relative-second",
+             "relative-mean", "bins-covering", "bins-uncovered", "bins-zero-mass", "bin-alone",
+             "bin-above-tolerance"],
     )
     def test_matches_the_dense_phase_one_program(self, x, y, view, expected):
         panel = build_panel(x, y)
@@ -453,6 +474,29 @@ class TestCompileTimeCertificates:
         exact = phase_one_lp(*_stated_rows(view, panel))
         assert abs(err.value.residual - exact) <= 1e-12
         assert abs(exact - expected) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "x, view, kept",
+        [
+            ((0.0, 1.0), quantile_view(5.0, level=0.9, relation="le"), ()),
+            ((0.0, 1.0), quantile_view(-1.0, level=0.9, relation="ge"), ()),
+            ((0.0, 1.0), value_view(9.0, relation="le"), ()),
+            ((0.0, 1.0), value_view(-9.0, relation="ge"), ()),
+            ((0.0, 1.0), value_view(0.5, band=1.0), ()),
+            ((0.0, 1.0), distribution_view([-1.0, 2.0], [1.0]), ()),
+            # an empty bin stated below tolerance is dropped, and the solve accepts the rest
+            (_ATOMS, distribution_view([0, 60, 61, 200], [0.5, 1e-12, 0.5 - 1e-12]),
+             ("bin[0,60)", "bin[61,200]")),
+        ],
+        ids=["quantile-le-full", "quantile-ge-empty", "value-le-full", "value-ge-full",
+             "value-band-full", "bin-full", "bin-below-tolerance"],
+    )
+    def test_constant_rows_within_tolerance_add_no_row(self, x, view, kept):
+        panel = build_panel(x, x)
+        cs = compile_view(view, panel)
+        assert cs.labels == (*kept, "normalization")
+        assert phase_one_lp(*_stated_rows(view, panel)) <= TOL
+        assert solve(panel, cs).residual <= TOL
 
     def test_random_distribution_views_match_the_dense_phase_one_program(self):
         rng = np.random.default_rng(26)
