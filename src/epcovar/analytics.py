@@ -28,14 +28,12 @@ optimum sits on the boundary and CoVaR equals the equality-view value.
 The expectation, variance, mean-and-variance, quantile and relative views
 share one update (``_keep_conditional``): the view sets the normal law of one
 variable, and the other keeps its prior conditional law given it (Meucci,
-"Fully Flexible Views: Theory and Practice", *Risk* 21(10), 2008). Each view
-states only the law it sets; the relative view sets the law of X - Y. The
-paper's per-kind expressions remain as the test oracle
-``tests/_oracles.py::paper_spillover``.
-
-Views on Y itself are handled by conditioning Y on its own marginal (a
-degenerate "pair" with unit correlation), so the same formulas apply; the
-same update on the swapped pair lifts the posterior back onto (X, Y).
+"Fully Flexible Views: Theory and Practice", *Risk* 21(10), 2008).
+``_marginal_law`` states the law that each moment or quantile view sets, and
+``_marginal_view`` applies it to X, or to Y on the swapped pair (Y, X); the
+relative view sets the law of X - Y. The paper's per-kind expressions remain
+as the test oracle ``tests/_oracles.py::paper_spillover``. A value view on Y
+conditions Y on itself, through the unit-correlation pair (Y, Y).
 """
 
 from __future__ import annotations
@@ -174,58 +172,29 @@ def _keep_conditional(
     return BivariateNormalParams(mu1, mu_y, sigma1, sigma_y, rho)
 
 
-def _equality(
-    p: BivariateNormalParams, post: BivariateNormalParams, no_info: bool, alpha: float
-) -> ViewOutcome:
-    """The equality-view outcome: CoVaR read off the posterior, or VaR exactly
-    when the view carries no information."""
-    return ViewOutcome(var_normal(p if no_info else post, alpha), post, no_info, "eq")
+def _swap(p: BivariateNormalParams) -> BivariateNormalParams:
+    return BivariateNormalParams(p.mu_y, p.mu_x, p.sigma_y, p.sigma_x, p.rho)
 
 
-def _expectation(p: BivariateNormalParams, view: ViewSpec, alpha: float) -> ViewOutcome:
-    """CoVaR of Y when the posterior mean of X equals / is bounded by ``mu1``.
+def _marginal_law(view: ViewSpec, mu: float, sigma: float, alpha: float):
+    """The normal law ``N(mu1, sigma1^2)`` that an expectation, variance,
+    mean-and-variance or quantile view sets for its target, whose prior law is
+    ``N(mu, sigma^2)``, and the prior and view levels that a one-sided relation
+    compares: ``(mu1, sigma1, prior_level, view_level)``.
 
-    The equality case shifts the Y mean by ``rho (mu1 - mu_X) sigma_Y/sigma_X``
-    and leaves the covariance untouched, so CoVaR is affine in ``mu1``.
+    A quantile view's prior level is ``q = mu + sigma z(alpha)``. Its spread
+    solves the one-dimensional marginal problem: ``sigma (t + disc) / (2k)``
+    with ``disc = sqrt(t^2 + 4k)``, or for t < 0, where ``t + disc`` cancels,
+    ``2 sigma / (disc - t)``, the same value since ``(t + disc)(disc - t) =
+    4k``. The mean then puts the alpha-quantile at the view's level, which
+    must be taken at the report's alpha.
     """
-    mu1 = view.mean
-    post = _keep_conditional(p, mu1, p.sigma_x)
-    eq = _equality(p, post, mu1 == p.mu_x or p.rho == 0.0, alpha)
-    return _collapse(view.relation, p.mu_x, mu1, eq, p, alpha)
-
-
-def _variance(p: BivariateNormalParams, view: ViewSpec, alpha: float) -> ViewOutcome:
-    """CoVaR of Y when the posterior variance of X equals / is bounded by
-    ``sigma1_sq``; nonlinear and non-decreasing in the view level for rho != 0."""
-    sigma1_sq = view.variance
-    post = _keep_conditional(p, p.mu_x, math.sqrt(sigma1_sq))
-    eq = _equality(p, post, sigma1_sq == p.sigma_x**2 or p.rho == 0.0, alpha)
-    return _collapse(view.relation, p.sigma_x**2, sigma1_sq, eq, p, alpha)
-
-
-def _mean_and_variance(p: BivariateNormalParams, view: ViewSpec, alpha: float) -> ViewOutcome:
-    """CoVaR of Y under the combined view pinning both the mean and the
-    variance of X. Satisfies the exact decomposition
-
-        covar(mean & variance) + VaR = covar(mean) + covar(variance).
-    """
-    mu1, sigma1_sq = view.mean, view.variance
-    post = _keep_conditional(p, mu1, math.sqrt(sigma1_sq))
-    no_info = (mu1 == p.mu_x and sigma1_sq == p.sigma_x**2) or p.rho == 0.0
-    return _equality(p, post, no_info, alpha)
-
-
-def _quantile(p: BivariateNormalParams, view: ViewSpec, alpha: float) -> ViewOutcome:
-    """CoVaR of Y when the posterior alpha-quantile of X equals / is bounded
-    by ``q1``. The prior quantile is ``q_X = mu_X + sigma_X z(alpha)``.
-
-    The X spread solves the one-dimensional marginal problem, whatever rho;
-    the X mean then puts the alpha-quantile at ``q1``. The spread is
-    ``sigma_X (t + disc) / (2k)`` with ``disc = sqrt(t^2 + 4k)``. For t < 0,
-    where ``t + disc`` cancels, it is taken as ``2 sigma_X / (disc - t)``, the
-    same value since ``(t + disc)(disc - t) = 4k``. The view's quantile level
-    must be the report's alpha.
-    """
+    if view.kind == "expectation":
+        return view.mean, sigma, mu, view.mean
+    if view.kind == "variance":
+        return mu, math.sqrt(view.variance), sigma**2, view.variance
+    if view.kind == "mean_and_variance":  # equality only: the levels are pairs
+        return view.mean, math.sqrt(view.variance), (mu, sigma**2), (view.mean, view.variance)
     if view.quantile_level != alpha:
         raise ValueError(
             "closed-form quantile views pin the quantile at the report level; "
@@ -233,17 +202,37 @@ def _quantile(p: BivariateNormalParams, view: ViewSpec, alpha: float) -> ViewOut
         )
     q1 = view.quantile
     c = _check_alpha(alpha)
-    q_x = p.mu_x + p.sigma_x * c
-    t = ((q1 - q_x) / p.sigma_x + c) * c
+    q = mu + sigma * c
+    t = ((q1 - q) / sigma + c) * c
     k = 1.0 + c * c
     disc = math.sqrt(t * t + 4.0 * k)
     if t < 0.0:
-        sigma1 = p.sigma_x * 2.0 / (disc - t)
+        sigma1 = sigma * 2.0 / (disc - t)
     else:
-        sigma1 = p.sigma_x * math.sqrt(1.0 / k + t * (t + disc) / (2.0 * k * k))
-    post = _keep_conditional(p, q1 - sigma1 * c, sigma1)
-    eq = _equality(p, post, q1 == q_x or p.rho == 0.0, alpha)
-    return _collapse(view.relation, q_x, q1, eq, p, alpha)
+        sigma1 = sigma * math.sqrt(1.0 / k + t * (t + disc) / (2.0 * k * k))
+    return q1 - sigma1 * c, sigma1, q, q1
+
+
+def _marginal_view(p: BivariateNormalParams, view: ViewSpec, alpha: float) -> ViewOutcome:
+    """CoVaR of Y under an expectation, variance, mean-and-variance or
+    quantile view on X or on Y: the view sets its target's normal law
+    (:func:`_marginal_law`), and the other asset keeps its prior conditional
+    law. A view on Y is that update on the swapped pair (Y, X).
+
+    The view carries no information when it restates the prior level, or
+    when it targets X and rho = 0; CoVaR is then VaR exactly. CoVaR is
+    affine in an expectation view's mean, and nonlinear and non-decreasing
+    in a variance view's level for rho != 0.
+    """
+    on_y = view.target == "y"
+    pair = _swap(p) if on_y else p
+    mu1, sigma1, prior_level, view_level = _marginal_law(view, pair.mu_x, pair.sigma_x, alpha)
+    post = _keep_conditional(pair, mu1, sigma1)
+    if on_y:
+        post = _swap(post)
+    no_info = prior_level == view_level or (not on_y and p.rho == 0.0)
+    eq = ViewOutcome(var_normal(p if no_info else post, alpha), post, no_info, "eq")
+    return _collapse(view.relation, prior_level, view_level, eq, p, alpha)
 
 
 def _correlation(p: BivariateNormalParams, view: ViewSpec, alpha: float) -> ViewOutcome:
@@ -307,6 +296,14 @@ def value_view_y_cdf(p: BivariateNormalParams, level: float, relation: str = "eq
     return lambda y: bvn_cdf(h, (y - p.mu_y) / p.sigma_y, r) / mass
 
 
+def _value_pair(p: BivariateNormalParams, view: ViewSpec) -> BivariateNormalParams:
+    """The pair whose first asset a value view conditions: (X, Y), or for a
+    view on Y the unit-correlation pair (Y, Y), so Y conditions itself."""
+    if view.target == "y":
+        return BivariateNormalParams(p.mu_y, p.mu_y, p.sigma_y, p.sigma_y, 1.0)
+    return p
+
+
 def _value(p: BivariateNormalParams, view: ViewSpec, alpha: float) -> ViewOutcome:
     """CoVaR of Y conditional on the realized value of X.
 
@@ -316,20 +313,22 @@ def _value(p: BivariateNormalParams, view: ViewSpec, alpha: float) -> ViewOutcom
 
     The half-line laws (:func:`value_view_y_cdf`) are continuous and monotone
     in y; ``brentq`` finds the root on [mu_Y - 12 sigma_Y, mu_Y + 12 sigma_Y].
-    Traditional CoVaR is the eq case at level = VaR_alpha of X.
+    Traditional CoVaR is the eq case at level = VaR_alpha of X. A view on Y
+    conditions Y on itself, through the pair of :func:`_value_pair`.
     """
     level, relation = view.value, view.relation
+    pair = _value_pair(p, view)
     c = _check_alpha(alpha)
     if relation == "eq":  # X collapses to a point, outside the family
-        mu, sd = _given_x(p, level)
+        mu, sd = _given_x(pair, level)
         return ViewOutcome(mu + sd * c, None, collapsed_to_var=False, branch="eq")
-    h, _ = _half_line(p, level, relation)
+    h, _ = _half_line(pair, level, relation)
     if h >= 9.0:  # conditioning event has full mass: no information
         return ViewOutcome(var_normal(p, alpha), p, True, f"{relation}-saturated")
     if h <= -9.0:  # event mass below bvn_cdf's resolution
         side = "below" if relation == "le" else "above"
         raise NumericDomainError(f"no probability mass at or {side} level {level}")
-    cdf = value_view_y_cdf(p, level, relation)
+    cdf = value_view_y_cdf(pair, level, relation)
     lo, hi = p.mu_y - 12.0 * p.sigma_y, p.mu_y + 12.0 * p.sigma_y
     return ViewOutcome(_bracketed_root(lambda y: cdf(y) - alpha, lo, hi), None, False, relation)
 
@@ -354,51 +353,30 @@ def _relative(p: BivariateNormalParams, view: ViewSpec, alpha: float) -> ViewOut
     pair = BivariateNormalParams(p.mu_x - p.mu_y, p.mu_y, sd, sy, _clamp_rho((r * sx - sy) / sd))
     post = _keep_conditional(pair, d, math.sqrt(s_sq))
     no_info = (d == p.mu_x - p.mu_y and s_sq == v) or r * sx == sy
-    out = _equality(p, post, no_info, alpha)
+    covar = var_normal(p if no_info else post, alpha)
     cov_dy = post.rho * post.sigma_x * post.sigma_y
     cov_xy = cov_dy + post.sigma_y**2
     var_x = s_sq + cov_dy + cov_xy
     if var_x <= 0.0:  # rounding can leave X = D + Y a point
-        return replace(out, posterior=None)
+        return ViewOutcome(covar, None, no_info, "eq")
     sx_post = math.sqrt(var_x)
     rho_post = _clamp_rho(cov_xy / (sx_post * post.sigma_y))
     posterior = BivariateNormalParams(d + post.mu_y, post.mu_y, sx_post, post.sigma_y, rho_post)
-    return replace(out, posterior=posterior)
+    return ViewOutcome(covar, posterior, no_info, "eq")
 
 
 # -- dispatch -----------------------------------------------------------------
 
 # the closed form of each view kind; "none" and "distribution" have none
 _CLOSED_FORMS = {
-    "expectation": _expectation,
-    "variance": _variance,
-    "mean_and_variance": _mean_and_variance,
-    "quantile": _quantile,
+    "expectation": _marginal_view,
+    "variance": _marginal_view,
+    "mean_and_variance": _marginal_view,
+    "quantile": _marginal_view,
     "value": _value,
     "correlation": _correlation,
     "relative": _relative,
 }
-
-
-def _self_view_params(p: BivariateNormalParams) -> BivariateNormalParams:
-    """View Y through itself: a unit-correlation pair of Y with Y."""
-    return BivariateNormalParams(p.mu_y, p.mu_y, p.sigma_y, p.sigma_y, 1.0)
-
-
-def _swap(p: BivariateNormalParams) -> BivariateNormalParams:
-    return BivariateNormalParams(p.mu_y, p.mu_x, p.sigma_y, p.sigma_x, p.rho)
-
-
-def _lift_y_view(p: BivariateNormalParams, out: ViewOutcome) -> ViewOutcome:
-    """Map an outcome computed on the (Y, Y) self-pair back onto (X, Y).
-
-    A view on Y's marginal leaves the conditional of X on Y untouched: the
-    same update as an X view, on the swapped pair (Y, X).
-    """
-    if out.posterior is None:
-        return out
-    post = _keep_conditional(_swap(p), out.posterior.mu_y, out.posterior.sigma_y)
-    return replace(out, posterior=_swap(post))
 
 
 def posterior_y_cdf(prior: BivariateNormalParams, view: ViewSpec, outcome: ViewOutcome):
@@ -411,8 +389,7 @@ def posterior_y_cdf(prior: BivariateNormalParams, view: ViewSpec, outcome: ViewO
         raise NumericDomainError(
             f"cannot pool {describe(view)}: its posterior has no bivariate-normal law of Y"
         )
-    p = _self_view_params(prior) if view.target == "y" else prior
-    return value_view_y_cdf(p, view.value, view.relation)
+    return value_view_y_cdf(_value_pair(prior, view), view.value, view.relation)
 
 
 def covar_for_view(
@@ -420,9 +397,9 @@ def covar_for_view(
 ) -> ViewOutcome:
     """Closed-form outcome for a :class:`~epcovar.views.ViewSpec`.
 
-    Views targeting Y are evaluated on the degenerate (Y, Y) pair, so the same
-    X-view formulas condition Y on its own marginal; the posterior is then
-    lifted back onto (X, Y) through the unchanged conditional of X on Y.
+    A moment or quantile view on Y sets the law of Y and keeps X given Y:
+    the X-view update on the swapped pair (Y, X). A value view on Y
+    conditions Y on itself, through the unit-correlation pair (Y, Y).
     Distribution views have no closed form under a normal posterior and must
     go through scenario mode.
     """
@@ -430,8 +407,6 @@ def covar_for_view(
         return ViewOutcome(var_normal(p, alpha), p, True, "no-view")
     if view.kind == "distribution":
         raise ValueError("distribution views have no closed form; use scenario mode")
-    if view.target == "y":
-        return _lift_y_view(p, _CLOSED_FORMS[view.kind](_self_view_params(p), view, alpha))
     return _CLOSED_FORMS[view.kind](p, view, alpha)
 
 

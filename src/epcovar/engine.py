@@ -33,6 +33,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,6 +76,13 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.data, (str, os.PathLike)):
+            raise ConfigError(f"data must be a path, got {self.data!r}")
+        if not (self.out is None or isinstance(self.out, (str, os.PathLike))):
+            raise ConfigError(f"out must be a path or null, got {self.out!r}")
+        for name in ("x", "y", "unit"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.x == self.y:

@@ -28,7 +28,8 @@ class InfeasibleError(EpcovarError):
 
     ``residual`` carries the certificate: the smallest max constraint violation
     that any posterior on the panel can reach, from ``compile_view`` for a row
-    that reads 0 under every posterior, or from the solver's phase-I program.
+    that reads one value on every scenario (0 for an empty region, 1 for a
+    full one), or from the solver's phase-I program.
     In the rare case that the view is attainable but the solver runs out of
     iterations, it carries the best violation the solver attained instead.
     """

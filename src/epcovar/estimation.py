@@ -107,10 +107,7 @@ def _t_logliks(x: np.ndarray, locs: np.ndarray, scales: np.ndarray, dofs: np.nda
     for start in range(0, dofs.size, rows):
         s = slice(start, start + rows)
         const = np.array([
-            gammaln((dof + 1.0) / 2.0)
-            - gammaln(dof / 2.0)
-            - 0.5 * math.log(dof * math.pi)
-            - math.log(scale)
+            _t_log_norm(dof) - math.log(scale)
             for dof, scale in zip(dofs[s].tolist(), scales[s].tolist())
         ])
         z = (x - locs[s, None]) / scales[s, None]
@@ -369,10 +366,14 @@ def _exact_unit_map(
     return g, clipped
 
 
+def _t_log_norm(dof: float) -> float:
+    """Log of the standard Student-t density's normalizing constant."""
+    return gammaln((dof + 1.0) / 2.0) - gammaln(dof / 2.0) - 0.5 * math.log(dof * math.pi)
+
+
 def _t_log_density(dof: float, x: np.ndarray) -> np.ndarray:
     """Log density of the standard Student-t law with ``dof`` at ``x``."""
-    return (gammaln((dof + 1.0) / 2.0) - gammaln(dof / 2.0) - 0.5 * math.log(dof * math.pi)
-            - (dof + 1.0) / 2.0 * np.log1p(x * x / dof))
+    return _t_log_norm(dof) - (dof + 1.0) / 2.0 * np.log1p(x * x / dof)
 
 
 def _unit_map_inplace(copula_dof: float, dof: float, draws: np.ndarray) -> None:

@@ -18,6 +18,7 @@ import pytest
 from scipy.special import ndtri
 
 from _oracles import numeric_posterior_params, paper_spillover
+from epcovar import analytics
 from epcovar.analytics import (
     _CLOSED_FORMS,
     BivariateNormalParams,
@@ -667,6 +668,49 @@ class TestDispatch:
         beta = P_WIDE.rho * P_WIDE.sigma_x / P_WIDE.sigma_y
         assert out.posterior.mu_x == pytest.approx(P_WIDE.mu_x + beta * shift)
         assert out.posterior.sigma_y == pytest.approx(P_WIDE.sigma_y)
+
+    def test_y_equality_views_read_their_closed_forms_exactly(self):
+        # a view on Y sets the law of Y itself, so CoVaR is the view's own
+        # mean and spread at z(alpha), to the last bit, whatever rho (0 too)
+        rng = np.random.default_rng(2028)
+        for i in range(2000):
+            p = random_params(rng, rho=0.0 if i % 10 == 0 else None)
+            m = float(rng.normal(p.mu_y, p.sigma_y))
+            v = float(p.sigma_y**2 * rng.uniform(0.2, 3.0))
+            cases = (
+                (expectation_view(m, target="y"), m + p.sigma_y * Z95),
+                (variance_view(v, target="y"), p.mu_y + math.sqrt(v) * Z95),
+                (mean_variance_view(m, v, target="y"), m + math.sqrt(v) * Z95),
+            )
+            for view, want in cases:
+                assert covar_for_view(p, view, 0.95).covar == want
+
+    def test_y_views_make_one_update(self, monkeypatch):
+        calls = []
+        keep = analytics._keep_conditional
+        monkeypatch.setattr(
+            analytics, "_keep_conditional", lambda *args: calls.append(args) or keep(*args)
+        )
+        views = [mean_variance_view(0.05, 0.0025, target="y")]
+        for relation in ("eq", "le", "ge"):
+            views += [
+                expectation_view(0.05, relation, target="y"),
+                variance_view(0.0025, relation, target="y"),
+                quantile_view(0.3, 0.95, relation, target="y"),
+            ]
+        for view in views:
+            calls.clear()
+            covar_for_view(P_WIDE, view, 0.95)
+            assert len(calls) == 1, view
+
+    def test_saturated_y_value_view_returns_the_prior(self):
+        var = var_normal(P_WIDE, 0.95)
+        for relation, sign in (("le", 1.0), ("ge", -1.0)):
+            level = P_WIDE.mu_y + sign * 12.0 * P_WIDE.sigma_y
+            out = covar_for_view(P_WIDE, value_view(level, relation, target="y"), 0.95)
+            assert out.posterior is P_WIDE
+            assert out.covar == var
+            assert out.collapsed_to_var and out.branch == f"{relation}-saturated"
 
     def test_quantile_level_must_match_alpha(self):
         with pytest.raises(ValueError, match="report level"):

@@ -1079,6 +1079,23 @@ class TestCli:
         assert self._run([str(config)]) == 2
         assert f"config error: {key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("data", 0), ("data", ["losses.csv"]), ("out", 5), ("out", {}), ("x", 1),
+         ("y", None), ("unit", 2)],
+    )
+    def test_non_string_path_or_name_exits_config(
+        self, losses_csv, tmp_path, capsys, key, value
+    ):
+        config = tmp_path / "run.json"
+        doc = {"data": losses_csv, "x": "SVB", "y": "NBI"}
+        doc[key] = value
+        config.write_text(json.dumps(doc))
+        assert self._run([str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {key} must be a ")
+
     def test_negative_seed_flag_exits_config(self, losses_csv, capsys):
         rc = self._run(
             ["--data", losses_csv, "--x", "SVB", "--y", "NBI", "--mode", "scenario",
