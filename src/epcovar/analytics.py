@@ -32,8 +32,8 @@ variable, and the other keeps its prior conditional law given it (Meucci,
 ``_marginal_law`` states the law that each moment or quantile view sets, and
 ``_marginal_view`` applies it to X, or to Y on the swapped pair (Y, X); the
 relative view sets the law of X - Y. The paper's per-kind expressions remain
-as the test oracle ``tests/_oracles.py::paper_spillover``. A value view on Y
-conditions Y on itself, through the unit-correlation pair (Y, Y).
+as the test oracle ``tests/_oracles.py::paper_spillover``. An equality
+value view on Y makes Y its level; on a half-line, Y conditions itself.
 """
 
 from __future__ import annotations
@@ -270,38 +270,37 @@ def _bracketed_root(f, lo: float, hi: float) -> float:
         raise NumericDomainError(f"root not bracketed on [{lo:g}, {hi:g}]: {exc}") from exc
 
 
-def _given_x(p: BivariateNormalParams, level: float) -> tuple[float, float]:
-    """Mean and spread of Y given X = level."""
-    mu = p.mu_y + p.rho * (level - p.mu_x) * p.sigma_y / p.sigma_x
+def _given_target(p: BivariateNormalParams, view: ViewSpec) -> tuple[float, float]:
+    """Mean and spread of Y given that a value view's target equals its
+    level: the normal conditional law given X, or the level itself on Y."""
+    if view.target == "y":
+        return view.value, 0.0
+    mu = p.mu_y + p.rho * (view.value - p.mu_x) * p.sigma_y / p.sigma_x
     return mu, p.sigma_y * math.sqrt(1.0 - p.rho**2)
 
 
-def _half_line(p: BivariateNormalParams, level: float, relation: str) -> tuple[float, float]:
-    """(h, r): the event is {s Z_X <= h}, s = +1 (le) or -1 (ge); r = corr(s Z_X, Y)."""
-    s = 1.0 if relation == "le" else -1.0
-    return s * (level - p.mu_x) / p.sigma_x, s * p.rho
+def _half_line(p: BivariateNormalParams, view: ViewSpec) -> tuple[float, float]:
+    """(h, r): a half-line value view's event is {s Z <= h}, with Z its
+    standardised target and s = +1 (le) or -1 (ge); r = corr(s Z, Y), which
+    is s when Y conditions itself."""
+    s = 1.0 if view.relation == "le" else -1.0
+    if view.target == "y":
+        return s * (view.value - p.mu_y) / p.sigma_y, s
+    return s * (view.value - p.mu_x) / p.sigma_x, s * p.rho
 
 
-def value_view_y_cdf(p: BivariateNormalParams, level: float, relation: str = "eq"):
-    """Posterior CDF of Y under the value view ``X = level``, ``X <= level``
-    or ``X >= level``: the law of Y given X at the point, or given X on the
-    half-line, Pr(s Z_X <= h, Y <= y) / Phi(h) from :func:`bvn_cdf`."""
-    if relation == "eq":
-        mu, sd = _given_x(p, level)
+def value_view_y_cdf(p: BivariateNormalParams, view: ViewSpec):
+    """Posterior CDF of Y under a value view: the law of Y given the target
+    at its level, or on its half-line, Pr(s Z <= h, Y <= y) / Phi(h) from
+    :func:`bvn_cdf`."""
+    if view.relation == "eq":
+        mu, sd = _given_target(p, view)
         if sd == 0.0:
             return lambda y: 1.0 if y >= mu else 0.0
         return lambda y: norm_cdf((y - mu) / sd)
-    h, r = _half_line(p, level, relation)
+    h, r = _half_line(p, view)
     mass = norm_cdf(h)
     return lambda y: bvn_cdf(h, (y - p.mu_y) / p.sigma_y, r) / mass
-
-
-def _value_pair(p: BivariateNormalParams, view: ViewSpec) -> BivariateNormalParams:
-    """The pair whose first asset a value view conditions: (X, Y), or for a
-    view on Y the unit-correlation pair (Y, Y), so Y conditions itself."""
-    if view.target == "y":
-        return BivariateNormalParams(p.mu_y, p.mu_y, p.sigma_y, p.sigma_y, 1.0)
-    return p
 
 
 def _value(p: BivariateNormalParams, view: ViewSpec, alpha: float) -> ViewOutcome:
@@ -314,21 +313,20 @@ def _value(p: BivariateNormalParams, view: ViewSpec, alpha: float) -> ViewOutcom
     The half-line laws (:func:`value_view_y_cdf`) are continuous and monotone
     in y; ``brentq`` finds the root on [mu_Y - 12 sigma_Y, mu_Y + 12 sigma_Y].
     Traditional CoVaR is the eq case at level = VaR_alpha of X. A view on Y
-    conditions Y on itself, through the pair of :func:`_value_pair`.
+    at a point makes Y its level; on a half-line Y conditions itself.
     """
     level, relation = view.value, view.relation
-    pair = _value_pair(p, view)
     c = _check_alpha(alpha)
-    if relation == "eq":  # X collapses to a point, outside the family
-        mu, sd = _given_x(pair, level)
+    if relation == "eq":  # the target collapses to a point, outside the family
+        mu, sd = _given_target(p, view)
         return ViewOutcome(mu + sd * c, None, collapsed_to_var=False, branch="eq")
-    h, _ = _half_line(pair, level, relation)
+    h, _ = _half_line(p, view)
     if h >= 9.0:  # conditioning event has full mass: no information
         return ViewOutcome(var_normal(p, alpha), p, True, f"{relation}-saturated")
     if h <= -9.0:  # event mass below bvn_cdf's resolution
         side = "below" if relation == "le" else "above"
         raise NumericDomainError(f"no probability mass at or {side} level {level}")
-    cdf = value_view_y_cdf(pair, level, relation)
+    cdf = value_view_y_cdf(p, view)
     lo, hi = p.mu_y - 12.0 * p.sigma_y, p.mu_y + 12.0 * p.sigma_y
     return ViewOutcome(_bracketed_root(lambda y: cdf(y) - alpha, lo, hi), None, False, relation)
 
@@ -389,7 +387,7 @@ def posterior_y_cdf(prior: BivariateNormalParams, view: ViewSpec, outcome: ViewO
         raise NumericDomainError(
             f"cannot pool {describe(view)}: its posterior has no bivariate-normal law of Y"
         )
-    return value_view_y_cdf(_value_pair(prior, view), view.value, view.relation)
+    return value_view_y_cdf(prior, view)
 
 
 def covar_for_view(
@@ -398,8 +396,8 @@ def covar_for_view(
     """Closed-form outcome for a :class:`~epcovar.views.ViewSpec`.
 
     A moment or quantile view on Y sets the law of Y and keeps X given Y:
-    the X-view update on the swapped pair (Y, X). A value view on Y
-    conditions Y on itself, through the unit-correlation pair (Y, Y).
+    the X-view update on the swapped pair (Y, X). An equality value view on
+    Y makes Y its level; on a half-line, Y conditions itself.
     Distribution views have no closed form under a normal posterior and must
     go through scenario mode.
     """

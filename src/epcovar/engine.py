@@ -33,6 +33,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -83,6 +84,8 @@ class RunConfig:
         for name in ("x", "y", "unit"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
+            raise ConfigError(f"alpha must be a real number, got {self.alpha!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.x == self.y:
@@ -93,6 +96,9 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.fmt not in _FORMATS:
             raise ConfigError(f"format must be one of {_FORMATS}, got {self.fmt!r}")
+        if not (isinstance(self.views, (list, tuple))
+                and all(isinstance(v, ViewSpec) for v in self.views)):
+            raise ConfigError(f"views must be a list or tuple of ViewSpec, got {self.views!r}")
         if len(self.views) == 0:
             raise ConfigError("configure at least one view (the no-view sentinel counts)")
         for name in ("scenarios", "seed"):

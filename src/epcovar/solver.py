@@ -21,20 +21,22 @@ row, normalization included. Multipliers of upper-bounded rows are >= 0, of
 lower-bounded rows <= 0, and complementary slackness holds within tolerance.
 One-sided constraints already satisfied by the prior leave it untouched.
 
-Refusals are decided by a property of the view, not by the rounding of the
-dual iterates. When a round of Newton steps fails to at least halve the max
+Each round of Newton steps ends with one evaluation of its iterate, the
+weights and their max violation, which the stall test, the verdict and the
+report all read. Refusals are decided by a property of the view, not by the
+rounding of the dual iterates. When a round fails to at least halve the max
 violation, ends because no step length reduces the residual, ends because a
 step drove some weight below the positivity floor, or the iteration budget
-runs out, a phase-I certificate is computed: the smallest max violation any
-posterior on the panel can reach with the normalization row exact (Boyd &
-Vandenberghe, §11.4). A certificate above tolerance raises
-:class:`~epcovar.errors.InfeasibleError` carrying it; a certificate within
-tolerance while the iterate's weights underflow the positivity floor raises
-:class:`~epcovar.errors.DegenerateError`, because the view is reachable only
-as weights vanish. A solve that meets tolerance never computes it. A view
-attainable only on a face of the simplex (correlation 1, say) has no tilted
-optimum, and its multipliers run off to infinity; stopping at the floor
-refuses it within a few steps.
+runs out, a phase-I certificate is computed from the same dual rows: the
+smallest max violation any posterior on the panel can reach with the
+normalization row exact (Boyd & Vandenberghe, §11.4). A certificate above
+tolerance raises :class:`~epcovar.errors.InfeasibleError` carrying it; a
+certificate within tolerance while the iterate's weights underflow the
+positivity floor raises :class:`~epcovar.errors.DegenerateError`, because
+the view is reachable only as weights vanish. A solve that meets tolerance
+never computes it. A view attainable only on a face of the simplex
+(correlation 1, say) has no tilted optimum, and its multipliers run off to
+infinity; stopping at the floor refuses it within a few steps.
 
 Every product of length J is an elementwise or ``np.einsum`` kernel, never a
 BLAS call: the dual has K << J rows, and at this shape a BLAS call would wait
@@ -59,6 +61,7 @@ from .scenario import Probabilities, ScenarioPanel, as_weights
 from .views import TOL, LinearConstraintSet
 
 _LOG_FLOOR = math.log(1e-300)
+_STEP_TARGET = 1e-12  # a Newton round ends once every active residual is this small
 _ROUND = 60  # Newton steps per round; the stall test runs after each round
 MAX_ITER = 10_000  # Newton steps per solve
 
@@ -172,6 +175,8 @@ def solve(panel: ScenarioPanel, constraints: LinearConstraintSet) -> SolveReport
     the phase-I certificate, when no posterior on the panel meets the
     constraints within ``TOL``; raises :class:`DegenerateError` when
     they are met only with posterior mass below the positivity floor (1e-300).
+    Each round's iterate is evaluated once, weights and violation; a set with
+    no dual rows, only once, at the prior's tilt.
     """
     log_p = panel.log_prior
     rows, bounds, sign, index = dual_rows(constraints)
@@ -179,63 +184,45 @@ def solve(panel: ScenarioPanel, constraints: LinearConstraintSet) -> SolveReport
     def evaluate(lam):
         return dual(lam, log_p, rows, bounds)
 
-    lam = np.zeros(bounds.size)
+    lam, iterations, certificate = np.zeros(bounds.size), 0, None
     point = evaluate(lam)
-    iterations = 0
-    if bounds.size:
-        budget = MAX_ITER
-        violation = max_violation(constraints, panel.prior)
-        certificate = None
-        while True:
-            length = min(_ROUND, budget)
-            lam, point, steps = _newton(lam, point, sign, evaluate, TOL, length)
-            iterations += steps
-            budget -= steps
-            lp = point[3]
-            previous, violation = violation, max_violation(constraints, np.exp(lp))
-            if violation <= TOL:
-                break
-            # out of budget, a step crossed the floor, or no step length helped
-            exhausted = budget <= 0 or steps < length
-            if exhausted or violation > 0.5 * previous:  # or stalled
-                if certificate is None:
-                    certificate = _phase_one_certificate(constraints)
-                if certificate > TOL:
-                    raise InfeasibleError(
-                        f"constraints unattainable: no posterior on the panel gets the "
-                        f"max violation below {certificate:.3e}, above tolerance "
-                        f"{TOL:.1e}",
-                        residual=certificate,
-                    )
-                _check_floor(lp)
-            if exhausted:
-                break
-
-    value, _, _, lp = point
-    q = np.exp(lp)  # underflow to 0.0 here only affects the residual check
-    residual = max_violation(constraints, q)
-    if residual > TOL:
-        # attainable per the certificate, but not reached: the budget ran out
-        # or the line search stalled
-        worst = constraints.labels[int(np.argmax(_gaps(constraints, q)))]
-        raise InfeasibleError(
-            f"constraints unattained: residual {residual:.3e} on row '{worst}' "
-            f"exceeds tolerance {TOL:.1e}",
-            residual=residual,
-        )
+    # the first round must halve the prior's violation
+    violation = max_violation(constraints, panel.prior) if bounds.size else None
+    while True:
+        length = min(_ROUND, MAX_ITER - iterations)
+        lam, point, steps = _newton(lam, point, sign, evaluate, length)
+        iterations += steps
+        value, _, _, lp = point
+        q = np.exp(lp)  # underflow to 0.0 here only affects the violation
+        previous, violation = violation, max_violation(constraints, q)
+        if violation <= TOL:
+            break
+        exhausted = iterations >= MAX_ITER or steps < length  # short: floor, stuck or no rows
+        if bounds.size and (exhausted or violation > 0.5 * previous):  # or stalled
+            if certificate is None:
+                certificate = _phase_one_certificate(constraints)
+            if certificate > TOL:
+                raise InfeasibleError(
+                    f"constraints unattainable: no posterior on the panel gets the "
+                    f"max violation below {certificate:.3e}, above tolerance {TOL:.1e}",
+                    residual=certificate,
+                )
+            _check_floor(lp)
+        if exhausted:  # attainable per the certificate, but not reached
+            worst = constraints.labels[int(np.argmax(_gaps(constraints, q)))]
+            raise InfeasibleError(
+                f"constraints unattained: residual {violation:.3e} on row '{worst}' "
+                f"exceeds tolerance {TOL:.1e}",
+                residual=violation,
+            )
+        del q  # not held while the next round runs
     _check_floor(lp)
 
     multipliers = np.zeros(constraints.n_rows)
     np.add.at(multipliers, index, lam)
     multipliers[constraints.normalization_row] = value - float(lam @ bounds)  # ln Z
     entropy = float(np.einsum("j,j->", q, np.subtract(lp, log_p, out=lp)))
-    return SolveReport(
-        posterior=Probabilities(q, _fresh=True),
-        multipliers=multipliers,
-        residual=residual,
-        iterations=iterations,
-        entropy=max(entropy, 0.0),
-    )
+    return SolveReport(Probabilities(q, _fresh=True), multipliers, violation, iterations, max(entropy, 0.0))
 
 
 def _gaps(constraints: LinearConstraintSet, q: np.ndarray) -> np.ndarray:
@@ -267,25 +254,25 @@ def _phase_one_certificate(constraints: LinearConstraintSet) -> float:
         minimize t  subject to  G_k q - t <= upper_k,  lower_k - G_k q <= t,
                                 sum q = 1,  q >= 0,  t >= 0
 
-    over the non-normalization rows k, by column generation: the program is
-    solved on a restricted scenario set, starting from the argmax and argmin
-    scenario of each row, and the scenarios with the most negative reduced
-    cost are added until none is left. The restricted programs stay small, so
-    the full J-column program is never built. Returns the max violation of
-    the resulting weights, normalized, on the full constraint set.
+    over the rows k of :func:`dual_rows`, the rows Newton reads (an upper
+    side where ``sign >= 0``, a lower side where ``sign <= 0``), by column
+    generation: the program is solved on a restricted scenario set, starting
+    from the argmax and argmin scenario of each row, and the scenarios with
+    the most negative reduced cost are added until none is left. The
+    restricted programs stay small, so the full J-column program is never
+    built. Returns the max violation of the resulting weights, normalized,
+    on the full constraint set.
     """
     from scipy.optimize import linprog
 
-    g = constraints.matrix
-    keep = np.arange(constraints.n_rows) != constraints.normalization_row
-    up = keep & np.isfinite(constraints.upper)
-    dn = keep & np.isfinite(constraints.lower)
-    b_ub = np.concatenate([constraints.upper[up], -constraints.lower[dn]])
-    support = np.unique(np.concatenate([g.argmax(axis=1)[keep], g.argmin(axis=1)[keep]]))
+    rows, bounds, sign, _ = dual_rows(constraints)
+    up, dn = sign >= 0, sign <= 0
+    b_ub = np.concatenate([bounds[up], -bounds[dn]])
+    support = np.unique(np.concatenate([rows.argmax(axis=1), rows.argmin(axis=1)]))
     batch = b_ub.size + 1
     while True:
         n = support.size
-        cols = g[:, support]
+        cols = rows[:, support]
         res = linprog(
             np.append(np.zeros(n), 1.0),
             A_ub=np.hstack([np.vstack([cols[up], -cols[dn]]), -np.ones((b_ub.size, 1))]),
@@ -298,20 +285,19 @@ def _phase_one_certificate(constraints: LinearConstraintSet) -> float:
         )
         if res.status != 0:  # pragma: no cover - the program is always feasible and bounded
             raise RuntimeError(f"phase-I program failed: {res.message}")
-        # reduced cost of scenario j: -(sum_k G_kj (y_up_k - y_dn_k) + mu), where
-        # the normalization row carries no inequality multiplier
+        # reduced cost of scenario j: -(sum_k G_kj (y_up_k - y_dn_k) + mu)
         y = res.ineqlin.marginals
-        w = np.zeros(constraints.n_rows)
+        w = np.zeros(bounds.size)
         w[up] += y[: up.sum()]
         w[dn] -= y[up.sum():]
-        reduced = -(np.einsum("kj,k->j", g, w) + res.eqlin.marginals[0])
+        reduced = -(np.einsum("kj,k->j", rows, w) + res.eqlin.marginals[0])
         reduced[support] = 0.0
         entering = np.flatnonzero(reduced < -1e-10)
         if entering.size == 0:
             break
         order = np.argsort(reduced[entering], kind="stable")[:batch]
         support = np.union1d(support, entering[order])
-    q = np.zeros(constraints.matrix.shape[1])
+    q = np.zeros(rows.shape[1])
     q[support] = np.maximum(res.x[:-1], 0.0)
     return max_violation(constraints, q / q.sum())
 
@@ -349,28 +335,27 @@ def pool(posteriors, confidences) -> Probabilities:
     return Probabilities(mixed, _fresh=True)
 
 
-def _newton(lam, point, sign, evaluate, tol, length):
+def _newton(lam, point, sign, evaluate, length):
     """Up to ``length`` damped Newton steps on the active rows of the dual.
 
     ``point`` is ``evaluate(lam)``, with the Hessian slot a function that
-    computes it (see :func:`dual`); it is called only at the
-    point a step is taken from, never at a line-search trial, and a rejected
-    trial is freed before the next is evaluated. The Hessian on the active
-    rows is their posterior covariance; a least-squares solve keeps redundant
+    computes it (see :func:`dual`); it is called only at the point a step is
+    taken from, never at a line-search trial, and a rejected trial is freed
+    before the next is evaluated. The Hessian on the active rows is their
+    posterior covariance; a least-squares solve keeps redundant
     (rank-deficient) row sets well-behaved. One-sided multipliers are
-    projected back onto their sign after every step. The step is halved until
-    the largest active residual falls; when no halving makes it fall, the
-    round ends. The round also ends after a step that leaves some log weight
-    below ``_LOG_FLOOR``, since :func:`solve` never returns such an iterate:
-    the short round sends it to the certificate. Returns the final
-    multipliers, their dual evaluation and the number of steps taken.
+    projected back onto their sign after every step. The step is halved
+    until the largest active residual falls; when no halving makes it fall,
+    the round ends. The round also ends after a step that leaves some log
+    weight below ``_LOG_FLOOR``, since :func:`solve` never returns such an
+    iterate: the short round sends it to the certificate. Returns the final
+    multipliers, their dual evaluation and the number of steps taken;
+    :func:`solve` evaluates the last iterate's weights and violation once.
     """
-    target = min(tol * 1e-4, 1e-12)
-
     def active_rows(lam, r):
         # r_k = b_k - (Gq)_k: negative on violated upper rows, positive on
         # violated lower rows
-        return (sign == 0) | (sign * lam > 0.0) | (sign * r < -target)
+        return (sign == 0) | (sign * lam > 0.0) | (sign * r < -_STEP_TARGET)
 
     steps = 0
     while steps < length:
@@ -379,7 +364,7 @@ def _newton(lam, point, sign, evaluate, tol, length):
         if not active.any():
             break
         base = float(np.abs(r[active]).max())
-        if base <= target:
+        if base <= _STEP_TARGET:
             break
         step, *_ = np.linalg.lstsq(hessian()[np.ix_(active, active)], -r[active], rcond=None)
         if not np.all(np.isfinite(step)):  # a Hessian in the denormals

@@ -25,6 +25,7 @@ from epcovar.analytics import (
     covar_for_view,
     delta_covar_view,
     kl_bivariate_normal,
+    posterior_y_cdf,
     var_normal,
     var_normal_x,
 )
@@ -684,6 +685,19 @@ class TestDispatch:
             )
             for view, want in cases:
                 assert covar_for_view(p, view, 0.95).covar == want
+
+    def test_y_equality_value_view_lands_on_its_level(self):
+        # Y given Y = level is the level itself: CoVaR and the pooled CDF's
+        # step sit on it to the last bit
+        rng = np.random.default_rng(2029)
+        for _ in range(2000):
+            p = random_params(rng)
+            level = float(rng.normal(p.mu_y, p.sigma_y))
+            view = value_view(level, target="y")
+            out = covar_for_view(p, view, 0.95)
+            assert out.covar == level
+            cdf = posterior_y_cdf(p, view, out)
+            assert cdf(level) == 1.0 and cdf(math.nextafter(level, -math.inf)) == 0.0
 
     def test_y_views_make_one_update(self, monkeypatch):
         calls = []

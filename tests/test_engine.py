@@ -970,6 +970,18 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "key,value",
+        [("views", [{"kind": "none"}]), ("views", "none"), ("views", (None,)),
+         ("views", no_view()), ("alpha", "0.9"), ("alpha", True), ("alpha", None)],
+        ids=["views-dicts", "views-string", "views-none", "views-bare-spec",
+             "alpha-string", "alpha-bool", "alpha-none"],
+    )
+    def test_views_and_alpha_types_are_checked(self, key, value):
+        # the Python API bypasses parse_views; a bad value must not reach run_pipeline
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(data="x.csv", x="A", y="B", **{key: value})
+
+    @pytest.mark.parametrize(
+        "key,value",
         [("scenarios", 1e4), ("scenarios", 20000.0), ("scenarios", True),
          ("seed", 1.5), ("seed", "7"), ("seed", False), ("seed", -1)],
     )

@@ -15,7 +15,12 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import brute_force_min_kl, temporaries_dual, tilt_mean_by_bisection
+from _oracles import (
+    brute_force_min_kl,
+    phase_one_lp,
+    temporaries_dual,
+    tilt_mean_by_bisection,
+)
 from epcovar import solver as solver_mod
 from epcovar.errors import DegenerateError, InfeasibleError
 from epcovar.scenario import Probabilities, build_panel
@@ -514,6 +519,34 @@ class TestSolve:
         cs2 = LinearConstraintSet(g, np.array([0.5, 1.0]), np.array([1.5, 1.0]))
         rep2 = solve(panel, cs2)
         assert 0.5 * np.abs(rep2.posterior.weights - panel.prior).sum() <= 1e-10
+
+    def test_each_iterate_is_evaluated_once(self, monkeypatch):
+        # one violation for the prior, which the first round must halve, and
+        # one per round; the report reads the last one
+        rng = np.random.default_rng(29)
+        panel = build_panel(rng.normal(size=500), rng.normal(size=500))
+        cs = compile_view(expectation_view(float(np.quantile(panel.x, 0.7))), panel)
+        violations = _calls(monkeypatch, "max_violation")
+        rep = solve(panel, cs)
+        assert 0 < rep.iterations <= solver_mod._ROUND
+        assert violations == [violations[0], rep.residual]
+        violations.clear()
+        solve(panel, compile_view(no_view(), panel))  # no dual rows: no prior
+        assert len(violations) == 1
+
+    def test_two_sided_row_after_the_normalization_row_is_certified(self):
+        # the normalization row first makes dual_rows copy the band and split
+        # it into an upper and a lower row, which the certificate reads too
+        panel = _t5_panel(7, 400)
+        g = np.vstack([np.ones(400), panel.x])
+        top = float(panel.x.max())
+        for lower, upper in ((top + 0.5, top + 1.5), (-top - 3.0, -top - 2.0)):
+            cs = LinearConstraintSet(g, np.array([1.0, lower]), np.array([1.0, upper]))
+            assert dual_rows(cs)[3].tolist() == [1, 1]
+            with pytest.raises(InfeasibleError) as err:
+                solve(panel, cs)
+            want = phase_one_lp(g, cs.lower, cs.upper)
+            assert want > TOL and abs(err.value.residual - want) <= 1e-12
 
     def test_duality_gap_closes(self):
         rng = np.random.default_rng(71)
