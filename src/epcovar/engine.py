@@ -1,9 +1,9 @@
 """Pipeline orchestration: ingest, estimate the prior, apply views, report.
 
 Data flows in three stages: a CSV of loss columns for the two assets, a prior
-(either a bivariate-normal parameter bundle from sample or fitted moments, or
-a sampled scenario panel from the t-marginal/t-copula fit), and one report row
-per configured view. Analytic mode routes each view to its closed form;
+(``_prior``: a bivariate-normal parameter bundle from sample or fitted moments,
+or a scenario panel sampled from the t-marginal/t-copula fit), and one report
+row per configured view. Analytic mode routes each view to its closed form;
 scenario mode compiles the view's constraints and reweights the panel by
 minimum relative entropy. Several views held with partial confidences summing
 to one are additionally pooled into a mixture row.
@@ -326,14 +326,6 @@ def _tag(stage: str, exc: Exception) -> Exception:
     return exc
 
 
-def _load_series(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        ingest = ingest_csv(config.data, [config.x, config.y], min_rows=30)
-    except (DataError, ValueError) as exc:
-        raise _tag("ingest", exc)
-    return ingest.series[config.x], ingest.series[config.y]
-
-
 def analytic_prior(x: np.ndarray, y: np.ndarray) -> BivariateNormalParams:
     """Bivariate-normal prior from sample moments."""
     sx = float(x.std(ddof=1))
@@ -344,41 +336,36 @@ def analytic_prior(x: np.ndarray, y: np.ndarray) -> BivariateNormalParams:
     return BivariateNormalParams(float(x.mean()), float(y.mean()), sx, sy, rho)
 
 
-def fitted_prior(x: np.ndarray, y: np.ndarray) -> BivariateNormalParams:
-    """Bivariate-normal prior with moments implied by the t fits.
+def _prior(config: RunConfig) -> BivariateNormalParams | ScenarioPanel:
+    """The prior that ``config.mode`` selects, from the configured columns.
 
-    The correlation is the t-copula parameter, which for a common-dof
-    elliptical pair equals the linear correlation; with distinct fitted
-    marginals it is an approximation.
+    ``analytic`` takes the sample-moment normal. The other modes fit the t
+    marginals and the t copula of the ranks once, then sample the panel
+    (``scenario``) or take the normal of the fitted means and standard
+    deviations and the copula's rho (``analytic-from-fit``); that rho is the
+    linear correlation for a common-dof elliptical pair, an approximation
+    otherwise. Ingest failures and non-finite losses are tagged ``ingest:``,
+    estimation failures are data errors tagged ``estimation:``.
     """
-    mx, my, cop = _fit_t_prior(x, y)
-    return BivariateNormalParams(mx.mean, my.mean, mx.std, my.std, cop.rho)
-
-
-def scenario_prior(config: RunConfig, x: np.ndarray, y: np.ndarray) -> ScenarioPanel:
-    mx, my, cop = _fit_t_prior(x, y)
-    return generate_scenarios(mx, my, cop, config.scenarios, config.seed, unit=config.unit)
-
-
-def _prior(
-    config: RunConfig, x: np.ndarray, y: np.ndarray
-) -> BivariateNormalParams | ScenarioPanel:
-    """The prior that ``config.mode`` selects: the scenario panel, the
-    sample-moment normal or the fitted normal. An estimation failure is a
-    data error."""
     try:
+        series = ingest_csv(config.data, [config.x, config.y], min_rows=30).series
+    except (DataError, ValueError) as exc:
+        raise _tag("ingest", exc)
+    x, y = series[config.x], series[config.y]
+    for name, values in ((config.x, x), (config.y, y)):
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise DataError(f"ingest: non-finite loss {bad[0]} in column {name!r}")
+    try:
+        if config.mode == "analytic":
+            return analytic_prior(x, y)
+        mx, my = fit_t_marginal(x), fit_t_marginal(y)
+        cop = fit_t_copula(pseudo_observations(x), pseudo_observations(y))
         if config.mode == "scenario":
-            return scenario_prior(config, x, y)
-        return analytic_prior(x, y) if config.mode == "analytic" else fitted_prior(x, y)
+            return generate_scenarios(mx, my, cop, config.scenarios, config.seed, config.unit)
+        return BivariateNormalParams(mx.mean, my.mean, mx.std, my.std, cop.rho)
     except ValueError as exc:
         raise _tag("estimation", DataError(str(exc)))
-
-
-def _fit_t_prior(x: np.ndarray, y: np.ndarray):
-    """Student-t marginals of X and Y and the t copula of their ranks."""
-    mx, my = fit_t_marginal(x), fit_t_marginal(y)
-    cop = fit_t_copula(pseudo_observations(x), pseudo_observations(y))
-    return mx, my, cop
 
 
 # -- scenario-mode evaluation ----------------------------------------------------
@@ -480,7 +467,7 @@ def run_pipeline(config: RunConfig) -> RiskReport:
     """End-to-end run: check the pooling rules, ingest, estimate prior,
     evaluate views, assemble report."""
     confidences = _pooling_confidences(config)
-    prior = _prior(config, *_load_series(config))
+    prior = _prior(config)
     if config.mode == "scenario":
         try:
             rows = _scenario_rows(config, prior, confidences)
@@ -624,7 +611,7 @@ def sensitivity_scan(
             raise ConfigError(
                 "sensitivity scans use the closed-form engine; scenario mode has no scan"
             )
-        prior = _prior(config, *_load_series(config))
+        prior = _prior(config)
         alpha = config.alpha if alpha is None else alpha
     else:
         prior = prior_or_config

@@ -17,13 +17,13 @@ observations; the O(n^3) enumeration of every pair's line is the test oracle.
 Degrees of freedom are searched on [2.1, 100]; a fit at the cap is flagged
 "effectively normal". The dof floor keeps variances finite, which the
 moment-based views require. Both fits run one search (``_search_dof``): the
-objective on a 60-point log grid, evaluated for all grid dofs in one call,
-then Brent's bounded search on the argmax's bracket, then the cap test. The
-marginal's objective profiles (location, scale) by the EM of Liu & Rubin
-(Statistica Sinica 5, 1995), one row of an array per dof; the 60 grid EMs
-run in lockstep, each row with the same arithmetic and stopping rule as the
-EM at its dof alone, so every fit is bitwise equal to fitting one dof at a
-time.
+objective on a 60-point log grid, in blocks that keep each call's arrays
+small, then Brent's bounded search on the argmax's bracket, then the cap
+test; only the search splits the grid. The marginal's objective profiles
+(location, scale) by the EM of Liu & Rubin (Statistica Sinica 5, 1995), one
+row of an array per dof; a block's EMs run in lockstep, each row with the
+same arithmetic and stopping rule as the EM at its dof alone, so every fit
+is bitwise equal to fitting one dof at a time.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ _DOF_GRID_SIZE = 60
 # Near the maximum, a step of 3e-7 in log dof moves either objective by about
 # 1e-12, the size of its rounding noise, so a finer search only chases noise
 _LOG_DOF_XATOL = 3e-7
-_BLOCK_ELEMENTS = 1 << 15  # a block of lockstep rows stays in cache
+_BLOCK_ELEMENTS = 1 << 15  # array elements per block of the dof grid, so a block stays in cache
 _CLIP = 1e-12  # the copula's CDF values are clipped into [_CLIP, 1 - _CLIP]
 _MAP_NODES = 4096  # nodes of the sampler's interpolated unit map
 _MAP_BLOCK = 1 << 14  # draws the unit map takes at a time
@@ -100,91 +100,85 @@ class QRFit:
 
 def _t_logliks(x: np.ndarray, locs: np.ndarray, scales: np.ndarray, dofs: np.ndarray):
     """Student-t log-likelihoods of the sample ``x`` at each (location, scale,
-    dof) triple, evaluated in blocks of at most ``_BLOCK_ELEMENTS`` elements
-    (or one triple)."""
-    out = np.empty(dofs.size)
-    rows = max(1, _BLOCK_ELEMENTS // x.size)
-    for start in range(0, dofs.size, rows):
-        s = slice(start, start + rows)
-        const = np.array([
-            _t_log_norm(dof) - math.log(scale)
-            for dof, scale in zip(dofs[s].tolist(), scales[s].tolist())
-        ])
-        z = (x - locs[s, None]) / scales[s, None]
-        tails = np.log1p(z * z / dofs[s, None]).sum(axis=1)
-        out[s] = x.size * const - (dofs[s] + 1.0) / 2.0 * tails
-    return out
+    dof) triple."""
+    const = np.array([
+        _t_log_norm(dof) - math.log(scale) for dof, scale in zip(dofs.tolist(), scales.tolist())
+    ])
+    z = (x - locs[:, None]) / scales[:, None]
+    tails = np.log1p(z * z / dofs[:, None]).sum(axis=1)
+    return x.size * const - (dofs + 1.0) / 2.0 * tails
 
 
 def _fit_location_scale_rows(x: np.ndarray, dofs: np.ndarray, loc0: float, scale0: float):
     """EM fixed point for (location, scale) at each fixed dof of ``dofs``
     (Liu & Rubin, 1995), run in lockstep.
 
-    Row i of a block holds the EM at ``dofs[i]``, and each row's sums reduce
-    one C-contiguous row. A row leaves the block at the first iterate whose
+    Row i holds the EM at ``dofs[i]``, and each row's sums reduce one
+    C-contiguous row. A row leaves the array at the first iterate whose
     location and scale both move by less than 1e-10 relative, or after 500
-    steps. A block holds at most ``_BLOCK_ELEMENTS`` elements (or one row),
-    so at n = 500 the 60 grid dofs form one block, while a large sample runs
-    a row at a time. Returns the locations and scales; each row's are
-    bitwise equal to those of the EM at its dof alone.
+    steps. Every dof given is one row; ``_search_dof`` sizes the blocks.
+    Returns the locations and scales; each row's are bitwise equal to those
+    of the EM at its dof alone.
     """
     n = x.size
     locs = np.empty(dofs.size)
     scales = np.empty(dofs.size)
-    rows = max(1, _BLOCK_ELEMENTS // n)
-    for start in range(0, dofs.size, rows):
-        idx = np.arange(start, min(start + rows, dofs.size))
-        dof = dofs[idx, None]
-        loc = np.full((idx.size, 1), loc0)
-        scale = np.full((idx.size, 1), scale0)
-        r = np.subtract(x, loc)
-        z = np.empty_like(r)
-        w = np.empty_like(r)
-        for _ in range(500):
-            k = idx.size
-            rk, zk, wk = r[:k], z[:k], w[:k]
-            np.divide(rk, scale, out=zk)
-            np.multiply(zk, zk, out=zk)
-            np.add(zk, dof, out=zk)
-            np.divide(dof + 1.0, zk, out=wk)
-            np.multiply(wk, x, out=zk)
-            loc_new = zk.sum(axis=1, keepdims=True) / wk.sum(axis=1, keepdims=True)
-            np.subtract(x, loc_new, out=rk)
-            np.multiply(rk, rk, out=zk)
-            np.multiply(wk, zk, out=zk)
-            scale_new = np.sqrt(zk.sum(axis=1, keepdims=True) / n)
-            done = (np.abs(loc_new - loc) < 1e-10 * np.maximum(1.0, np.abs(loc))) & (
-                np.abs(scale_new - scale) < 1e-10 * scale
-            )
-            loc, scale = loc_new, scale_new
-            if done.any():
-                hit = done[:, 0]
-                locs[idx[hit]] = loc[hit, 0]
-                scales[idx[hit]] = scale[hit, 0]
-                keep = ~hit
-                idx, dof, loc, scale = idx[keep], dof[keep], loc[keep], scale[keep]
-                if not idx.size:
-                    break
-                r[:idx.size] = rk[keep]
-        else:
-            locs[idx] = loc[:, 0]
-            scales[idx] = scale[:, 0]
+    idx = np.arange(dofs.size)
+    dof = dofs[:, None]
+    loc = np.full((dofs.size, 1), loc0)
+    scale = np.full((dofs.size, 1), scale0)
+    r = np.subtract(x, loc)
+    z = np.empty_like(r)
+    w = np.empty_like(r)
+    for _ in range(500):
+        k = idx.size
+        rk, zk, wk = r[:k], z[:k], w[:k]
+        np.divide(rk, scale, out=zk)
+        np.multiply(zk, zk, out=zk)
+        np.add(zk, dof, out=zk)
+        np.divide(dof + 1.0, zk, out=wk)
+        np.multiply(wk, x, out=zk)
+        loc_new = zk.sum(axis=1, keepdims=True) / wk.sum(axis=1, keepdims=True)
+        np.subtract(x, loc_new, out=rk)
+        np.multiply(rk, rk, out=zk)
+        np.multiply(wk, zk, out=zk)
+        scale_new = np.sqrt(zk.sum(axis=1, keepdims=True) / n)
+        done = (np.abs(loc_new - loc) < 1e-10 * np.maximum(1.0, np.abs(loc))) & (
+            np.abs(scale_new - scale) < 1e-10 * scale
+        )
+        loc, scale = loc_new, scale_new
+        if done.any():
+            hit = done[:, 0]
+            locs[idx[hit]] = loc[hit, 0]
+            scales[idx[hit]] = scale[hit, 0]
+            keep = ~hit
+            idx, dof, loc, scale = idx[keep], dof[keep], loc[keep], scale[keep]
+            if not idx.size:
+                break
+            r[:idx.size] = rk[keep]
+    else:
+        locs[idx] = loc[:, 0]
+        scales[idx] = scale[:, 0]
     return locs, scales
 
 
-def _search_dof(values_at) -> float:
+def _search_dof(values_at, width: int) -> float:
     """Maximize a profile objective over dof in [DOF_MIN, DOF_MAX].
 
-    ``values_at`` maps an array of dofs to the objective at each. It is
-    called once on a 60-point log grid, then on one dof at a time by Brent's
-    bounded search (Brent, *Algorithms for Minimization without
-    Derivatives*, 1973, ch. 5) in log dof on the argmax's bracket. The cap
-    wins when the objective there is at least that at Brent's dof.
+    ``values_at`` maps an array of dofs to the objective at each, with arrays
+    of ``width`` elements per dof. It is called on a 60-point log grid, in
+    blocks of ``max(1, _BLOCK_ELEMENTS // width)`` dofs (at n = 500 the whole
+    grid is one block, while a large sample takes a dof at a time), then on
+    one dof at a time by Brent's bounded search (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 5) in log dof on the
+    argmax's bracket. The cap wins when the objective there is at least that
+    at Brent's dof.
     """
     from scipy.optimize import minimize_scalar
 
     grid = np.geomspace(DOF_MIN, DOF_MAX, _DOF_GRID_SIZE)
-    values = values_at(grid)
+    rows = max(1, _BLOCK_ELEMENTS // width)
+    values = np.concatenate([values_at(grid[i:i + rows]) for i in range(0, grid.size, rows)])
     k = int(np.argmax(values))
     res = minimize_scalar(
         lambda u: -values_at(np.array([math.exp(u)]))[0],
@@ -224,7 +218,7 @@ def fit_t_marginal(samples) -> TMarginal:
         locs, scales = _fit_location_scale_rows(x, dofs, loc0, scale0)
         return _t_logliks(x, locs, scales, dofs)
 
-    dof = _search_dof(profile)
+    dof = _search_dof(profile, x.size)
     locs, scales = _fit_location_scale_rows(x, np.array([dof]), loc0, scale0)
     return TMarginal(location=float(locs[0]), scale=float(scales[0]), dof=dof)
 
@@ -238,35 +232,28 @@ def _t_copula_logliks(
 ) -> np.ndarray:
     """Log pseudo-likelihood of a bivariate t copula at each dof of ``dofs``.
 
-    The points are ``levels[iu]`` and ``levels[iv]``, all inside (0, 1); each
-    dof takes one ``stdtrit`` call over the distinct levels, and the dofs are
-    evaluated in blocks of at most ``_BLOCK_ELEMENTS`` elements (or one row).
+    The points are ``levels[iu]`` and ``levels[iv]``, all inside (0, 1); one
+    ``stdtrit`` call takes the t quantiles of the distinct levels at every
+    dof given, and ``_search_dof`` sizes the blocks.
     """
     det = 1.0 - rho * rho
-    out = np.empty(dofs.size)
-    rows = max(1, _BLOCK_ELEMENTS // max(levels.size, iu.size))
-    for start in range(0, dofs.size, rows):
-        block = dofs[start:start + rows]
-        t = np.empty((block.size, levels.size))
-        for i, dof in enumerate(block.tolist()):
-            stdtrit(dof, levels, out=t[i])
-        tx, ty = t[:, iu], t[:, iv]
-        const = np.array([
-            gammaln((dof + 2.0) / 2.0)
-            + gammaln(dof / 2.0)
-            - 2.0 * gammaln((dof + 1.0) / 2.0)
-            - 0.5 * math.log(det)
-            for dof in block.tolist()
-        ])
-        d = block[:, None]
-        quad = (tx * tx - 2.0 * rho * tx * ty + ty * ty) / det
-        log_joint = (
-            const[:, None]
-            - (d + 2.0) / 2.0 * np.log1p(quad / d)
-            + (d + 1.0) / 2.0 * (np.log1p(tx * tx / d) + np.log1p(ty * ty / d))
-        )
-        out[start:start + rows] = log_joint.sum(axis=1)
-    return out
+    d = dofs[:, None]
+    t = stdtrit(d, levels)
+    tx, ty = t[:, iu], t[:, iv]
+    const = np.array([
+        gammaln((dof + 2.0) / 2.0)
+        + gammaln(dof / 2.0)
+        - 2.0 * gammaln((dof + 1.0) / 2.0)
+        - 0.5 * math.log(det)
+        for dof in dofs.tolist()
+    ])
+    quad = (tx * tx - 2.0 * rho * tx * ty + ty * ty) / det
+    log_joint = (
+        const[:, None]
+        - (d + 2.0) / 2.0 * np.log1p(quad / d)
+        + (d + 1.0) / 2.0 * (np.log1p(tx * tx / d) + np.log1p(ty * ty / d))
+    )
+    return log_joint.sum(axis=1)
 
 
 def fit_t_copula(u, v) -> TCopulaParams:
@@ -300,7 +287,8 @@ def fit_t_copula(u, v) -> TCopulaParams:
     # needs the t quantile of the distinct values only
     levels, inverse = np.unique(np.concatenate([u, v]), return_inverse=True)
     iu, iv = inverse[:u.size], inverse[u.size:]
-    dof = _search_dof(lambda dofs: _t_copula_logliks(levels, iu, iv, rho, dofs))
+    dof = _search_dof(lambda dofs: _t_copula_logliks(levels, iu, iv, rho, dofs),
+                      max(levels.size, iu.size))
     return TCopulaParams(rho=rho, dof=dof)
 
 

@@ -110,6 +110,9 @@ class ScenarioPanel:
 
     def __post_init__(self, _fresh):
         x, y, p = (_freeze(np.atleast_1d(a), _fresh) for a in (self.x, self.y, self.prior))
+        for what, arr in (("x", x), ("y", y), ("prior", p)):
+            if arr.ndim != 1:
+                raise ValueError(f"{what} must be one-dimensional, got shape {arr.shape}")
         if not (x.size == y.size == p.size):
             raise ValueError(
                 f"length mismatch: x has {x.size}, y has {y.size}, prior has {p.size}"
@@ -187,7 +190,8 @@ def build_panel(x, y, prior=None, unit: str = "fraction") -> ScenarioPanel:
 
 
 def _cumulative(values, probs, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Checked quantile inputs: the distinct values and the mass up to and incl. each."""
+    """Checked quantile inputs: the distinct values and the mass up to and incl.
+    each. The weights must sum to one within ``PROB_SUM_TOL``."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     s = values if isinstance(values, SortedLosses) else SortedLosses(values)
@@ -196,7 +200,11 @@ def _cumulative(values, probs, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"length mismatch: values has {s.values.size}, probs has {p.size}")
     order, last, uniq = s.groups
     cum = p[order]
-    return uniq, np.cumsum(cum, out=cum)[last]
+    np.cumsum(cum, out=cum)
+    total = float(cum[-1]) if cum.size else 0.0
+    if not abs(total - 1.0) <= PROB_SUM_TOL:  # a NaN total is refused too
+        raise ValueError(f"weights sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
+    return uniq, cum[last]
 
 
 def weighted_quantile(values, probs, alpha: float) -> float:

@@ -108,7 +108,9 @@ KINDS = {
 
 @dataclass(frozen=True)
 class ViewSpec:
-    """One expert view. Parameter fields its kind does not read stay ``None``."""
+    """One expert view. Parameter fields its kind does not read stay ``None``;
+    the confidence and each scalar parameter are checked real numbers, stored
+    as ``float``."""
 
     kind: str
     relation: Relation = "eq"
@@ -143,6 +145,7 @@ class ViewSpec:
                     _check_real(f"{name} entry", v, allow_inf=name == "bin_edges")
             elif value is not None:
                 _check_real(name, value)
+                object.__setattr__(self, name, float(value))
         if not 0.0 < self.confidence <= 1.0:
             raise ValueError(f"confidence must lie in (0, 1], got {self.confidence}")
         if kind.one_sided is None and self.relation != "eq":
@@ -197,42 +200,34 @@ def _check_real(name: str, value, allow_inf: bool = False) -> None:
 # -- catalog factories --------------------------------------------------------
 
 def expectation_view(mean, relation="eq", target="x", confidence=1.0) -> ViewSpec:
-    return ViewSpec("expectation", relation, target, confidence, mean=float(mean))
+    return ViewSpec("expectation", relation, target, confidence, mean=mean)
 
 
 def variance_view(variance, relation="eq", target="x", confidence=1.0) -> ViewSpec:
-    return ViewSpec("variance", relation, target, confidence, variance=float(variance))
+    return ViewSpec("variance", relation, target, confidence, variance=variance)
 
 
 def mean_variance_view(mean, variance, target="x", confidence=1.0) -> ViewSpec:
-    return ViewSpec(
-        "mean_and_variance", "eq", target, confidence,
-        mean=float(mean), variance=float(variance),
-    )
+    return ViewSpec("mean_and_variance", "eq", target, confidence, mean=mean, variance=variance)
 
 
 def quantile_view(quantile, level=0.95, relation="eq", target="x", confidence=1.0) -> ViewSpec:
     return ViewSpec(
-        "quantile", relation, target, confidence,
-        quantile=float(quantile), quantile_level=float(level),
+        "quantile", relation, target, confidence, quantile=quantile, quantile_level=level
     )
 
 
 def value_view(value, relation="eq", target="x", confidence=1.0, band=None) -> ViewSpec:
-    return ViewSpec(
-        "value", relation, target, confidence,
-        value=float(value), value_band=None if band is None else float(band),
-    )
+    return ViewSpec("value", relation, target, confidence, value=value, value_band=band)
 
 
 def correlation_view(correlation, relation="eq", confidence=1.0) -> ViewSpec:
-    return ViewSpec("correlation", relation, "x", confidence, correlation=float(correlation))
+    return ViewSpec("correlation", relation, "x", confidence, correlation=correlation)
 
 
 def relative_view(diff_mean, diff_variance, confidence=1.0) -> ViewSpec:
     return ViewSpec(
-        "relative", "eq", "x", confidence,
-        diff_mean=float(diff_mean), diff_variance=float(diff_variance),
+        "relative", "eq", "x", confidence, diff_mean=diff_mean, diff_variance=diff_variance
     )
 
 

@@ -137,6 +137,44 @@ class TestIngest:
             ingest_csv(io.StringIO(""))
 
 
+class TestNonFiniteLosses:
+    """``ingest_csv`` parses an ``inf`` cell; the pipeline refuses it at ingest,
+    naming the column and the value, before any prior is built."""
+
+    @pytest.fixture(scope="class")
+    def inf_csv(self, tmp_path_factory):
+        rng = np.random.default_rng(24)
+        x, y = rng.standard_normal(40).tolist(), rng.standard_normal(40).tolist()
+        x[5], y[12] = math.inf, -math.inf
+        path = tmp_path_factory.mktemp("data") / "inf.csv"
+        path.write_text("X,Y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x, y)))
+        return str(path)
+
+    # the X column is checked first, so swapping the columns names the other one
+    CASES = [("X", "Y", "non-finite loss inf in column 'X'"),
+             ("Y", "X", "non-finite loss -inf in column 'Y'")]
+
+    @pytest.mark.parametrize("mode", ["analytic", "analytic-from-fit", "scenario"])
+    @pytest.mark.parametrize("x, y, message", CASES)
+    def test_every_mode_refuses_at_ingest(self, inf_csv, mode, x, y, message):
+        config = RunConfig(data=inf_csv, x=x, y=y, mode=mode, scenarios=500)
+        with pytest.raises(DataError) as err:
+            run_pipeline(config)
+        assert str(err.value) == f"ingest: {message}"
+
+    @pytest.mark.parametrize("mode, extra", [
+        ("analytic", []), ("analytic-from-fit", []), ("scenario", []),
+        ("analytic", ["--scan", "expectation:0:1:3"]),
+        ("analytic-from-fit", ["--scan", "expectation:0:1:3"]),
+    ], ids=["analytic", "analytic-from-fit", "scenario", "analytic-scan", "fit-scan"])
+    def test_cli_exits_3(self, inf_csv, capsys, mode, extra):
+        rc = cli.main(["--data", inf_csv, "--x", "X", "--y", "Y", "--mode", mode, *extra])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "data error: ingest: non-finite loss inf in column 'X'\n"
+
+
 class TestAnalyticPipeline:
     def test_no_view_row_collapses(self, losses_csv):
         config = RunConfig(data=losses_csv, x="SVB", y="NBI", views=(no_view(),))
@@ -289,15 +327,13 @@ class TestScenarioPipeline:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(engine, name, counted)
-        series = ingest_csv(losses_csv, ["SVB", "NBI"]).series
-        x, y = series["SVB"], series["NBI"]
-        engine.fitted_prior(x, y)
+        engine._prior(RunConfig(data=losses_csv, x="SVB", y="NBI", mode="analytic-from-fit"))
         fit_calls = ["fit_t_marginal"] * 2 + ["pseudo_observations"] * 2 + ["fit_t_copula"]
         assert sorted(calls) == sorted(fit_calls)
         calls.clear()
         config = RunConfig(data=losses_csv, x="SVB", y="NBI", mode="scenario",
                            scenarios=500, seed=9)
-        engine.scenario_prior(config, x, y)
+        engine._prior(config)
         assert sorted(calls) == sorted(fit_calls + ["generate_scenarios"])
 
     @pytest.mark.parametrize(

@@ -59,6 +59,16 @@ class TestBuildPanel:
         with pytest.raises(ValueError, match="non-finite weight at index 1"):
             Probabilities(np.array([0.5, bad, 0.5]))
 
+    @pytest.mark.parametrize("what", ["x", "y", "prior"])
+    def test_rejects_arrays_that_are_not_one_dimensional(self, what):
+        arrays = dict(x=np.arange(100.0), y=np.arange(100.0), prior=np.full(100, 0.01))
+        arrays[what] = arrays[what].reshape(10, 10)
+        message = f"^{what} must be one-dimensional, got shape \\(10, 10\\)$"
+        with pytest.raises(ValueError, match=message):
+            ScenarioPanel(**arrays)
+        with pytest.raises(ValueError, match=message):
+            build_panel(**arrays)
+
     def test_needs_two_scenarios(self):
         with pytest.raises(ValueError, match="at least two"):
             build_panel([1], [1])
@@ -180,6 +190,17 @@ class TestWeightedQuantile:
         probs /= probs.sum()
         results = [weighted_quantile(values, probs, a) for a in sorted(alphas)]
         assert all(a <= b for a, b in zip(results, results[1:]))
+
+    @pytest.mark.parametrize("quantile", [weighted_quantile, interpolated_quantile])
+    def test_rejects_weights_that_do_not_sum_to_one(self, quantile):
+        # the median of the normalised weights is 2; unnormalised they read 1
+        with pytest.raises(ValueError, match=r"^weights sum to 3\.0, expected 1 within 1e-10$"):
+            quantile([1, 2, 3], [1, 1, 1], 0.5)
+        with pytest.raises(ValueError, match=r"^weights sum to 0\.0, expected 1 within"):
+            quantile([], [], 0.5)
+        with pytest.raises(ValueError, match=r"^weights sum to nan, expected 1 within"):
+            quantile([1, 2], [0.5, np.nan], 0.5)
+        assert quantile([1, 2, 3], [1 / 3, 1 / 3, 1 / 3], 0.5) == 2.0
 
     def test_accepts_probabilities_wrapper(self):
         p = Probabilities(np.array([0.5, 0.5]))

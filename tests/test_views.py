@@ -124,6 +124,30 @@ class TestViewSpecValidation:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ViewSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: expectation_view(True), "mean must be a real number, got True"),
+            (lambda: value_view("0.5"), "value must be a real number, got '0.5'"),
+            (lambda: quantile_view(1.0, level="0.9"),
+             "quantile_level must be a real number, got '0.9'"),
+            (lambda: correlation_view(False), "correlation must be a real number, got False"),
+            (lambda: value_view(1.0, band=True), "value_band must be a real number, got True"),
+        ],
+        ids=["expectation-bool", "value-str", "quantile-level-str", "correlation-bool",
+             "band-bool"],
+    )
+    def test_factories_check_their_scalars(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+    def test_checked_scalars_are_stored_as_float(self):
+        view = ViewSpec("expectation", mean=1, confidence=1)
+        assert type(view.mean) is float and view.mean == 1.0
+        assert type(view.confidence) is float
+        level = quantile_view(np.float64(0.5), level=np.float32(0.5)).quantile_level
+        assert type(level) is float and level == 0.5
+
     def test_parameters_the_kind_reads_are_accepted(self):
         assert value_view(0.1, band=0.01).value_band == 0.01
         assert quantile_view(0.1, 0.9, target="y").quantile_level == 0.9
