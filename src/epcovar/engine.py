@@ -47,7 +47,7 @@ from .errors import ConfigError, DataError, EpcovarError
 from .estimation import fit_t_copula, fit_t_marginal, generate_scenarios, pseudo_observations
 # bvn_cdf is unused here, but bench/tracing.py rebinds engine.bvn_cdf by name
 from .normal import bvn_cdf  # noqa: F401
-from .scenario import ScenarioPanel, _on_two_threads, interpolated_quantile
+from .scenario import PROB_SUM_TOL, ScenarioPanel, _on_two_threads, interpolated_quantile
 from .solver import SolveReport, max_violation, pool, relative_entropy, solve
 from .views import KINDS, ViewSpec, compile_view, describe, no_view, view_from_dict
 
@@ -413,7 +413,7 @@ def _pooling_confidences(config: RunConfig) -> np.ndarray | None:
             "mixing full-confidence and partial-confidence views is ambiguous; "
             "use confidences summing to 1 for a pooled run"
         )
-    if abs(float(c.sum()) - 1.0) > 1e-10:
+    if abs(float(c.sum()) - 1.0) > PROB_SUM_TOL:
         raise ConfigError(f"view confidences sum to {float(c.sum())!r}, expected 1")
     return c
 

@@ -5,7 +5,9 @@ Conventions used throughout the package:
 - Positive numbers are losses. A value of 0.05 in ``unit="fraction"`` means a
   5% loss; the unit label is metadata only and never rescales anything.
 - A panel stores J joint scenarios for the pair (X, Y) plus a strictly
-  positive prior probability vector summing to one.
+  positive prior summing to one within ``PANEL_PROB_TOL``. Every other
+  probability vector read (weights, bins, confidences) sums to one within
+  ``PROB_SUM_TOL``; ``_check_sum`` is the one check, and refuses NaN.
 - Reports read quantiles with ``interpolated_quantile``, the
   mid-distribution estimator: each atom sits at the midpoint of its
   probability mass and the cumulative curve is interpolated linearly between
@@ -66,6 +68,12 @@ def _check_weights(w: np.ndarray) -> None:
         raise ValueError(f"non-positive weight at index {int(np.argmax(w <= 0.0))}")
 
 
+def _check_sum(total: float, what: str = "weights", tol: float = PROB_SUM_TOL) -> None:
+    """Raise ValueError unless ``total`` lies within ``tol`` of one (NaN does not)."""
+    if not abs(total - 1.0) <= tol:
+        raise ValueError(f"{what} sum to {total!r}, expected 1 within {tol}")
+
+
 def as_weights(probs) -> np.ndarray:
     """Accept a ``Probabilities`` or any array-like and return a float array."""
     return np.asarray(getattr(probs, "weights", probs), dtype=float)
@@ -83,9 +91,7 @@ class Probabilities:
         if w.ndim != 1:
             raise ValueError("weights must be one-dimensional")
         _check_weights(w)
-        total = float(w.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"weights sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
+        _check_sum(float(w.sum()))
         object.__setattr__(self, "weights", w)
 
     def __len__(self) -> int:
@@ -124,9 +130,7 @@ class ScenarioPanel:
             if bad.any():
                 raise ValueError(f"non-finite loss in {what} at index {int(np.argmax(bad))}")
         _check_weights(p)
-        total = float(p.sum())
-        if abs(total - 1.0) > PANEL_PROB_TOL:
-            raise ValueError(f"prior sums to {total!r}, expected 1 within {PANEL_PROB_TOL}")
+        _check_sum(float(p.sum()), "prior weights", PANEL_PROB_TOL)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "prior", p)
@@ -165,7 +169,7 @@ class SortedLosses:
 
 
 def _uniform_prior(n: int) -> np.ndarray:
-    return np.full(n, 1.0 / n)
+    return np.full(n, 1.0 / max(n, 1))  # ScenarioPanel refuses an empty panel
 
 
 def build_panel(x, y, prior=None, unit: str = "fraction") -> ScenarioPanel:
@@ -176,14 +180,10 @@ def build_panel(x, y, prior=None, unit: str = "fraction") -> ScenarioPanel:
     """
     x = np.array(x, dtype=float)
     y = np.array(y, dtype=float)
-    if x.size != y.size:
-        raise ValueError(f"length mismatch: x has {x.size}, y has {y.size}")
     if prior is None:
         p = _uniform_prior(x.size)
     else:
         p = np.asarray(prior, dtype=float)
-        if p.size != x.size:
-            raise ValueError(f"length mismatch: prior has {p.size}, losses have {x.size}")
         _check_weights(p)  # before normalizing: all-negative weights would pass after it
         p = p / p.sum()
     return ScenarioPanel(x=x, y=y, prior=p, unit=unit, _fresh=True)
@@ -201,9 +201,7 @@ def _cumulative(values, probs, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     order, last, uniq = s.groups
     cum = p[order]
     np.cumsum(cum, out=cum)
-    total = float(cum[-1]) if cum.size else 0.0
-    if not abs(total - 1.0) <= PROB_SUM_TOL:  # a NaN total is refused too
-        raise ValueError(f"weights sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
+    _check_sum(float(cum[-1]) if cum.size else 0.0)
     return uniq, cum[last]
 
 
@@ -239,11 +237,12 @@ def interpolated_quantile(values, probs, alpha: float) -> float:
 
 
 def moments(values, probs) -> tuple[float, float]:
-    """Probability-weighted mean and population variance."""
+    """Probability-weighted mean and population variance; the weights sum to one."""
     v = np.asarray(values, dtype=float)
     p = as_weights(probs)
     if v.size != p.size:
         raise ValueError(f"length mismatch: values has {v.size}, probs has {p.size}")
+    _check_sum(float(p.sum()))
     mean = float(np.einsum("j,j->", p, v))
     dev = v - mean
     var = float(np.einsum("j,j,j->", p, dev, dev))

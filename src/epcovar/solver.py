@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateError, InfeasibleError
-from .scenario import Probabilities, ScenarioPanel, as_weights
+from .scenario import Probabilities, ScenarioPanel, _check_sum, as_weights
 from .views import TOL, LinearConstraintSet
 
 _LOG_FLOOR = math.log(1e-300)
@@ -76,13 +76,15 @@ class SolveReport:
 
 
 def relative_entropy(post, prior) -> float:
-    """KL divergence sum q ln(q/p) in nats between discrete distributions."""
+    """KL divergence sum q ln(q/p) in nats between two probability vectors."""
     q = as_weights(post)
     p = as_weights(prior)
     if q.size != p.size:
         raise ValueError(f"length mismatch: post has {q.size}, prior has {p.size}")
     if np.any(q <= 0.0) or np.any(p <= 0.0):
         raise ValueError("relative entropy needs strictly positive weights")
+    _check_sum(float(q.sum()), "posterior weights")
+    _check_sum(float(p.sum()), "prior weights")
     log_ratio = np.log(q)
     return float(np.einsum("j,j->", q, np.subtract(log_ratio, np.log(p), out=log_ratio)))
 
@@ -200,7 +202,7 @@ def solve(panel: ScenarioPanel, constraints: LinearConstraintSet) -> SolveReport
         exhausted = iterations >= MAX_ITER or steps < length  # short: floor, stuck or no rows
         if bounds.size and (exhausted or violation > 0.5 * previous):  # or stalled
             if certificate is None:
-                certificate = _phase_one_certificate(constraints)
+                certificate = _phase_one_certificate(constraints, rows, bounds, sign)
             if certificate > TOL:
                 raise InfeasibleError(
                     f"constraints unattainable: no posterior on the panel gets the "
@@ -246,7 +248,7 @@ def _check_floor(lp: np.ndarray) -> None:
         )
 
 
-def _phase_one_certificate(constraints: LinearConstraintSet) -> float:
+def _phase_one_certificate(constraints: LinearConstraintSet, rows, bounds, sign) -> float:
     """Smallest max violation any posterior on the panel can reach.
 
     Solves the phase-I linear program
@@ -254,18 +256,17 @@ def _phase_one_certificate(constraints: LinearConstraintSet) -> float:
         minimize t  subject to  G_k q - t <= upper_k,  lower_k - G_k q <= t,
                                 sum q = 1,  q >= 0,  t >= 0
 
-    over the rows k of :func:`dual_rows`, the rows Newton reads (an upper
-    side where ``sign >= 0``, a lower side where ``sign <= 0``), by column
-    generation: the program is solved on a restricted scenario set, starting
-    from the argmax and argmin scenario of each row, and the scenarios with
-    the most negative reduced cost are added until none is left. The
-    restricted programs stay small, so the full J-column program is never
-    built. Returns the max violation of the resulting weights, normalized,
-    on the full constraint set.
+    over the ``rows``, ``bounds`` and ``sign`` that :func:`dual_rows` gave
+    ``solve``, the rows Newton reads (an upper side where ``sign >= 0``, a
+    lower side where ``sign <= 0``), by column generation: the program is
+    solved on a restricted scenario set, starting from the argmax and argmin
+    scenario of each row, and the scenarios with the most negative reduced
+    cost are added until none is left. The restricted programs stay small,
+    so the full J-column program is never built. Returns the max violation
+    of the resulting weights, normalized, on the full constraint set.
     """
     from scipy.optimize import linprog
 
-    rows, bounds, sign, _ = dual_rows(constraints)
     up, dn = sign >= 0, sign <= 0
     b_ub = np.concatenate([bounds[up], -bounds[dn]])
     support = np.unique(np.concatenate([rows.argmax(axis=1), rows.argmin(axis=1)]))
@@ -305,10 +306,10 @@ def _phase_one_certificate(constraints: LinearConstraintSet) -> float:
 def pool(posteriors, confidences) -> Probabilities:
     """Confidence-weighted mixture of per-view posteriors.
 
-    ``confidences`` must sum to one (within 1e-10); each must lie in (0, 1),
-    except that a single confidence of exactly 1 is accepted. The mixture is a
-    pointwise convex combination, so it sums to one but need not satisfy any
-    individual view exactly. To leave residual weight on the prior, pass the
+    ``confidences`` must sum to one within ``PROB_SUM_TOL``; each must lie in
+    (0, 1), except that a single confidence of exactly 1 is accepted. The
+    mixture is a pointwise convex combination, so it sums to one but need not
+    satisfy any individual view exactly. To leave residual weight on the prior, pass the
     prior itself as one of the elements with the leftover confidence.
     """
     ps = [as_weights(p) for p in posteriors]
@@ -326,9 +327,7 @@ def pool(posteriors, confidences) -> Probabilities:
         raise ValueError("confidences must lie in (0, 1]")
     if np.any(c == 1.0) and c.size > 1:
         raise ValueError("a confidence of exactly 1 is only valid for a single view")
-    total = float(c.sum())
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"confidences sum to {total!r}, expected 1")
+    _check_sum(float(c.sum()), "confidences")
     mixed = np.zeros(ps[0].size)
     for weight, p in zip(c, ps):
         mixed += weight * p

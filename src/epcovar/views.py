@@ -62,11 +62,10 @@ from typing import Callable, Literal, NamedTuple
 import numpy as np
 
 from .errors import DataError, InfeasibleError
-from .scenario import ScenarioPanel, _freeze, moments
+from .scenario import ScenarioPanel, _check_sum, _freeze, moments
 
 Relation = Literal["eq", "le", "ge"]
 
-BIN_PROB_TOL = 1e-10
 VALUE_BAND_FRACTION = 0.05  # default half-width of a value-equality band, in prior stds
 
 _REL_SYMBOL = {"eq": "=", "le": "<=", "ge": ">="}
@@ -110,7 +109,7 @@ KINDS = {
 class ViewSpec:
     """One expert view. Parameter fields its kind does not read stay ``None``;
     the confidence and each scalar parameter are checked real numbers, stored
-    as ``float``."""
+    as ``float``, and the bins as tuples of ``float``."""
 
     kind: str
     relation: Relation = "eq"
@@ -141,11 +140,11 @@ class ViewSpec:
             if name in ("bin_edges", "bin_probs") and value is not None:
                 if not isinstance(value, (list, tuple, np.ndarray)):
                     raise ValueError(f"{name} must be a list of numbers")
-                for v in value:
-                    _check_real(f"{name} entry", v, allow_inf=name == "bin_edges")
+                allow_inf = name == "bin_edges"
+                value = tuple(_check_real(f"{name} entry", v, allow_inf) for v in value)
             elif value is not None:
-                _check_real(name, value)
-                object.__setattr__(self, name, float(value))
+                value = _check_real(name, value)
+            object.__setattr__(self, name, value)
         if not 0.0 < self.confidence <= 1.0:
             raise ValueError(f"confidence must lie in (0, 1], got {self.confidence}")
         if kind.one_sided is None and self.relation != "eq":
@@ -167,8 +166,7 @@ class ViewSpec:
         if self.correlation is not None and abs(self.correlation) > 1.0:
             raise ValueError(f"correlation must lie in [-1, 1], got {self.correlation}")
         if self.kind == "distribution":
-            edges = tuple(float(e) for e in self.bin_edges)
-            probs = tuple(float(p) for p in self.bin_probs)
+            edges, probs = self.bin_edges, self.bin_probs
             if len(edges) != len(probs) + 1:
                 raise ValueError(f"{len(probs)} bins need {len(probs) + 1} edges, got {len(edges)}")
             if len(probs) < 1:
@@ -177,24 +175,26 @@ class ViewSpec:
                 raise ValueError("bin edges must be strictly increasing")
             if any(p < 0.0 for p in probs):
                 raise ValueError("bin probabilities must be non-negative")
-            if abs(sum(probs) - 1.0) > BIN_PROB_TOL:
-                raise ValueError(f"bin probabilities sum to {sum(probs)!r}, expected 1")
-            object.__setattr__(self, "bin_edges", edges)
-            object.__setattr__(self, "bin_probs", probs)
+            _check_sum(sum(probs), "bin probabilities")
 
 
 _FIELDS = tuple(f.name for f in fields(ViewSpec))
 _PARAMETERS = _FIELDS[4:]  # every field after kind, relation, target and confidence
 
 
-def _check_real(name: str, value, allow_inf: bool = False) -> None:
-    """Raise ValueError unless ``value`` is a real number other than a bool,
-    and finite (or, with ``allow_inf``, not NaN)."""
+def _check_real(name: str, value, allow_inf: bool = False) -> float:
+    """``value`` as a float; raise ValueError unless it is a real number other
+    than a bool, in the float range, and finite (or, with ``allow_inf``, not NaN)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if math.isnan(value) or (math.isinf(value) and not allow_inf):
+    try:
+        out = float(value)
+    except OverflowError:  # an int or fraction beyond the float range
+        raise ValueError(f"{name} lies outside the float range") from None
+    if math.isnan(out) or (math.isinf(out) and not allow_inf):
         need = "must not be NaN" if allow_inf else "must be finite"
         raise ValueError(f"{name} {need}, got {value!r}")
+    return out
 
 
 # -- catalog factories --------------------------------------------------------
@@ -427,7 +427,7 @@ def compile_view(view: ViewSpec, panel: ScenarioPanel) -> LinearConstraintSet:
             rows.add(lo, hi, label, constant=None if 0 < n < loss.size else float(n > 0))
         if view.kind == "distribution" and sum(counts) == loss.size:
             # every scenario lies in a bin: the k non-empty bins hold mass 1 against their
-            # stated S and miss by (1 - S) / k at best (exact unless S > 1, by ViewSpec's 1e-10)
+            # stated S and miss by (1 - S) / k at best (exact unless S > 1, within PROB_SUM_TOL)
             held = [p for p, n in zip(view.bin_probs, counts) if n]
             rows.shared = (1.0 - math.fsum(held)) / len(held)
 

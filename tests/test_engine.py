@@ -1326,6 +1326,30 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith(f"config error: view #0: {message}")
 
+    @pytest.mark.parametrize("mode", ["analytic", "scenario"])
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (f'{{"kind": "expectation", "mean": 1{"0" * 400}}}',
+             "mean lies outside the float range"),
+            (f'{{"kind": "distribution", "bin_edges": [-1{"0" * 400}, 0, 1],'
+             ' "bin_probs": [0.5, 0.5]}',
+             "bin_edges entry lies outside the float range"),
+        ],
+        ids=["mean", "edge"],
+    )
+    def test_integer_beyond_the_float_range_exits_config(
+        self, losses_csv, tmp_path, capsys, mode, entry, message
+    ):
+        views = tmp_path / "views.json"
+        views.write_text(f'{{"views": [{entry}]}}')
+        rc = self._run(["--data", losses_csv, "--x", "SVB", "--y", "NBI", "--mode", mode,
+                        "--scenarios", "500", "--views", str(views)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: view #0: {message}\n"
+
     def test_infinite_bin_edges_are_accepted(self, losses_csv, tmp_path, capsys):
         views = tmp_path / "views.json"
         views.write_text('[{"kind": "distribution", "bin_edges": [-Infinity, 0.003, Infinity],'

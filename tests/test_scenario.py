@@ -44,6 +44,21 @@ class TestBuildPanel:
         with pytest.raises(ValueError, match="length mismatch"):
             build_panel([0, 1], [0, 1], prior=[1, 1, 1])
 
+    def test_panel_checks_the_shapes_build_panel_is_given(self):
+        with pytest.raises(ValueError, match=r"^length mismatch: x has 3, y has 2, prior has 3$"):
+            build_panel([0, 1, 2], [0, 1])
+        with pytest.raises(ValueError, match=r"^length mismatch: x has 2, y has 2, prior has 3$"):
+            build_panel([0, 1], [0, 1], prior=[1, 1, 1])
+        for prior in (None, []):  # the uniform prior of no scenarios divided by zero
+            with pytest.raises(ValueError, match="^a panel needs at least two scenarios$"):
+                build_panel([], [], prior=prior)
+
+    def test_prior_must_sum_to_one(self):
+        with pytest.raises(
+            ValueError, match=r"^prior weights sum to 1\.5, expected 1 within 1e-12$"
+        ):
+            ScenarioPanel([0.0, 1.0], [0.0, 1.0], [0.5, 1.0])
+
     def test_rejects_non_finite_loss_with_index(self):
         with pytest.raises(ValueError, match="non-finite loss in x at index 1"):
             build_panel([0, np.inf, 2], [0, 1, 2])
@@ -313,6 +328,15 @@ class TestMoments:
     def test_length_guard(self):
         with pytest.raises(ValueError, match="length mismatch"):
             moments([1, 2], [1.0])
+
+    def test_rejects_weights_that_do_not_sum_to_one(self):
+        # unnormalised weights used to give (6.0, 50.0) here, not (2, 2/3)
+        with pytest.raises(ValueError, match=r"^weights sum to 3\.0, expected 1 within 1e-10$"):
+            moments([1, 2, 3], [1, 1, 1])
+        with pytest.raises(ValueError, match=r"^weights sum to nan, expected 1 within"):
+            moments([1, 2], [0.5, np.nan])
+        mean, var = moments([1, 2, 3], Probabilities(np.full(3, 1 / 3)))
+        assert abs(mean - 2.0) < 1e-15 and abs(var - 2 / 3) < 1e-15
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)

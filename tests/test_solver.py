@@ -95,6 +95,17 @@ class TestRelativeEntropy:
         with pytest.raises(ValueError, match="positive"):
             relative_entropy([1.0, 0.0], [0.5, 0.5])
 
+    def test_rejects_vectors_that_do_not_sum_to_one(self):
+        # unnormalised vectors used to give a negative divergence here, -2 ln 2
+        with pytest.raises(
+            ValueError, match=r"^prior weights sum to 4\.0, expected 1 within 1e-10$"
+        ):
+            relative_entropy([0.5, 0.5], [2.0, 2.0])
+        with pytest.raises(
+            ValueError, match=r"^posterior weights sum to 4\.0, expected 1 within 1e-10$"
+        ):
+            relative_entropy([2.0, 2.0], [0.5, 0.5])
+
 
 class TestTwoPointTilt:
     def setup_method(self):
@@ -576,6 +587,11 @@ class TestPool:
     def test_confidence_sum_guard(self):
         a = Probabilities(np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="sum"):
+            pool([a, a], [0.5, 0.6])
+
+    def test_confidence_total_is_named_with_its_tolerance(self):
+        a = Probabilities(np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match=r"^confidences sum to 1\.1, expected 1 within 1e-10$"):
             pool([a, a], [0.5, 0.6])
 
     def test_full_confidence_only_alone(self):

@@ -141,6 +141,30 @@ class TestViewSpecValidation:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(kind="expectation", mean=10**400), "mean lies outside the float range"),
+            (dict(kind="expectation", mean=-(10**400)), "mean lies outside the float range"),
+            (dict(kind="distribution", bin_edges=(-(10**400), 0.0, 1.0), bin_probs=(0.5, 0.5)),
+             "bin_edges entry lies outside the float range"),
+        ],
+        ids=["mean-huge", "mean-huge-negative", "edge-huge"],
+    )
+    def test_integers_beyond_the_float_range_are_refused(self, kwargs, message):
+        # a huge int does not round to +-inf: float() raises OverflowError on it
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ViewSpec(**kwargs)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            view_from_dict(kwargs)
+
+    def test_bin_probabilities_name_their_total(self):
+        with pytest.raises(
+            ValueError, match=r"^bin probabilities sum to 1\.1, expected 1 within 1e-10$"
+        ):
+            distribution_view([0, 1, 2], [0.5, 0.6])
+        assert distribution_view([0, 1, 2], [0.5, 0.5 + 5e-11]).bin_probs[1] == 0.5 + 5e-11
+
     def test_checked_scalars_are_stored_as_float(self):
         view = ViewSpec("expectation", mean=1, confidence=1)
         assert type(view.mean) is float and view.mean == 1.0
