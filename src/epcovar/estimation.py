@@ -1,7 +1,7 @@
 """Prior estimation: heavy-tailed marginals, tail dependence, scenario panels.
 
 Builds the scenario prior from historical loss data: Student-t marginals
-fitted by profile maximum likelihood, a t copula calibrated by Kendall-tau
+fitted by maximum likelihood, a t copula calibrated by Kendall-tau
 inversion (``rho = sin(pi tau / 2)``) with its degrees of freedom chosen by a
 one-dimensional pseudo-likelihood search, and a seeded sampler that maps
 copula draws through the marginal quantile functions into a
@@ -14,16 +14,12 @@ Also hosts the traditional-CoVaR baseline, the quantile regression of Y on X,
 solved as a linear program whose basic solution is a line through two
 observations; the O(n^3) enumeration of every pair's line is the test oracle.
 
-Degrees of freedom are searched on [2.1, 100]; a fit at the cap is flagged
-"effectively normal". The dof floor keeps variances finite, which the
-moment-based views require. Both fits run one search (``_search_dof``): the
-objective on a 60-point log grid, in blocks that keep each call's arrays
-small, then Brent's bounded search on the argmax's bracket, then the cap
-test; only the search splits the grid. The marginal's objective profiles
-(location, scale) by the EM of Liu & Rubin (Statistica Sinica 5, 1995), one
-row of an array per dof; a block's EMs run in lockstep, each row with the
-same arithmetic and stopping rule as the EM at its dof alone, so every fit
-is bitwise equal to fitting one dof at a time.
+Degrees of freedom lie in [2.1, 100], where the floor keeps the variances
+that moment views need finite; a fit at the cap is "effectively normal". A
+marginal is fitted by projected Newton on its log-likelihood in (location,
+log scale, log dof), then refitted at the cap, which wins if its likelihood
+is as high. The copula's dof comes from ``_search_dof``: a 60-point log grid,
+then Brent's bounded search on the argmax's bracket, then the cap test.
 """
 
 from __future__ import annotations
@@ -32,18 +28,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, stdtr, stdtrit
+from scipy.special import digamma, gammaln, polygamma, stdtr, stdtrit
 
 from .scenario import ScenarioPanel, _uniform_prior
 
 DOF_MIN = 2.1
 DOF_MAX = 100.0
 _DOF_GRID_SIZE = 60
-# Near the maximum, a step of 3e-7 in log dof moves either objective by about
-# 1e-12, the size of its rounding noise, so a finer search only chases noise
+# Near the maximum, a step of 3e-7 in log dof moves the copula's objective by
+# about 1e-12, the size of its rounding noise, so a finer search only chases noise
 _LOG_DOF_XATOL = 3e-7
 _BLOCK_ELEMENTS = 1 << 15  # array elements per block of the dof grid, so a block stays in cache
 _CLIP = 1e-12  # the copula's CDF values are clipped into [_CLIP, 1 - _CLIP]
+_LOG_DOF_MIN, _LOG_DOF_MAX = math.log(DOF_MIN), math.log(DOF_MAX)
+_NEWTON_STEPS, _HALVINGS = 100, 30  # the most steps a marginal fit takes, and halvings a step
+_NEWTON_TOL = 1e-7  # a Newton step this small in every coordinate ends the search
+_MAX_STEP = 2.0  # the longest step in any coordinate, so a trial stays near its start
+_LOGLIK_SLACK = 1e-12  # the line search's rounding allowance, relative (the noise reads ~1e-14)
 _MAP_NODES = 4096  # nodes of the sampler's interpolated unit map
 _MAP_BLOCK = 1 << 14  # draws the unit map takes at a time
 
@@ -98,81 +99,15 @@ class QRFit:
     alpha: float
 
 
-def _t_logliks(x: np.ndarray, locs: np.ndarray, scales: np.ndarray, dofs: np.ndarray):
-    """Student-t log-likelihoods of the sample ``x`` at each (location, scale,
-    dof) triple."""
-    const = np.array([
-        _t_log_norm(dof) - math.log(scale) for dof, scale in zip(dofs.tolist(), scales.tolist())
-    ])
-    z = (x - locs[:, None]) / scales[:, None]
-    tails = np.log1p(z * z / dofs[:, None]).sum(axis=1)
-    return x.size * const - (dofs + 1.0) / 2.0 * tails
-
-
-def _fit_location_scale_rows(x: np.ndarray, dofs: np.ndarray, loc0: float, scale0: float):
-    """EM fixed point for (location, scale) at each fixed dof of ``dofs``
-    (Liu & Rubin, 1995), run in lockstep.
-
-    Row i holds the EM at ``dofs[i]``, and each row's sums reduce one
-    C-contiguous row. A row leaves the array at the first iterate whose
-    location and scale both move by less than 1e-10 relative, or after 500
-    steps. Every dof given is one row; ``_search_dof`` sizes the blocks.
-    Returns the locations and scales; each row's are bitwise equal to those
-    of the EM at its dof alone.
-    """
-    n = x.size
-    locs = np.empty(dofs.size)
-    scales = np.empty(dofs.size)
-    idx = np.arange(dofs.size)
-    dof = dofs[:, None]
-    loc = np.full((dofs.size, 1), loc0)
-    scale = np.full((dofs.size, 1), scale0)
-    r = np.subtract(x, loc)
-    z = np.empty_like(r)
-    w = np.empty_like(r)
-    for _ in range(500):
-        k = idx.size
-        rk, zk, wk = r[:k], z[:k], w[:k]
-        np.divide(rk, scale, out=zk)
-        np.multiply(zk, zk, out=zk)
-        np.add(zk, dof, out=zk)
-        np.divide(dof + 1.0, zk, out=wk)
-        np.multiply(wk, x, out=zk)
-        loc_new = zk.sum(axis=1, keepdims=True) / wk.sum(axis=1, keepdims=True)
-        np.subtract(x, loc_new, out=rk)
-        np.multiply(rk, rk, out=zk)
-        np.multiply(wk, zk, out=zk)
-        scale_new = np.sqrt(zk.sum(axis=1, keepdims=True) / n)
-        done = (np.abs(loc_new - loc) < 1e-10 * np.maximum(1.0, np.abs(loc))) & (
-            np.abs(scale_new - scale) < 1e-10 * scale
-        )
-        loc, scale = loc_new, scale_new
-        if done.any():
-            hit = done[:, 0]
-            locs[idx[hit]] = loc[hit, 0]
-            scales[idx[hit]] = scale[hit, 0]
-            keep = ~hit
-            idx, dof, loc, scale = idx[keep], dof[keep], loc[keep], scale[keep]
-            if not idx.size:
-                break
-            r[:idx.size] = rk[keep]
-    else:
-        locs[idx] = loc[:, 0]
-        scales[idx] = scale[:, 0]
-    return locs, scales
-
-
 def _search_dof(values_at, width: int) -> float:
-    """Maximize a profile objective over dof in [DOF_MIN, DOF_MAX].
+    """Maximize the copula's pseudo-likelihood over dof in [DOF_MIN, DOF_MAX].
 
     ``values_at`` maps an array of dofs to the objective at each, with arrays
     of ``width`` elements per dof. It is called on a 60-point log grid, in
-    blocks of ``max(1, _BLOCK_ELEMENTS // width)`` dofs (at n = 500 the whole
-    grid is one block, while a large sample takes a dof at a time), then on
-    one dof at a time by Brent's bounded search (Brent, *Algorithms for
-    Minimization without Derivatives*, 1973, ch. 5) in log dof on the
-    argmax's bracket. The cap wins when the objective there is at least that
-    at Brent's dof.
+    blocks of ``max(1, _BLOCK_ELEMENTS // width)`` dofs, then on one dof at a
+    time by Brent's bounded search (Brent, *Algorithms for Minimization
+    without Derivatives*, 1973, ch. 5) in log dof on the argmax's bracket.
+    The cap wins when the objective there is at least that at Brent's dof.
     """
     from scipy.optimize import minimize_scalar
 
@@ -191,14 +126,83 @@ def _search_dof(values_at, width: int) -> float:
     return min(math.exp(res.x), DOF_MAX)
 
 
-def fit_t_marginal(samples) -> TMarginal:
-    """Maximum-likelihood Student-t fit by profiling the likelihood over dof.
+def _t_terms(u: np.ndarray, theta: np.ndarray):
+    """The Student-t log-likelihood of ``u`` at theta = (location, log scale,
+    log dof), with its gradient and Hessian in theta."""
+    n, (loc, log_scale, log_dof) = u.size, theta.tolist()
+    scale, dof = math.exp(log_scale), math.exp(log_dof)
+    z = (u - loc) / scale
+    z2 = z * z
+    q = 1.0 / (dof + z2)
+    w = (dof + 1.0) * q
+    # each point's log density has derivatives -w z in z, d_zz in (z, z),
+    # d_zd z in (z, dof) and d_dd z^2 in (dof, dof); sums[i, j] sums row i times z^j
+    d_zz = (z2 - dof) * q * w
+    d_zd = (1.0 - z2) * q * q
+    d_dd = ((dof - 1.0) * z2 - 2.0 * dof) * q * q / (2.0 * dof * dof)
+    sums = np.array([w, d_zz, d_zd, d_dd]) @ np.array([np.ones(n), z, z2]).T
+    sum_log1p = float(np.log1p(z2 / dof).sum())
+    args = [(dof + 1.0) / 2.0, dof / 2.0]
+    psi, psi1 = digamma(args), polygamma(1, args)
+    loglik = n * (_t_log_norm(dof) - log_scale) - (dof + 1.0) / 2.0 * sum_log1p
+    g_dof = 0.5 * dof * (n * (psi[0] - psi[1] - 1.0 / dof) - sum_log1p + sums[0, 2] / dof)
+    h_ml = (sums[1, 1] - sums[0, 1]) / scale
+    h_md, h_ld = -dof * sums[2, 1] / scale, -dof * sums[2, 2]
+    h_dd = g_dof + dof * dof * (n * (0.25 * (psi1[0] - psi1[1]) + 0.5 / dof**2) + sums[3, 2])
+    grad = np.array([sums[0, 1] / scale, sums[0, 2] - n, g_dof])
+    hess = np.array([[sums[1, 0] / scale**2, h_ml, h_md],
+                     [h_ml, sums[1, 2] - sums[0, 2], h_ld],
+                     [h_md, h_ld, h_dd]])
+    return loglik, grad, hess
 
-    dof is searched on a log grid over [2.1, 100], whose 60 EM fits run in
-    lockstep, and refined by Brent's bounded search; (location, scale) are
-    re-optimized at every dof and refitted once at the chosen one. A
-    degenerate (zero-spread) sample is rejected. Estimates hitting the dof
-    cap are reported as effectively normal.
+
+def _newton_t(u: np.ndarray, theta: np.ndarray, free_dof: bool):
+    """Maximize the t log-likelihood of ``u`` by projected Newton from theta =
+    (location, log scale, log dof); returns theta and its log-likelihood. The
+    log dof stays in its bounds and moves only if ``free_dof`` and not on a
+    bound with the gradient at the current iterate pointing outward. A Newton
+    step that is no ascent direction gives way to the gradient over the
+    Hessian's diagonal; a step is cut to ``_MAX_STEP`` per coordinate, halved
+    until the likelihood rises by 1e-4 of the predicted gain (less
+    ``_LOGLIK_SLACK``), and ends the search when under ``_NEWTON_TOL``.
+    """
+    terms = _t_terms(u, theta)
+    for _ in range(_NEWTON_STEPS):
+        loglik, grad, hess = terms
+        k = 3 if free_dof and not ((theta[2] <= _LOG_DOF_MIN and grad[2] < 0.0)
+                                   or (theta[2] >= _LOG_DOF_MAX and grad[2] > 0.0)) else 2
+        g, h = grad[:k], hess[:k, :k]
+        try:
+            step = np.linalg.solve(h, -g)
+        except np.linalg.LinAlgError:
+            step = np.zeros(k)
+        if not g @ step > 0.0:
+            step = g / np.maximum(np.abs(np.diag(h)), 1e-12)
+        step *= _MAX_STEP / max(float(np.abs(step).max()), _MAX_STEP)
+        for halving in range(_HALVINGS):
+            new = theta.copy()
+            new[:k] += step * 0.5**halving
+            new[2] = min(max(new[2], _LOG_DOF_MIN), _LOG_DOF_MAX)
+            trial = _t_terms(u, new)
+            gain = float(g @ (new - theta)[:k])
+            if trial[0] >= loglik + 1e-4 * gain - _LOGLIK_SLACK * abs(loglik):
+                break
+        else:
+            break  # no step raises the likelihood above its rounding
+        theta, terms = new, trial
+        if float(np.abs(step).max()) <= _NEWTON_TOL:
+            break
+    return theta, terms[0]
+
+
+def fit_t_marginal(samples) -> TMarginal:
+    """Maximum-likelihood Student-t fit by projected Newton (``_newton_t``)
+    in units u = (x - median) / (1.4826 MAD), or over the mean absolute
+    deviation if the MAD is 0, from location 0, scale 1 and dof 5. The
+    (location, scale) refit at dof 100 wins if its likelihood is as high. A
+    zero-spread sample is rejected, and so is one where a value repeats more
+    than DOF_MIN / (DOF_MIN + 1) of the time: its likelihood grows without
+    bound as the scale shrinks to 0.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
@@ -210,21 +214,22 @@ def fit_t_marginal(samples) -> TMarginal:
     if float(np.ptp(x)) == 0.0:
         raise ValueError("degenerate sample: zero spread")
 
-    loc0 = float(np.median(x))
-    mad = float(np.median(np.abs(x - loc0)))
-    scale0 = mad * 1.4826 if mad > 0.0 else float(x.std())
-
-    def profile(dofs: np.ndarray) -> np.ndarray:
-        locs, scales = _fit_location_scale_rows(x, dofs, loc0, scale0)
-        return _t_logliks(x, locs, scales, dofs)
-
-    dof = _search_dof(profile, x.size)
-    locs, scales = _fit_location_scale_rows(x, np.array([dof]), loc0, scale0)
-    return TMarginal(location=float(locs[0]), scale=float(scales[0]), dof=dof)
-
-
-def _tie_fraction(a: np.ndarray) -> float:
-    return 1.0 - np.unique(a).size / a.size
+    center = float(np.median(x))
+    spread = np.abs(x - center)
+    mad = float(np.median(spread))
+    ties = int(np.count_nonzero(spread == 0.0)) if mad == 0.0 else 0  # a MAD of 0: over half tie
+    if ties * (DOF_MIN + 1.0) > x.size * DOF_MIN:
+        raise ValueError(f"unbounded t likelihood: the value {center!r} repeats {ties} times "
+                         f"in {x.size} samples, more than {DOF_MIN}/{DOF_MIN + 1.0} of them")
+    unit = mad * 1.4826 if mad > 0.0 else float(spread.mean())
+    u = (x - center) / unit
+    theta, loglik = _newton_t(u, np.array([0.0, 0.0, math.log(5.0)]), free_dof=True)
+    capped, capped_loglik = _newton_t(u, np.append(theta[:2], _LOG_DOF_MAX), free_dof=False)
+    if capped_loglik >= loglik:
+        theta = capped
+    loc, log_scale, log_dof = theta.tolist()
+    return TMarginal(location=center + unit * loc, scale=unit * math.exp(log_scale),
+                     dof=min(math.exp(log_dof), DOF_MAX))
 
 
 def _t_copula_logliks(
@@ -240,13 +245,8 @@ def _t_copula_logliks(
     d = dofs[:, None]
     t = stdtrit(d, levels)
     tx, ty = t[:, iu], t[:, iv]
-    const = np.array([
-        gammaln((dof + 2.0) / 2.0)
-        + gammaln(dof / 2.0)
-        - 2.0 * gammaln((dof + 1.0) / 2.0)
-        - 0.5 * math.log(det)
-        for dof in dofs.tolist()
-    ])
+    const = (gammaln((dofs + 2.0) / 2.0) + gammaln(dofs / 2.0)
+             - 2.0 * gammaln((dofs + 1.0) / 2.0) - 0.5 * math.log(det))
     quad = (tx * tx - 2.0 * rho * tx * ty + ty * ty) / det
     log_joint = (
         const[:, None]
@@ -276,7 +276,7 @@ def fit_t_copula(u, v) -> TCopulaParams:
         raise ValueError(f"need at least 30 observations, got {u.size}")
     if np.any((u <= 0.0) | (u >= 1.0)) or np.any((v <= 0.0) | (v >= 1.0)):
         raise ValueError("pseudo-observations must lie strictly inside (0, 1)")
-    if max(_tie_fraction(u), _tie_fraction(v)) > 0.5:
+    if max(1.0 - np.unique(a).size / a.size for a in (u, v)) > 0.5:
         raise ValueError("rank degeneracy: more than half the entries are tied")
     tau = float(kendalltau(u, v).statistic)
     rho = math.sin(math.pi * tau / 2.0)

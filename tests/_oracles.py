@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq, linprog, minimize_scalar
 from scipy.optimize import minimize as scipy_minimize
-from scipy.special import gammaln, ndtri, stdtr, stdtrit
+from scipy.special import digamma, gammaln, ndtri, stdtr, stdtrit
 from scipy.stats import kendalltau
 
 from epcovar.analytics import BivariateNormalParams
@@ -739,6 +739,23 @@ def per_dof_t_marginal(samples):
     dof = _per_dof_search(profile)
     loc, scale = loop_location_scale(x, dof, loc0, scale0)
     return TMarginal(location=loc, scale=scale, dof=dof)
+
+
+def t_marginal_loglik(x, fit):
+    """The Student-t log-likelihood of the sample ``x`` under ``fit``."""
+    return _t_loglik((x - fit.location) / fit.scale, fit.dof, fit.scale)
+
+
+def t_marginal_score(x, fit):
+    """The gradient of ``t_marginal_loglik`` in (location, log scale, log
+    dof), the location measured in units of the scale."""
+    n, dof = x.size, fit.dof
+    z = (x - fit.location) / fit.scale
+    w = (dof + 1.0) / (dof + z * z)
+    d_dof = 0.5 * n * (digamma((dof + 1.0) / 2.0) - digamma(dof / 2.0) - 1.0 / dof) + float(
+        (-0.5 * np.log1p(z * z / dof) + 0.5 * (dof + 1.0) * z * z / (dof * (dof + z * z))).sum()
+    )
+    return float((w * z).sum()), float((w * z * z).sum()) - n, dof * d_dof
 
 
 def _t_copula_loglik(tx, ty, rho, dof):

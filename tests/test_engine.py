@@ -175,6 +175,45 @@ class TestNonFiniteLosses:
         assert captured.err == "data error: ingest: non-finite loss inf in column 'X'\n"
 
 
+class TestUnboundedLikelihood:
+    """An X column that is 70% one value has no t fit: its likelihood grows
+    without bound as the scale shrinks to 0. Both fitted modes refuse it as
+    an estimation error; the analytic mode fits no t law and reports."""
+
+    MESSAGE = ("estimation: unbounded t likelihood: the value 0.0 repeats 350 times in "
+               "500 samples, more than 2.1/3.1 of them")
+
+    @pytest.fixture(scope="class")
+    def tied_csv(self, tmp_path_factory):
+        rng = np.random.default_rng(70)
+        x = 0.01 * rng.standard_t(5.0, 500)
+        x[rng.permutation(500)[:350]] = 0.0
+        y = 0.5 * x + 0.01 * rng.standard_t(5.0, 500)
+        path = tmp_path_factory.mktemp("data") / "tied.csv"
+        rows = zip(x.tolist(), y.tolist())
+        path.write_text("X,Y\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows))
+        return str(path)
+
+    @pytest.mark.parametrize("mode", ["analytic-from-fit", "scenario"])
+    def test_fitted_modes_refuse(self, tied_csv, mode):
+        config = RunConfig(data=tied_csv, x="X", y="Y", mode=mode, scenarios=500,
+                           views=(expectation_view(0.01),))
+        with pytest.raises(DataError) as err:
+            run_pipeline(config)
+        assert str(err.value) == self.MESSAGE
+
+    @pytest.mark.parametrize("mode", ["analytic-from-fit", "scenario"])
+    def test_cli_exits_3(self, tied_csv, capsys, mode):
+        rc = cli.main(["--data", tied_csv, "--x", "X", "--y", "Y", "--mode", mode])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"data error: {self.MESSAGE}\n"
+
+    def test_analytic_mode_reports(self, tied_csv, capsys):
+        assert cli.main(["--data", tied_csv, "--x", "X", "--y", "Y"]) == 0
+
+
 class TestAnalyticPipeline:
     def test_no_view_row_collapses(self, losses_csv):
         config = RunConfig(data=losses_csv, x="SVB", y="NBI", views=(no_view(),))

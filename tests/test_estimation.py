@@ -10,11 +10,12 @@ import pytest
 from _oracles import (
     copula_draws,
     exact_unit_map,
-    loop_location_scale,
     pair_candidate_minimum,
     per_dof_t_copula,
     per_dof_t_marginal,
     pinball_loss,
+    t_marginal_loglik,
+    t_marginal_score,
 )
 from scipy.special import stdtr, stdtrit
 from scipy.stats import kendalltau
@@ -25,7 +26,6 @@ from epcovar.estimation import (
     QRFit,
     TCopulaParams,
     TMarginal,
-    _fit_location_scale_rows,
     fit_t_copula,
     fit_t_marginal,
     generate_scenarios,
@@ -129,9 +129,10 @@ class TestFitTMarginal:
         with pytest.raises(ValueError, match="at least 30"):
             fit_t_marginal(np.arange(10.0))
 
-    def test_reuses_the_searched_location_scale_fit(self, tmp_path, monkeypatch):
-        # the fit equals one EM loop at the chosen dof, on the benchmark's
-        # datasets and on a sample whose fit hits the dof cap
+    def test_stationary_at_the_fit(self, tmp_path, monkeypatch):
+        # the score in (location, log scale) is about 0 at every fit, the dof
+        # score too at an interior dof, and it points outward at a capped
+        # fit; on the benchmark's datasets and a sample whose fit hits the cap
         monkeypatch.syspath_prepend(str(_BENCH))
         workloads = importlib.import_module("workloads")
         samples = [np.random.default_rng(99).standard_normal(2_000)]
@@ -142,12 +143,47 @@ class TestFitTMarginal:
         capped = 0
         for x in samples:
             fit = fit_t_marginal(x)
-            loc0 = float(np.median(x))
-            scale0 = float(np.median(np.abs(x - loc0))) * 1.4826
-            loc, scale = loop_location_scale(x, fit.dof, loc0, scale0)
-            assert repr(fit) == repr(TMarginal(loc, scale, fit.dof))
-            capped += fit.effectively_normal
+            loc, log_scale, log_dof = t_marginal_score(x, fit)
+            assert abs(loc) <= 1e-8 * x.size and abs(log_scale) <= 1e-8 * x.size, fit
+            if fit.effectively_normal:
+                capped += 1
+                assert fit.dof == estimation.DOF_MAX and log_dof > 0.0, (fit, log_dof)
+            else:
+                assert abs(log_dof) <= 1e-8 * x.size, (fit, log_dof)
         assert capped >= 1
+
+    @pytest.mark.parametrize("b", [1e-200, 1e-150, 1e-6, 1e6, 1e150, 1e200])
+    def test_affine_equivariance(self, b):
+        # fit(a + b x) = (a + b location, b scale, dof), without a numeric
+        # warning at any loss scale
+        x = np.random.default_rng(5).standard_t(5.0, 500)
+        fit, a = fit_t_marginal(x), 3.0 * b
+        moved = fit_t_marginal(a + b * x)
+        assert moved.location == pytest.approx(a + b * fit.location, rel=1e-9)
+        assert moved.scale == pytest.approx(b * fit.scale, rel=1e-9)
+        assert moved.dof == pytest.approx(fit.dof, rel=1e-9)
+
+    @pytest.mark.parametrize("n, ties", [(100, 70), (500, 350), (500, 450), (31, 22)])
+    def test_unbounded_likelihood_rejected(self, n, ties):
+        # a value repeated more than 2.1/3.1 of the time sends the
+        # likelihood to +inf as the scale shrinks to 0
+        rng = np.random.default_rng(ties)
+        x = rng.permutation(np.concatenate([np.full(ties, 0.25), rng.standard_t(5.0, n - ties)]))
+        message = (f"unbounded t likelihood: the value 0.25 repeats {ties} times in {n} "
+                   "samples, more than 2.1/3.1 of them")
+        with pytest.raises(ValueError) as err:
+            fit_t_marginal(x)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("n, ties", [(100, 55), (100, 67), (500, 338), (31, 21)])
+    def test_ties_below_the_bound_fit(self, n, ties):
+        # over half the sample tied (a MAD of 0) but at most 2.1/3.1 of it: the
+        # likelihood is bounded and the fit is a stationary point
+        rng = np.random.default_rng(ties)
+        x = rng.permutation(np.concatenate([np.full(ties, 0.25), rng.standard_t(5.0, n - ties)]))
+        fit = fit_t_marginal(x)
+        loc, log_scale, _ = t_marginal_score(x, fit)
+        assert abs(loc) <= 1e-8 * n and abs(log_scale) <= 1e-8 * n, fit
 
 
 class TestFitTCopula:
@@ -190,15 +226,19 @@ class TestFitTCopula:
 
 
 class TestDofSearchMatchesPerDofOracle:
-    """The lockstep EM, at 60 rows or one, and the shared search give fits
-    ``repr``-identical to the search that fits one dof at a time."""
-
-    GRID = np.geomspace(estimation.DOF_MIN, estimation.DOF_MAX, estimation._DOF_GRID_SIZE)
+    """The marginal's Newton fit reaches at least the likelihood of the
+    search that fits one dof at a time, less 1e-9 of its size; the copula's
+    shared search gives fits ``repr``-identical to it."""
 
     @staticmethod
-    def assert_same_fits(x, y):
+    def assert_marginal_at_least_the_oracle(x):
+        want = t_marginal_loglik(x, per_dof_t_marginal(x))
+        assert t_marginal_loglik(x, fit_t_marginal(x)) >= want - 1e-9 * abs(want)
+
+    @classmethod
+    def assert_same_fits(cls, x, y):
         for sample in (x, y):
-            assert repr(fit_t_marginal(sample)) == repr(per_dof_t_marginal(sample))
+            cls.assert_marginal_at_least_the_oracle(sample)
         u, v = pseudo_observations(x), pseudo_observations(y)
         assert repr(fit_t_copula(u, v)) == repr(per_dof_t_copula(u, v))
 
@@ -231,76 +271,68 @@ class TestDofSearchMatchesPerDofOracle:
 
     @pytest.mark.parametrize("n", [5_000, 50_000])
     def test_samples_spanning_several_row_blocks(self, n):
-        # n = 5,000 puts six grid rows in a block, n = 50,000 one
+        # for the copula, n = 5,000 puts six grid rows in a block, n = 50,000 one
         rng = np.random.default_rng(50)
         x = rng.standard_t(4.0, n)
         y = 0.6 * x + rng.standard_t(4.0, n)
         assert estimation._DOF_GRID_SIZE * n > 2 * estimation._BLOCK_ELEMENTS
         self.assert_same_fits(x, y)
 
-    def test_lockstep_em_equals_the_one_dof_loop_on_every_grid_dof(self):
-        rng = np.random.default_rng(2024)
-        for trial in range(24):
-            n = int(rng.integers(30, 3_000))
-            dof = float(rng.uniform(2.2, 40.0))
-            x = float(rng.normal()) + float(rng.uniform(0.01, 3.0)) * rng.standard_t(dof, n)
-            loc0 = float(np.median(x))
-            scale0 = float(np.median(np.abs(x - loc0))) * 1.4826
-            locs, scales = _fit_location_scale_rows(x, self.GRID, loc0, scale0)
-            for i, g in enumerate(self.GRID.tolist()):
-                want = loop_location_scale(x, g, loc0, scale0)
-                assert (locs[i], scales[i]) == want, (trial, g)
-            # the one-row array that Brent's search and the final refit pass
-            for g in (dof, float(rng.uniform(2.1, 100.0))):
-                (loc,), (scale,) = _fit_location_scale_rows(x, np.array([g]), loc0, scale0)
-                assert (loc, scale) == loop_location_scale(x, g, loc0, scale0), (trial, g)
-
-    def test_rows_stopped_by_the_iteration_cap(self):
-        # from a start scale of 1e-140 the scale grows by about sqrt(dof + 1)
-        # a step, so the lowest grid dofs run out of their 500 steps
-        x = np.random.default_rng(1).standard_t(4.0, 200)
-        loc0 = float(np.median(x))
-        locs, scales = _fit_location_scale_rows(x, self.GRID, loc0, 1e-140)
-        assert scales[0] < 1e-10 < 0.5 < scales[-1]
-        for i, g in enumerate(self.GRID.tolist()):
-            assert (locs[i], scales[i]) == loop_location_scale(x, g, loc0, 1e-140), g
-        # off the grid, one row at a time; the two lowest dofs run out of steps
-        for g in (2.15, 2.3, 7.7, 97.0):
-            (loc,), (scale,) = _fit_location_scale_rows(x, np.array([g]), loc0, 1e-140)
-            assert (loc, scale) == loop_location_scale(x, g, loc0, 1e-140), g
-            assert (scale < 1e-10) == (g < 3.0), g
+    @pytest.mark.parametrize("n", [30, 100, 500, 3_000])
+    def test_hard_sweep(self, n):
+        # true dof 2.2 to normal, ten samples each, the last with three gross
+        # outliers: fits at both dof bounds and far inside them
+        rng = np.random.default_rng(n)
+        for dof in (2.2, 3.0, 5.0, 10.0, 30.0, math.inf):
+            for i in range(10):
+                x = rng.standard_normal(n) if dof == math.inf else rng.standard_t(dof, n)
+                if i == 9:
+                    x[:3] = (40.0, -55.0, 120.0)
+                self.assert_marginal_at_least_the_oracle(x)
 
 
 class TestDofSearchBudget:
-    """Brent's search makes at most 30 single-dof evaluations per fit,
-    counting the marginal's refit at the chosen dof."""
+    """Brent's search makes at most 30 single-dof evaluations per copula fit,
+    and the marginal's Newton search at most 20 likelihood evaluations, so
+    at most 20 iterations, cap refit included."""
 
     def test_at_most_30_single_dof_evaluations_per_fit(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(_BENCH))
         workloads = importlib.import_module("workloads")
-        real_rows, real_logliks = _fit_location_scale_rows, estimation._t_copula_logliks
+        real_logliks = estimation._t_copula_logliks
         sizes = []
-
-        def rows(x, dofs, loc0, scale0):
-            sizes.append(dofs.size)
-            return real_rows(x, dofs, loc0, scale0)
 
         def logliks(levels, iu, iv, rho, dofs):
             sizes.append(dofs.size)
             return real_logliks(levels, iu, iv, rho, dofs)
 
-        monkeypatch.setattr(estimation, "_fit_location_scale_rows", rows)
         monkeypatch.setattr(estimation, "_t_copula_logliks", logliks)
         for seed in (1, 2, 3):
             for workload_id in (1, 2):
                 ds = workloads.make_dataset(tmp_path, seed, workload_id, 0)
-                u, v = pseudo_observations(ds.x), pseudo_observations(ds.y)
-                for fit in (lambda: fit_t_marginal(ds.x), lambda: fit_t_marginal(ds.y),
-                            lambda: fit_t_copula(u, v)):
-                    sizes.clear()
-                    fit()
-                    assert sizes.count(estimation._DOF_GRID_SIZE) == 1
-                    assert sizes.count(1) == len(sizes) - 1 <= 30, (seed, workload_id, sizes)
+                sizes.clear()
+                fit_t_copula(pseudo_observations(ds.x), pseudo_observations(ds.y))
+                assert sizes.count(estimation._DOF_GRID_SIZE) == 1
+                assert sizes.count(1) == len(sizes) - 1 <= 30, (seed, workload_id, sizes)
+
+    def test_marginal_takes_at_most_20_newton_iterations(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(_BENCH))
+        workloads = importlib.import_module("workloads")
+        real_terms = estimation._t_terms
+        calls = []
+
+        def terms(u, theta):
+            calls.append(1)
+            return real_terms(u, theta)
+
+        monkeypatch.setattr(estimation, "_t_terms", terms)
+        for seed in (1, 2, 3):
+            for workload_id in (1, 2):
+                ds = workloads.make_dataset(tmp_path, seed, workload_id, 0)
+                for x in (ds.x, ds.y):
+                    calls.clear()
+                    fit_t_marginal(x)
+                    assert len(calls) <= 20, (seed, workload_id, len(calls))
 
 
 class TestGenerateScenarios:
