@@ -1,14 +1,16 @@
 """Prior estimation: heavy-tailed marginals, tail dependence, scenario panels.
 
 Builds the scenario prior from historical loss data: Student-t marginals
-fitted by maximum likelihood, a t copula calibrated by Kendall-tau
-inversion (``rho = sin(pi tau / 2)``) with its degrees of freedom chosen by a
+fitted by maximum likelihood, a t copula calibrated on the ranks (tied
+values share their mean rank) by Kendall-tau inversion
+(``rho = sin(pi tau / 2)``) with its degrees of freedom chosen by a
 one-dimensional pseudo-likelihood search, and a seeded sampler that maps
 copula draws through the marginal quantile functions into a
 :class:`~epcovar.scenario.ScenarioPanel` with uniform weights. The sampler
 inverts numerically: per margin, one cubic Hermite interpolant of the exact
 map g from a copula draw to a unit marginal quantile, within
-1e-10 max(1, |g|) of it, on the calling thread.
+1e-10 max(1, |g|) of it, on the calling thread. g is odd, so it is evaluated
+on the nodes at or above 0 and mirrored onto the rest.
 
 Also hosts the traditional-CoVaR baseline, the quantile regression of Y on X,
 solved as a linear program whose basic solution is a line through two
@@ -18,8 +20,10 @@ Degrees of freedom lie in [2.1, 100], where the floor keeps the variances
 that moment views need finite; a fit at the cap is "effectively normal". A
 marginal is fitted by projected Newton on its log-likelihood in (location,
 log scale, log dof), then refitted at the cap, which wins if its likelihood
-is as high. The copula's dof comes from ``_search_dof``: a 60-point log grid,
-then Brent's bounded search on the argmax's bracket, then the cap test.
+is as high. The copula's dof comes from ``_search_dof``: a 60-point log grid
+read in two passes (every 6th dof and the cap, then the dofs within 5 steps
+of that argmax), then Brent's bounded search on the argmax's bracket, then
+the cap test.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .scenario import ScenarioPanel, _uniform_prior
 DOF_MIN = 2.1
 DOF_MAX = 100.0
 _DOF_GRID_SIZE = 60
+_COARSE_STRIDE = 6  # the dof search's first pass reads every 6th grid dof
 # Near the maximum, a step of 3e-7 in log dof moves the copula's objective by
 # about 1e-12, the size of its rounding noise, so a finer search only chases noise
 _LOG_DOF_XATOL = 3e-7
@@ -103,17 +108,33 @@ def _search_dof(values_at, width: int) -> float:
     """Maximize the copula's pseudo-likelihood over dof in [DOF_MIN, DOF_MAX].
 
     ``values_at`` maps an array of dofs to the objective at each, with arrays
-    of ``width`` elements per dof. It is called on a 60-point log grid, in
-    blocks of ``max(1, _BLOCK_ELEMENTS // width)`` dofs, then on one dof at a
-    time by Brent's bounded search (Brent, *Algorithms for Minimization
-    without Derivatives*, 1973, ch. 5) in log dof on the argmax's bracket.
-    The cap wins when the objective there is at least that at Brent's dof.
+    of ``width`` elements per dof, and is called in blocks of
+    ``max(1, _BLOCK_ELEMENTS // width)`` dofs. The search reads a 60-point
+    log grid in two passes: every ``_COARSE_STRIDE``-th grid dof and the cap,
+    then the grid dofs within ``_COARSE_STRIDE - 1`` steps of that pass's
+    argmax. Brent's bounded search (Brent, *Algorithms for Minimization
+    without Derivatives*, 1973, ch. 5) then takes one dof at a time in log
+    dof on the bracket of the grid argmax. The cap wins when the objective
+    there is at least that at Brent's dof. On an objective that is unimodal
+    over the grid this is the argmax of the whole grid; a second local
+    maximum more than ``_COARSE_STRIDE - 1`` steps from the first pass's
+    argmax would be missed.
     """
     from scipy.optimize import minimize_scalar
 
     grid = np.geomspace(DOF_MIN, DOF_MAX, _DOF_GRID_SIZE)
     rows = max(1, _BLOCK_ELEMENTS // width)
-    values = np.concatenate([values_at(grid[i:i + rows]) for i in range(0, grid.size, rows)])
+    values = np.full(grid.size, -np.inf)  # grid dofs not read stay below any that are
+
+    def read(idx: np.ndarray) -> None:
+        for i in range(0, idx.size, rows):
+            values[idx[i:i + rows]] = values_at(grid[idx[i:i + rows]])
+
+    coarse = np.append(np.arange(0, grid.size - 1, _COARSE_STRIDE), grid.size - 1)
+    read(coarse)
+    k = int(np.argmax(values))
+    read(np.setdiff1d(np.arange(max(k - _COARSE_STRIDE + 1, 0),
+                                min(k + _COARSE_STRIDE, grid.size)), coarse))
     k = int(np.argmax(values))
     res = minimize_scalar(
         lambda u: -values_at(np.array([math.exp(u)]))[0],
@@ -260,9 +281,10 @@ def fit_t_copula(u, v) -> TCopulaParams:
     """Calibrate a t copula to pseudo-observations in (0, 1).
 
     The correlation comes from Kendall-tau inversion; the degrees of freedom
-    maximize the pseudo-likelihood on a log grid over [2.1, 100] refined by
-    Brent's bounded search. Heavily tied inputs (over half the entries
-    duplicated in either margin) are rejected as rank-degenerate, and
+    maximize the pseudo-likelihood by ``_search_dof``, a two-pass log grid
+    over [2.1, 100] refined by Brent's bounded search. Heavily tied inputs
+    (over half the entries duplicated in either margin) are rejected as
+    rank-degenerate, and
     |tau| = 1 is rejected because the implied copula correlation sits on the
     boundary.
     """
@@ -293,10 +315,15 @@ def fit_t_copula(u, v) -> TCopulaParams:
 
 
 def pseudo_observations(x) -> np.ndarray:
-    """Rank transform r/(n+1), keeping entries strictly inside (0, 1)."""
+    """Rank transform r/(n+1), keeping entries strictly inside (0, 1).
+
+    Tied values share their mean rank, so the result does not depend on the
+    order of tied rows, and ``fit_t_copula`` sees the ties.
+    """
+    from scipy.stats import rankdata
+
     x = np.asarray(x, dtype=float)
-    ranks = np.argsort(np.argsort(x, kind="stable"), kind="stable") + 1.0
-    return ranks / (x.size + 1.0)
+    return rankdata(x) / (x.size + 1.0)
 
 
 def generate_scenarios(
@@ -368,25 +395,35 @@ def _unit_map_inplace(copula_dof: float, dof: float, draws: np.ndarray) -> None:
     """Overwrite ``draws`` with g(draws) (``_exact_unit_map``), by numerical
     inversion (Hormann & Leydold, ACM TOMACS 13(4), 2003).
 
-    g is a cubic Hermite interpolant in s = asinh(z) on ``_MAP_NODES`` nodes
-    evenly spaced between the draws' extremes, with exact node values and
-    exact slopes dg/ds = cosh(s) t_c(z) / t_m(g(z)), the ratio of the two t
-    densities (0 where the clip binds). A draw's interval is read off
-    asinh(z) directly. Draws in an interval with a clipped endpoint take the
-    exact map, so the clip is exact; so does a draw range with one value.
-    Draws are mapped in blocks of ``_MAP_BLOCK``, so the temporaries stay
-    small.
+    g is a cubic Hermite interpolant in s = asinh(z) with exact node values
+    and exact slopes dg/ds = cosh(s) t_c(z) / t_m(g(z)), the ratio of the two
+    t densities (0 where the clip binds). Its step is the draws' span in s
+    over ``_MAP_NODES - 1``, and its nodes sit at whole multiples of the step
+    that cover the span, counted from s = 0 when the draws have both signs
+    and from the smallest draw otherwise. g is odd and its slope even, so the
+    map is evaluated only at the nodes at or above the origin and mirrored
+    onto those below it. A draw's interval is read off asinh(z) directly.
+    Draws in an interval with a clipped endpoint take the exact map, so the
+    clip is exact; so does a draw range with one value. Draws are mapped in
+    blocks of ``_MAP_BLOCK``, so the temporaries stay small.
     """
     lo, hi = np.arcsinh([draws.min(), draws.max()]).tolist()
     if not lo < hi:
         _exact_unit_map(copula_dof, dof, draws, out=draws)
         return
-    s = np.linspace(lo, hi, _MAP_NODES)
-    z = np.sinh(s)
-    g, clipped = _exact_unit_map(copula_dof, dof, z)
     step = (hi - lo) / (_MAP_NODES - 1)
+    # from the smallest draw when all have one sign, so the node counts stay small
+    origin = 0.0 if lo < 0.0 < hi else lo
+    first = math.floor((lo - origin) / step)
+    nodes = np.arange(first, math.ceil((hi - origin) / step) + 1)  # node 0 among them
+    reach = np.abs(nodes)
+    z = np.sinh(origin + np.arange(reach.max() + 1) * step)
+    g, clipped = _exact_unit_map(copula_dof, dof, z)
     slope = np.exp(_t_log_density(copula_dof, z) - _t_log_density(dof, g)) * np.hypot(1.0, z)
     slope[clipped] = 0.0
+    z, g, slope, clipped = z[reach], g[reach], slope[reach], clipped[reach]
+    np.negative(z, out=z, where=nodes < 0)
+    np.negative(g, out=g, where=nodes < 0)
     m0, m1 = step * slope[:-1], step * slope[1:]
     d = np.diff(g)
     # g on interval k at s = s_k + t * step, 0 <= t <= 1: c0 + t (c1 + t (c2 + t c3))
@@ -396,8 +433,8 @@ def _unit_map_inplace(copula_dof: float, dof: float, draws: np.ndarray) -> None:
     span = (unclipped[0], unclipped[-1]) if unclipped.size else (np.inf, -np.inf)
     for start in range(0, draws.size, _MAP_BLOCK):
         b = draws[start:start + _MAP_BLOCK]
-        u = (np.arcsinh(b) - lo) / step
-        k = np.minimum(u.astype(np.intp), _MAP_NODES - 2)
+        u = (np.arcsinh(b) - origin) / step - first
+        k = np.minimum(u.astype(np.intp), nodes.size - 2)
         t = u - k
         mapped = ((c3[k] * t + c2[k]) * t + c1[k]) * t + c0[k]
         if clipped.any():

@@ -18,7 +18,9 @@ Conventions used throughout the package:
   deterministic under ties.
 - A panel sorts its Y losses once, when it is built: ``ScenarioPanel.sorted_y``
   holds the stable order, the tie groups and the distinct values that every
-  quantile read uses (VaR, each view, the pooled row).
+  quantile read uses (VaR, each view, the pooled row). The order comes from
+  NumPy's default (SIMD) sort, redone with ``kind="stable"`` only when two
+  sorted neighbours are equal or NaN; without them the order is unique.
   ``ScenarioPanel.log_prior`` holds ``np.log(prior)`` for every solve on the
   panel.
 - Scenario moments use the population convention (probabilities are exact
@@ -152,17 +154,28 @@ class SortedLosses:
     """A loss vector with its stable sort order.
 
     ``groups`` holds the order, a mask marking the last sorted entry of each
-    tie group and the distinct values, as read-only arrays. Wrap only arrays
-    that nobody writes to afterwards, such as a panel's.
+    tie group and the distinct values (the first of each group), as
+    read-only arrays; NaNs, which sort last, form one group. The order comes
+    from NumPy's default (SIMD) sort, which is the stable order when no two
+    sorted neighbours are equal or NaN; otherwise the vector is sorted again
+    with ``kind="stable"``. Wrap only arrays that nobody writes to
+    afterwards, such as a panel's.
     """
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
-        order = np.argsort(self.values, kind="stable")
-        uniq, start = np.unique(self.values[order], return_index=True)
-        last = np.zeros(order.size, dtype=bool)
-        last[start[1:] - 1] = True
+        order = np.argsort(self.values)
+        ordered = self.values[order]
+        new = ordered[1:] != ordered[:-1]  # a group starts at each True, one entry on
+        if ordered.size and not (new.all() and ordered[-1] == ordered[-1]):
+            # equal neighbours compare the same in either order; NaNs sort last
+            order = np.argsort(self.values, kind="stable")
+            ordered = self.values[order]
+            new &= ordered[:-1] == ordered[:-1]  # NaN != NaN, yet NaNs form one group
+        last = np.empty(order.size, dtype=bool)
+        last[:-1] = new
         last[-1:] = True  # the last entry ends the last group; an empty vector has none
+        uniq = ordered[np.roll(last, 1)]
         for a in (order, last, uniq):
             a.flags.writeable = False
         self.groups = order, last, uniq

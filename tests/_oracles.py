@@ -11,10 +11,11 @@ quantiles of the bivariate t law by quadrature, a cell-by-cell CSV
 reader, and the Student-t marginal and t-copula fits with their degrees of
 freedom searched one dof at a time.
 
-Three oracles are earlier forms of package code. Two show that the current
+Four oracles are earlier forms of package code. Three show that the current
 forms give the same bits: the entropy-pooling dual written with a fresh
-temporary per step and an eager Hessian, and the scenario-mode report rows
-with every view evaluated in turn on the calling thread. The third, the
+temporary per step and an eager Hessian, the scenario-mode report rows
+with every view evaluated in turn on the calling thread, and a loss
+vector's stable sort order with its tie groups by ``np.unique``. The fourth, the
 sampler's map from copula draws to unit marginal quantiles by two t special
 functions per draw, bounds the interpolant that replaced it.
 """
@@ -807,6 +808,19 @@ def exact_unit_map(copula_dof, dof, z):
     evaluated on the lower tail and mirrored for z > 0."""
     g = stdtrit(dof, np.maximum(stdtr(copula_dof, -np.abs(z)), 1e-12))
     return np.where(z > 0.0, -g, g)
+
+
+def stable_sort_groups(values):
+    """``SortedLosses.groups`` as a stable sort and ``np.unique`` give them:
+    the order, the mask of each tie group's last sorted entry, and the
+    distinct values."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    uniq, start = np.unique(values[order], return_index=True)
+    last = np.zeros(order.size, dtype=bool)
+    last[start[1:] - 1] = True
+    last[-1:] = True
+    return order, last, uniq
 
 
 def temporaries_dual(lam, log_prior, rows, bounds):

@@ -214,6 +214,44 @@ class TestUnboundedLikelihood:
         assert cli.main(["--data", tied_csv, "--x", "X", "--y", "Y"]) == 0
 
 
+class TestRankDegeneracy:
+    """An X column that is 55% one value has a bounded t likelihood, but its
+    tied values share one mean rank, so the copula's tie guard refuses it in
+    both fitted modes; the analytic mode fits no copula and reports."""
+
+    MESSAGE = "estimation: rank degeneracy: more than half the entries are tied"
+
+    @pytest.fixture(scope="class")
+    def tied_csv(self, tmp_path_factory):
+        rng = np.random.default_rng(55)
+        x = 0.01 * rng.standard_t(5.0, 300)
+        x[rng.permutation(300)[:165]] = 0.0
+        y = 0.5 * x + 0.01 * rng.standard_t(5.0, 300)
+        path = tmp_path_factory.mktemp("data") / "tied.csv"
+        rows = zip(x.tolist(), y.tolist())
+        path.write_text("X,Y\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows))
+        return str(path)
+
+    @pytest.mark.parametrize("mode", ["analytic-from-fit", "scenario"])
+    def test_fitted_modes_refuse(self, tied_csv, mode):
+        config = RunConfig(data=tied_csv, x="X", y="Y", mode=mode, scenarios=500,
+                           views=(expectation_view(0.01),))
+        with pytest.raises(DataError) as err:
+            run_pipeline(config)
+        assert str(err.value) == self.MESSAGE
+
+    @pytest.mark.parametrize("mode", ["analytic-from-fit", "scenario"])
+    def test_cli_exits_3(self, tied_csv, capsys, mode):
+        rc = cli.main(["--data", tied_csv, "--x", "X", "--y", "Y", "--mode", mode])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"data error: {self.MESSAGE}\n"
+
+    def test_analytic_mode_reports(self, tied_csv):
+        assert cli.main(["--data", tied_csv, "--x", "X", "--y", "Y"]) == 0
+
+
 class TestAnalyticPipeline:
     def test_no_view_row_collapses(self, losses_csv):
         config = RunConfig(data=losses_csv, x="SVB", y="NBI", views=(no_view(),))

@@ -217,6 +217,27 @@ class TestFitTCopula:
         with pytest.raises(ValueError, match="inside"):
             fit_t_copula(np.linspace(0.0, 0.9, 50), np.linspace(0.1, 0.9, 50))
 
+    def test_ties_share_their_mean_rank(self):
+        u = pseudo_observations([0.3, 0.1, 0.3, 0.2, 0.3, 0.1])
+        assert u.tolist() == [r / 7.0 for r in (5.0, 1.5, 5.0, 3.0, 5.0, 1.5)]
+
+    def test_fit_ignores_the_order_of_tied_rows(self):
+        # 40% of X is one value: with mean ranks, reordering the rows that
+        # share it moves neither rho nor, beyond Brent's xatol, the dof
+        rng = np.random.default_rng(40)
+        x = rng.standard_t(5.0, 400)
+        y = 0.5 * x + rng.standard_t(5.0, 400)
+        tied = rng.permutation(400)[:160]
+        x[tied] = 0.0
+        fits = []
+        for _ in range(3):
+            rows = np.arange(400)
+            rows[tied] = rng.permutation(tied)
+            fits.append(fit_t_copula(pseudo_observations(x[rows]), pseudo_observations(y[rows])))
+        for fit in fits[1:]:
+            assert fit.rho == fits[0].rho
+            assert fit.dof == pytest.approx(fits[0].dof, rel=1e-6)
+
     def test_pseudo_observations_stay_interior(self):
         x = np.random.default_rng(7).normal(size=500)
         u = pseudo_observations(x)
@@ -278,6 +299,20 @@ class TestDofSearchMatchesPerDofOracle:
         assert estimation._DOF_GRID_SIZE * n > 2 * estimation._BLOCK_ELEMENTS
         self.assert_same_fits(x, y)
 
+    @pytest.mark.parametrize("n", [30, 500, 2_000])
+    def test_copula_sweep(self, n):
+        # the two-pass grid search against the oracle's full grid, copula dof
+        # 2.2 to normal, unequal marginal dofs
+        rng = np.random.default_rng(n + 1)
+        for dof in (2.2, 3.0, 5.0, 10.0, 30.0, 60.0, math.inf):
+            z = rng.standard_normal((2, n))
+            z[1] = 0.5 * z[0] + math.sqrt(0.75) * z[1]
+            if dof < math.inf:
+                z /= np.sqrt(rng.chisquare(dof, n) / dof)
+            x, y = stdtrit(3.0, stdtr(dof, z[0])), stdtrit(8.0, stdtr(dof, z[1]))
+            u, v = pseudo_observations(x), pseudo_observations(y)
+            assert repr(fit_t_copula(u, v)) == repr(per_dof_t_copula(u, v)), (n, dof)
+
     @pytest.mark.parametrize("n", [30, 100, 500, 3_000])
     def test_hard_sweep(self, n):
         # true dof 2.2 to normal, ten samples each, the last with three gross
@@ -292,9 +327,10 @@ class TestDofSearchMatchesPerDofOracle:
 
 
 class TestDofSearchBudget:
-    """Brent's search makes at most 30 single-dof evaluations per copula fit,
-    and the marginal's Newton search at most 20 likelihood evaluations, so
-    at most 20 iterations, cap refit included."""
+    """The copula's grid search reads at most 21 grid dofs in its two passes
+    and Brent's search makes at most 30 single-dof evaluations per fit; the
+    marginal's Newton search makes at most 20 likelihood evaluations, so at
+    most 20 iterations, cap refit included."""
 
     def test_at_most_30_single_dof_evaluations_per_fit(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(_BENCH))
@@ -312,8 +348,10 @@ class TestDofSearchBudget:
                 ds = workloads.make_dataset(tmp_path, seed, workload_id, 0)
                 sizes.clear()
                 fit_t_copula(pseudo_observations(ds.x), pseudo_observations(ds.y))
-                assert sizes.count(estimation._DOF_GRID_SIZE) == 1
-                assert sizes.count(1) == len(sizes) - 1 <= 30, (seed, workload_id, sizes)
+                # at n = 500 each grid pass is one block: 11 dofs, then at most 10
+                passes, brent = sizes[:2], sizes[2:]
+                assert passes[0] == 11 and sum(passes) <= 21, (seed, workload_id, sizes)
+                assert brent.count(1) == len(brent) <= 30, (seed, workload_id, sizes)
 
     def test_marginal_takes_at_most_20_newton_iterations(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(_BENCH))
@@ -430,6 +468,16 @@ class TestUnitMap:
                 upper, _ = estimation._exact_unit_map(copula_dof, dof, z)
                 lower, _ = estimation._exact_unit_map(copula_dof, dof, -z)
                 assert upper.tobytes() == (-lower).tobytes(), (copula_dof, dof)
+
+    def test_draws_of_one_sign(self):
+        # the nodes then start at the smallest draw, not at 0: wide spans on
+        # each side and a span 1e-9 wide
+        z = np.abs(copula_draws(TCopulaParams(0.5, 6.0), 20_000, 4)[0]) + 0.5
+        for draws in (z, -z, 1e3 * (1.0 + np.linspace(0.0, 1e-9, 500)), -1e3 - z[:500]):
+            for dof in self.DOFS:
+                exact = exact_unit_map(6.0, dof, draws)
+                err = np.abs(self._mapped(6.0, dof, draws) - exact)
+                assert np.all(err <= MAP_TOL * np.maximum(1.0, np.abs(exact))), dof
 
     @pytest.mark.parametrize("value", [0.0, -1.5, 1e8])
     def test_one_distinct_draw(self, value):

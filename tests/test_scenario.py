@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from _oracles import stable_sort_groups
 from scipy.special import ndtri
 
 from epcovar.estimation import TCopulaParams, TMarginal, generate_scenarios
 from epcovar.scenario import (
     Probabilities,
     ScenarioPanel,
+    SortedLosses,
     build_panel,
     interpolated_quantile,
     moments,
@@ -135,6 +137,26 @@ class TestBuildPanel:
         np.testing.assert_array_equal(panel.losses("y"), [2, 3])
         with pytest.raises(ValueError):
             panel.losses("z")
+
+
+class TestSortedLosses:
+    """The groups from the default sort, redone stably on ties, against a
+    stable sort and ``np.unique`` (``_oracles.stable_sort_groups``), bitwise."""
+
+    @pytest.mark.parametrize("values", [
+        np.random.default_rng(3).standard_t(5.0, 20_000),
+        np.random.default_rng(4).integers(-3, 4, 500) * 0.5,
+        [0.0, -0.0, 1.0, -0.0, 0.0, -1.0],
+        [np.nan, 1.0, np.nan, 0.5, 2.0, np.nan, 1.0],
+        [1.0, np.nan, 2.0],
+        [],
+        [7.0],
+        [np.nan],
+    ], ids=["tie-free", "tied", "signed-zeros", "nan-tied", "one-nan", "empty", "one", "nan"])
+    def test_groups_equal_the_stable_reference(self, values):
+        got, want = SortedLosses(values).groups, stable_sort_groups(values)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestProbabilities:
