@@ -52,6 +52,7 @@ _MAX_STEP = 2.0  # the longest step in any coordinate, so a trial stays near its
 _LOGLIK_SLACK = 1e-12  # the line search's rounding allowance, relative (the noise reads ~1e-14)
 _MAP_NODES = 4096  # nodes of the sampler's interpolated unit map
 _MAP_BLOCK = 1 << 14  # draws the unit map takes at a time
+_MAP_REACH = 2.0**40  # farthest unit-map node from s = 0, in steps
 
 
 @dataclass(frozen=True)
@@ -282,11 +283,10 @@ def fit_t_copula(u, v) -> TCopulaParams:
 
     The correlation comes from Kendall-tau inversion; the degrees of freedom
     maximize the pseudo-likelihood by ``_search_dof``, a two-pass log grid
-    over [2.1, 100] refined by Brent's bounded search. Heavily tied inputs
-    (over half the entries duplicated in either margin) are rejected as
-    rank-degenerate, and
-    |tau| = 1 is rejected because the implied copula correlation sits on the
-    boundary.
+    over [2.1, 100] refined by Brent's bounded search. A margin where one
+    value fills more than half the entries is rejected as rank-degenerate,
+    and |tau| = 1 is rejected because the implied copula correlation sits on
+    the boundary.
     """
     from scipy.stats import kendalltau
 
@@ -298,8 +298,10 @@ def fit_t_copula(u, v) -> TCopulaParams:
         raise ValueError(f"need at least 30 observations, got {u.size}")
     if np.any((u <= 0.0) | (u >= 1.0)) or np.any((v <= 0.0) | (v >= 1.0)):
         raise ValueError("pseudo-observations must lie strictly inside (0, 1)")
-    if max(1.0 - np.unique(a).size / a.size for a in (u, v)) > 0.5:
-        raise ValueError("rank degeneracy: more than half the entries are tied")
+    tied = max(int(np.unique(a, return_counts=True)[1].max()) for a in (u, v))
+    if 2 * tied > u.size:
+        raise ValueError(f"rank degeneracy: {tied} of {u.size} entries are tied at one value, "
+                         "more than half")
     tau = float(kendalltau(u, v).statistic)
     rho = math.sin(math.pi * tau / 2.0)
     if abs(rho) >= 1.0 - 1e-12:
@@ -398,30 +400,29 @@ def _unit_map_inplace(copula_dof: float, dof: float, draws: np.ndarray) -> None:
     g is a cubic Hermite interpolant in s = asinh(z) with exact node values
     and exact slopes dg/ds = cosh(s) t_c(z) / t_m(g(z)), the ratio of the two
     t densities (0 where the clip binds). Its step is the draws' span in s
-    over ``_MAP_NODES - 1``, and its nodes sit at whole multiples of the step
-    that cover the span, counted from s = 0 when the draws have both signs
-    and from the smallest draw otherwise. g is odd and its slope even, so the
-    map is evaluated only at the nodes at or above the origin and mirrored
-    onto those below it. A draw's interval is read off asinh(z) directly.
-    Draws in an interval with a clipped endpoint take the exact map, so the
-    clip is exact; so does a draw range with one value. Draws are mapped in
-    blocks of ``_MAP_BLOCK``, so the temporaries stay small.
+    over ``_MAP_NODES - 1``, and its nodes sit at the whole multiples k of
+    the step that cover the span. g is odd and its slope even, so the map is
+    evaluated only at the distinct |k| and mirrored onto the nodes with
+    k < 0. A draw's interval is read off asinh(z) directly. Draws in an
+    interval with a clipped endpoint take the exact map, so the clip is
+    exact; so do all draws when their range has one value or lies more than
+    ``_MAP_REACH`` steps from s = 0, too narrow for its place to be read off
+    asinh(z). Draws are mapped in blocks of ``_MAP_BLOCK``, so the
+    temporaries stay small.
     """
     lo, hi = np.arcsinh([draws.min(), draws.max()]).tolist()
-    if not lo < hi:
+    step = (hi - lo) / (_MAP_NODES - 1)
+    if not max(-lo, hi) < _MAP_REACH * step:
         _exact_unit_map(copula_dof, dof, draws, out=draws)
         return
-    step = (hi - lo) / (_MAP_NODES - 1)
-    # from the smallest draw when all have one sign, so the node counts stay small
-    origin = 0.0 if lo < 0.0 < hi else lo
-    first = math.floor((lo - origin) / step)
-    nodes = np.arange(first, math.ceil((hi - origin) / step) + 1)  # node 0 among them
-    reach = np.abs(nodes)
-    z = np.sinh(origin + np.arange(reach.max() + 1) * step)
+    first = math.floor(lo / step)
+    nodes = np.arange(first, math.ceil(hi / step) + 1)
+    reach, back = np.unique(np.abs(nodes), return_inverse=True)
+    z = np.sinh(reach * step)
     g, clipped = _exact_unit_map(copula_dof, dof, z)
     slope = np.exp(_t_log_density(copula_dof, z) - _t_log_density(dof, g)) * np.hypot(1.0, z)
     slope[clipped] = 0.0
-    z, g, slope, clipped = z[reach], g[reach], slope[reach], clipped[reach]
+    z, g, slope, clipped = z[back], g[back], slope[back], clipped[back]
     np.negative(z, out=z, where=nodes < 0)
     np.negative(g, out=g, where=nodes < 0)
     m0, m1 = step * slope[:-1], step * slope[1:]
@@ -433,7 +434,7 @@ def _unit_map_inplace(copula_dof: float, dof: float, draws: np.ndarray) -> None:
     span = (unclipped[0], unclipped[-1]) if unclipped.size else (np.inf, -np.inf)
     for start in range(0, draws.size, _MAP_BLOCK):
         b = draws[start:start + _MAP_BLOCK]
-        u = (np.arcsinh(b) - origin) / step - first
+        u = np.arcsinh(b) / step - first
         k = np.minimum(u.astype(np.intp), nodes.size - 2)
         t = u - k
         mapped = ((c3[k] * t + c2[k]) * t + c1[k]) * t + c0[k]

@@ -213,6 +213,24 @@ class TestFitTCopula:
         with pytest.raises(ValueError, match="tied"):
             fit_t_copula(u, v)
 
+    def test_tie_guard_counts_the_largest_group(self):
+        # many small tie groups (one value in ten is distinct) pass; one value
+        # in 150 of 300 entries passes, in 151 it is refused
+        rng = np.random.default_rng(57)
+        x = rng.standard_t(5.0, 300)
+        y = 0.5 * x + rng.standard_t(5.0, 300)
+        v = pseudo_observations(y)
+        fit_t_copula(pseudo_observations(np.repeat(x[:30], 10)), v)
+        for tied, refused in ((150, False), (151, True)):
+            x[:tied] = 0.0
+            u = pseudo_observations(x)
+            if refused:
+                message = f"^rank degeneracy: {tied} of 300 entries are tied at one value"
+                with pytest.raises(ValueError, match=message + ", more than half$"):
+                    fit_t_copula(u, v)
+            else:
+                fit_t_copula(u, v)
+
     def test_interval_guard(self):
         with pytest.raises(ValueError, match="inside"):
             fit_t_copula(np.linspace(0.0, 0.9, 50), np.linspace(0.1, 0.9, 50))
@@ -470,10 +488,14 @@ class TestUnitMap:
                 assert upper.tobytes() == (-lower).tobytes(), (copula_dof, dof)
 
     def test_draws_of_one_sign(self):
-        # the nodes then start at the smallest draw, not at 0: wide spans on
-        # each side and a span 1e-9 wide
+        # the nodes are still counted from s = 0, and the map is evaluated
+        # only at those in use: wide spans on each side, a span 1e-6 wide and
+        # one an ulp wide in asinh(z), too narrow for the nodes (and their
+        # int64 indices), which takes the exact map
         z = np.abs(copula_draws(TCopulaParams(0.5, 6.0), 20_000, 4)[0]) + 0.5
-        for draws in (z, -z, 1e3 * (1.0 + np.linspace(0.0, 1e-9, 500)), -1e3 - z[:500]):
+        s = np.arcsinh(3.0)
+        ulps = np.sinh(s + np.array([0.0, 1.0, 1.0]) * np.spacing(s))
+        for draws in (z, -z, 1e3 * (1.0 + np.linspace(0.0, 1e-6, 500)), -1e3 - z[:500], ulps):
             for dof in self.DOFS:
                 exact = exact_unit_map(6.0, dof, draws)
                 err = np.abs(self._mapped(6.0, dof, draws) - exact)
