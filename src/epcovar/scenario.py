@@ -8,6 +8,8 @@ Conventions used throughout the package:
   positive prior summing to one within ``PANEL_PROB_TOL``. Every other
   probability vector read (weights, bins, confidences) sums to one within
   ``PROB_SUM_TOL``; ``_check_sum`` is the one check, and refuses NaN.
+  Posteriors (``Probabilities``) are non-negative: one conditioned on a
+  region is exactly zero off it.
 - Reports read quantiles with ``interpolated_quantile``, the
   mid-distribution estimator: each atom sits at the midpoint of its
   probability mass and the cumulative curve is interpolated linearly between
@@ -62,12 +64,15 @@ def _freeze(a: np.ndarray, fresh: bool = False) -> np.ndarray:
     return out
 
 
-def _check_weights(w: np.ndarray) -> None:
-    """Raise ValueError naming the first non-finite or non-positive weight."""
+def _check_weights(w: np.ndarray, zero_ok: bool = False) -> None:
+    """Raise ValueError naming the first non-finite or non-positive weight
+    (with ``zero_ok``, the first non-finite or negative one)."""
     if not np.all(np.isfinite(w)):
         raise ValueError(f"non-finite weight at index {int(np.argmax(~np.isfinite(w)))}")
-    if np.any(w <= 0.0):
-        raise ValueError(f"non-positive weight at index {int(np.argmax(w <= 0.0))}")
+    bad = w < 0.0 if zero_ok else w <= 0.0
+    if np.any(bad):
+        what = "negative" if zero_ok else "non-positive"
+        raise ValueError(f"{what} weight at index {int(np.argmax(bad))}")
 
 
 def _check_sum(total: float, what: str = "weights", tol: float = PROB_SUM_TOL) -> None:
@@ -83,7 +88,11 @@ def as_weights(probs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Probabilities:
-    """Strictly positive probability vector over J scenarios."""
+    """Non-negative probability vector over J scenarios.
+
+    A posterior conditioned on a region is exactly zero off it; a panel's
+    prior stays strictly positive (see :class:`ScenarioPanel`).
+    """
 
     weights: np.ndarray
     _fresh: InitVar[bool] = False
@@ -92,7 +101,7 @@ class Probabilities:
         w = _freeze(np.atleast_1d(self.weights), _fresh)
         if w.ndim != 1:
             raise ValueError("weights must be one-dimensional")
-        _check_weights(w)
+        _check_weights(w, zero_ok=True)
         _check_sum(float(w.sum()))
         object.__setattr__(self, "weights", w)
 

@@ -21,6 +21,16 @@ row, normalization included. Multipliers of upper-bounded rows are >= 0, of
 lower-bounded rows <= 0, and complementary slackness holds within tolerance.
 One-sided constraints already satisfied by the prior leave it untouched.
 
+A set whose dual rows all pin the mass of a region, to 1 or to 0, has a
+closed-form optimum, which a presolve returns before any Newton step: the
+prior restricted to the intersection S of the rows' supports and
+renormalised, with KL -ln P(S) (Meucci, "Fully Flexible Views", 2008). The
+tilt reaches it only as its multipliers run off to infinity. Value views
+compile to such sets. Posteriors are therefore non-negative, not strictly
+positive: the zeros off S are the exact optimum, not clipped weights, and
+:class:`~epcovar.errors.DegenerateError` still means a tilted weight below
+the floor. The panel's prior stays strictly positive.
+
 Each round of Newton steps ends with one evaluation of its iterate, the
 weights and their max violation, which the stall test, the verdict and the
 report all read. Refusals are decided by a property of the view, not by the
@@ -68,6 +78,16 @@ MAX_ITER = 10_000  # Newton steps per solve
 
 @dataclass(frozen=True)
 class SolveReport:
+    """The minimum-KL posterior and how it was reached.
+
+    A Newton solve reports the tilt's multipliers, ``ln Z`` on the
+    normalization row, and its step count. A set answered in closed form
+    (every dual row pins a region's mass; see :func:`solve`) reports the
+    tilt's limits: -inf on each mass-1 row, +inf on each mass-0 row, and
+    ln P(S), the limit of the dual value ``ln Z + lam . b``, on the
+    normalization row; ``iterations`` is 0.
+    """
+
     posterior: Probabilities
     multipliers: np.ndarray     # one per constraint row, normalization included
     residual: float             # max constraint violation at the posterior
@@ -76,15 +96,23 @@ class SolveReport:
 
 
 def relative_entropy(post, prior) -> float:
-    """KL divergence sum q ln(q/p) in nats between two probability vectors."""
+    """KL divergence sum q ln(q/p) in nats between two probability vectors.
+
+    A zero weight in the posterior adds 0 ln 0 = 0; the prior must be
+    strictly positive.
+    """
     q = as_weights(post)
     p = as_weights(prior)
     if q.size != p.size:
         raise ValueError(f"length mismatch: post has {q.size}, prior has {p.size}")
-    if np.any(q <= 0.0) or np.any(p <= 0.0):
-        raise ValueError("relative entropy needs strictly positive weights")
+    if np.any(q < 0.0) or np.any(p <= 0.0):
+        raise ValueError(
+            "relative entropy needs non-negative posterior and strictly positive prior weights")
     _check_sum(float(q.sum()), "posterior weights")
     _check_sum(float(p.sum()), "prior weights")
+    positive = q > 0.0
+    if not positive.all():  # the zero weights add nothing
+        q, p = q[positive], p[positive]
     log_ratio = np.log(q)
     return float(np.einsum("j,j->", q, np.subtract(log_ratio, np.log(p), out=log_ratio)))
 
@@ -179,9 +207,18 @@ def solve(panel: ScenarioPanel, constraints: LinearConstraintSet) -> SolveReport
     they are met only with posterior mass below the positivity floor (1e-300).
     Each round's iterate is evaluated once, weights and violation; a set with
     no dual rows, only once, at the prior's tilt.
+
+    When every dual row pins a region's mass (see :func:`_conditioned`) and
+    the regions meet, the posterior is the prior conditioned on their
+    intersection S, in closed form and in O(J) per row: zero off S, entropy
+    -ln P(S), no Newton step. Any other set, an empty S included, is solved
+    by Newton as described in the module docstring.
     """
     log_p = panel.log_prior
     rows, bounds, sign, index = dual_rows(constraints)
+    conditioned = _conditioned(panel, constraints, rows, bounds, sign, index)
+    if conditioned is not None:
+        return conditioned
 
     def evaluate(lam):
         return dual(lam, log_p, rows, bounds)
@@ -225,6 +262,40 @@ def solve(panel: ScenarioPanel, constraints: LinearConstraintSet) -> SolveReport
     multipliers[constraints.normalization_row] = value - float(lam @ bounds)  # ln Z
     entropy = float(np.einsum("j,j->", q, np.subtract(lp, log_p, out=lp)))
     return SolveReport(Probabilities(q, _fresh=True), multipliers, violation, iterations, max(entropy, 0.0))
+
+
+def _conditioned(panel, constraints, rows, bounds, sign, index) -> SolveReport | None:
+    """The closed-form posterior when every dual row pins a region's mass, else None.
+
+    A dual row pins a mass when its entries are all 0 or 1 and its bound
+    admits one mass only: bound 1 with ``sign <= 0`` (mass 1: the support
+    is the row's region) or bound 0 with ``sign >= 0`` (mass 0: the support
+    is the region's complement). The scalar bounds are tested before any row
+    is read, so a set with another bound costs nothing here. When the
+    supports' intersection S is empty, None sends the set to Newton, whose
+    certificate refuses it.
+    """
+    mass_one = (bounds == 1.0) & (sign <= 0)
+    if not bounds.size or not np.all(mass_one | ((bounds == 0.0) & (sign >= 0))):
+        return None
+    support = None
+    for row, one in zip(rows, mass_one):
+        region = row == 1.0
+        if not np.array_equal(row, region):  # an entry other than 0 or 1
+            return None
+        if not one:
+            np.logical_not(region, out=region)
+        support = region if support is None else np.logical_and(support, region, out=support)
+    q = np.where(support, panel.prior, 0.0)
+    mass = float(q.sum())
+    if mass == 0.0:
+        return None
+    np.divide(q, mass, out=q)
+    multipliers = np.zeros(constraints.n_rows)
+    multipliers[index] = np.where(mass_one, -np.inf, np.inf)
+    multipliers[constraints.normalization_row] = math.log(mass)
+    return SolveReport(Probabilities(q, _fresh=True), multipliers, max_violation(constraints, q),
+                       0, max(-math.log(mass), 0.0))
 
 
 def _gaps(constraints: LinearConstraintSet, q: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Pipeline, report formats, sensitivity scans, and the CLI."""
 
+import importlib
 import io
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 from scipy.special import ndtr, ndtri, stdtrit
 
 from _oracles import bivariate_t_conditional_quantile, serial_scenario_rows
-from epcovar import analytics, cli, engine, estimation, scenario
+from epcovar import analytics, cli, engine, estimation, scenario, solver
 from epcovar.analytics import (
     BivariateNormalParams,
     covar_for_view,
@@ -57,6 +58,8 @@ from epcovar.views import (
     variance_view,
     view_from_dict,
 )
+
+_BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 @pytest.fixture(scope="module")
@@ -452,6 +455,23 @@ class TestScenarioPipeline:
         if view.kind == "quantile":  # as the closed form has it
             prior = BivariateNormalParams(0.0, 0.0, 1.0, 1.0, 0.0)
             assert covar_for_view(prior, view, 0.95).branch == f"{view.relation}-collapse"
+
+    def test_value_views_condition_as_the_tilt_would_on_the_benchmark_panels(
+            self, tmp_path, monkeypatch):
+        # conditioning on the region is the limit the tilt approaches: on the
+        # seed-1 scenario_conditioning panels the CoVaRs agree within 1e-10
+        # relative, with no Newton step against the tilt's several
+        monkeypatch.syspath_prepend(str(_BENCH))
+        workloads = importlib.import_module("workloads")
+        for op in workloads.ScenarioConditioning(tmp_path, 1).round_ops():
+            panel = workloads.build_scenario_panel(op.dataset, op.config.scenarios)
+            for view in op.config.views:
+                covar, rep = ep_covar_on_panel(panel, view, op.config.alpha)
+                with monkeypatch.context() as m:
+                    m.setattr(solver, "_conditioned", lambda *args: None)
+                    tilted, newton = ep_covar_on_panel(panel, view, op.config.alpha)
+                assert rep.iterations == 0 < newton.iterations
+                assert abs(covar - tilted) <= 1e-10 * abs(tilted), (view, covar, tilted)
 
     def test_grid_discretized_mean_view_matches_closed_form(self):
         prior = BivariateNormalParams(0.10, 0.02, 0.10, 0.08, 0.5)

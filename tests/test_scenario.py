@@ -160,9 +160,11 @@ class TestSortedLosses:
 
 
 class TestProbabilities:
-    def test_rejects_zero_weight(self):
-        with pytest.raises(ValueError, match="non-positive weight at index 1"):
-            Probabilities(np.array([0.5, 0.0, 0.5]))
+    def test_accepts_zero_weight_rejects_negative(self):
+        # a posterior conditioned on a region is exactly zero off it
+        assert Probabilities(np.array([0.5, 0.0, 0.5])).weights.tolist() == [0.5, 0.0, 0.5]
+        with pytest.raises(ValueError, match="negative weight at index 1"):
+            Probabilities(np.array([0.75, -0.25, 0.5]))
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError, match="sum"):

@@ -92,8 +92,9 @@ class TestRelativeEntropy:
     def test_guards(self):
         with pytest.raises(ValueError, match="length mismatch"):
             relative_entropy([1.0], [0.5, 0.5])
+        assert relative_entropy([1.0, 0.0], [0.5, 0.5]) == math.log(2.0)
         with pytest.raises(ValueError, match="positive"):
-            relative_entropy([1.0, 0.0], [0.5, 0.5])
+            relative_entropy([0.5, 0.5], [1.0, 0.0])
 
     def test_rejects_vectors_that_do_not_sum_to_one(self):
         # unnormalised vectors used to give a negative divergence here, -2 ln 2
@@ -567,6 +568,145 @@ class TestSolve:
         rows, bounds, _, index = dual_rows(cs)
         value, _, _, _ = dual(rep.multipliers[index], np.log(panel.prior), rows, bounds)
         assert abs(rep.entropy + value) < 1e-9  # entropy = -(minimized dual)
+
+
+class TestConditioning:
+    """Sets whose rows all pin a region's mass to 1 or 0 are answered in
+    closed form: the prior conditioned on the regions' intersection."""
+
+    @staticmethod
+    def _forbid_newton(monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("Newton machinery called on a conditioning set")
+
+        for name in ("dual", "_newton", "_phase_one_certificate"):
+            monkeypatch.setattr(solver_mod, name, forbidden)
+
+    @staticmethod
+    def _conditioned_on(panel, region):
+        w = np.where(region, panel.prior, 0.0)
+        return w / w.sum(), -math.log(float(w.sum()))
+
+    @pytest.mark.parametrize("target", ["x", "y"])
+    @pytest.mark.parametrize("relation", ["eq", "le", "ge"])
+    def test_value_view_is_the_prior_conditioned_on_its_region(
+            self, monkeypatch, relation, target):
+        panel = _t5_panel(11, 3000)
+        loss = panel.losses(target)
+        level = float(np.quantile(loss, 0.8))
+        region = {"eq": np.abs(loss - level) <= 0.1, "le": loss <= level,
+                  "ge": loss >= level}[relation]
+        cs = compile_view(value_view(level, relation, target,
+                                     band=0.1 if relation == "eq" else None), panel)
+        self._forbid_newton(monkeypatch)
+        rep = solve(panel, cs)
+        want, entropy = self._conditioned_on(panel, region)
+        assert rep.posterior.weights.tobytes() == want.tobytes()
+        assert abs(rep.entropy - entropy) <= 1e-12
+        assert rep.iterations == 0 and rep.residual <= 1e-12
+        assert rep.multipliers.tolist() == [-np.inf, -entropy]
+
+    def test_two_pinned_rows_condition_on_their_intersection(self, monkeypatch):
+        panel = _t5_panel(12, 2000)
+        above_x, above_y = panel.x >= 0.5, panel.y >= 0.2
+        g = np.vstack([above_x, np.ones(panel.size), above_y]).astype(float)
+        cs = LinearConstraintSet(g, np.array([1.0, 1.0, 1.0]), np.array([1.0, 1.0, np.inf]))
+        self._forbid_newton(monkeypatch)
+        rep = solve(panel, cs)
+        want, entropy = self._conditioned_on(panel, above_x & above_y)
+        assert rep.posterior.weights.tobytes() == want.tobytes()
+        assert abs(rep.entropy - entropy) <= 1e-12 and rep.iterations == 0
+        assert rep.multipliers.tolist() == [-np.inf, -entropy, -np.inf]
+
+    @pytest.mark.parametrize("lower", [0.0, -np.inf], ids=["eq", "le"])
+    def test_a_mass_zero_row_conditions_on_the_complement(self, monkeypatch, lower):
+        panel = _t5_panel(13, 2000)
+        above = panel.x >= 1.0
+        g = np.vstack([above, np.ones(panel.size)]).astype(float)
+        cs = LinearConstraintSet(g, np.array([lower, 1.0]), np.array([0.0, 1.0]))
+        self._forbid_newton(monkeypatch)
+        rep = solve(panel, cs)
+        want, entropy = self._conditioned_on(panel, ~above)
+        assert rep.posterior.weights.tobytes() == want.tobytes()
+        assert abs(rep.entropy - entropy) <= 1e-12 and rep.iterations == 0
+        assert rep.multipliers.tolist() == [np.inf, -entropy]
+        assert rep.residual <= 1e-12 and not rep.posterior.weights[above].any()
+
+    def test_disjoint_regions_are_refused_as_before(self, monkeypatch):
+        # the presolve declines an empty intersection: Newton and its
+        # certificate refuse it, with the message and certificate they give
+        # without the presolve
+        panel = _t5_panel(14, 1000)
+        g = np.vstack([panel.x >= 1.0, panel.x <= -1.0, np.ones(panel.size)]).astype(float)
+        cs = LinearConstraintSet(g, np.ones(3), np.ones(3))
+        with pytest.raises(InfeasibleError) as err:
+            solve(panel, cs)
+        monkeypatch.setattr(solver_mod, "_conditioned", lambda *args: None)
+        with pytest.raises(InfeasibleError) as newton:
+            solve(panel, cs)
+        assert str(err.value) == str(newton.value)
+        assert err.value.residual == newton.value.residual
+        assert abs(err.value.residual - 0.5) <= 1e-12  # each region misses by half
+
+    def test_pooled_conditioned_posteriors_keep_their_zeros(self):
+        panel = _t5_panel(15, 2000)
+        views = (value_view(1.0, "ge"), value_view(-0.5, "le", target="y"))
+        mixed = pool([solve(panel, compile_view(v, panel)).posterior for v in views],
+                     [0.5, 0.5])
+        q, p = mixed.weights, panel.prior
+        positive = q > 0.0
+        assert not positive.all()
+        want = math.fsum(q[positive] * np.log(q[positive] / p[positive]))
+        assert abs(relative_entropy(mixed, p) - want) <= 1e-14
+
+    def _bitwise_newton(self, monkeypatch, panel, view):
+        """The solve is the one the Newton path gives: the presolve declines."""
+        declined = _calls(monkeypatch, "_conditioned")
+        rep = solve(panel, compile_view(view, panel))
+        assert declined == [None]
+        monkeypatch.setattr(solver_mod, "_conditioned", lambda *args: None)
+        want = solve(panel, compile_view(view, panel))
+        monkeypatch.undo()
+        assert rep.posterior.weights.tobytes() == want.posterior.weights.tobytes()
+        assert rep.multipliers.tobytes() == want.multipliers.tobytes()
+        assert (repr(rep.residual), rep.iterations, repr(rep.entropy)) == (
+            repr(want.residual), want.iterations, repr(want.entropy))
+        assert rep.iterations > 0
+        return rep
+
+    def test_other_kinds_keep_the_newton_path(self, monkeypatch):
+        panel = _t5_panel(16, 2000)
+        mean, var = float(panel.x.mean()), float(panel.x.var())
+        for view in (
+            expectation_view(mean + 0.3 * math.sqrt(var)),
+            expectation_view(mean + 0.3 * math.sqrt(var), "ge"),
+            variance_view(1.5 * var),
+            mean_variance_view(mean + 0.2 * math.sqrt(var), 0.8 * var),
+            quantile_view(float(np.quantile(panel.x, 0.5)), 0.7),
+            quantile_view(float(np.quantile(panel.x, 0.9)), 0.95, "le"),
+            correlation_view(0.8),
+            relative_view(0.2, 1.3),
+            distribution_view([-20.0, 0.0, 20.0], [0.6, 0.4]),
+            expectation_view(0.0),  # a pinning bound on a row that is not a region
+        ):
+            self._bitwise_newton(monkeypatch, panel, view)
+
+    @pytest.mark.parametrize("lower, upper", [(-np.inf, 1.0), (0.0, np.inf)],
+                             ids=["at-most-1", "at-least-0"])
+    def test_bounds_that_admit_every_mass_pin_nothing(self, lower, upper):
+        # mass <= 1 and mass >= 0 hold under every posterior: the prior stands
+        panel = _t5_panel(18, 500)
+        g = np.vstack([panel.x >= 1.0, np.ones(panel.size)]).astype(float)
+        cs = LinearConstraintSet(g, np.array([lower, 1.0]), np.array([upper, 1.0]))
+        rep = solve(panel, cs)
+        assert np.all(np.isfinite(rep.multipliers)) and rep.posterior.weights.min() > 0.0
+        np.testing.assert_allclose(rep.posterior.weights, panel.prior, rtol=1e-12)
+
+    def test_a_zero_bin_beside_positive_bins_keeps_the_newton_path(self, monkeypatch):
+        panel = _t5_panel(17, 2000)
+        rep = self._bitwise_newton(
+            monkeypatch, panel, distribution_view([-20.0, -2.0, 0.0, 20.0], [0.0, 0.5, 0.5]))
+        assert rep.residual <= TOL and rep.posterior.weights.min() > 0.0
 
 
 class TestPool:
